@@ -8,37 +8,20 @@
 //! is the aliasing oracle); the quotient run must land inside the
 //! orbit-counting bounds and hold the ≥ 1.8× reduction floor.
 //!
-//! Two PR-10 lanes cover the set-based visited store:
-//!
-//! * **LDD A/B** (both modes): the same quotient workload explored
-//!   under `VisitedBackend::Hash` and `VisitedBackend::Ldd`, reporting
-//!   both resident-byte footprints side by side. The gated floor is
-//!   the LDD's **compression vs explicit vector storage**
-//!   (`states × vector_words × 8` bytes ÷ LDD resident bytes) — ≥ 4×
-//!   on the full workload (CAS-loop n=3 crash_budget=2, ~1.59M
-//!   orbits), ≥ 1.25× on the smaller smoke workload (n=2
-//!   crash_budget=1, ~21k orbits). The lossy 8-byte-fingerprint hash
-//!   rows are reported, not gated: no lossless store can beat ~10–16
-//!   B/state on bytes — the LDD buys *exactness* (see DESIGN.md
-//!   "Set-based visited store").
-//! * **Newly feasible** (full mode): CAS-loop n=4 crash_budget=2 —
-//!   19.6M quotient orbits, past the 50M-concrete-state horizon
-//!   without symmetry — exhausted under a wall-clock *and* resident-
-//!   byte ceiling.
-//!
 //! Full mode times everything, closes with the headline instances —
 //! the historical two-crash f-array space (past the checker's default
-//! 5M-state cap before PR 3), the n=3 A/B workload above, and the n=4
-//! space — asserts the perf floors, and writes `BENCH_modelcheck.json`
-//! (override: `BENCH_MODELCHECK_OUT`); its wall-clock content makes
-//! the report non-byte-stable, so [`Experiment::deterministic`] is
-//! false there. Smoke mode runs the crash-free spaces once per
-//! operating point plus the A/B lane *sequentially* (final LDD/hash
-//! stats are worker-count-independent, but sequential exploration
-//! removes even that variable) and reports only deterministic columns
-//! (state counts, resident bytes after the store's final
-//! compact-and-shrink, node counts), so the compression floor gates in
-//! smoke too.
+//! 5M-state cap), the CAS-loop n=3 two-crash quotient space (pinned at
+//! exactly 1,588,408 orbits), and the **newly feasible** CAS-loop n=4
+//! two-crash space (19.6M quotient orbits, past the
+//! 50M-concrete-state horizon without symmetry) exhausted under a
+//! wall-clock *and* resident-byte ceiling — asserts the perf floors, and
+//! writes `BENCH_modelcheck.json` (override: `BENCH_MODELCHECK_OUT`);
+//! its wall-clock content makes the report non-byte-stable, so
+//! [`Experiment::deterministic`] is false there. Smoke mode runs the
+//! crash-free spaces once per operating point and reports only
+//! deterministic columns (state counts and visited entries); its
+//! parallel row is labelled `parallel` without the worker count, so the
+//! golden does not depend on the host's CPU count.
 //!
 //! `BENCH_MODELCHECK_SYMMETRY` overrides the symmetry of the n=4
 //! newly-feasible lane (default `quotient`) for manual A/B runs;
@@ -48,7 +31,7 @@
 
 use super::prelude::*;
 use crate::par;
-use modelcheck::{explore, explore_par, CheckConfig, CheckReport, Symmetry, VisitedBackend};
+use modelcheck::{explore, explore_par, CheckConfig, CheckReport, Symmetry};
 use rwcore::{af_world, af_world_custom, CounterKind, HelpOrder};
 use std::str::FromStr;
 use std::time::Instant;
@@ -59,14 +42,8 @@ const SAMPLES: usize = 5;
 /// one-class two-reader worlds (2! = 2 is the ceiling).
 const REDUCTION_FLOOR: f64 = 1.8;
 
-/// LDD compression floor (explicit vector bytes ÷ LDD resident bytes)
-/// on the full A/B workload: measured 4.67× at CAS-loop n=3
-/// crash_budget=2.
-const LDD_FLOOR_FULL: f64 = 4.0;
-
-/// LDD compression floor on the smoke A/B workload: measured 1.71× at
-/// CAS-loop n=2 crash_budget=1 (smaller sets share less structure).
-const LDD_FLOOR_SMOKE: f64 = 1.25;
+/// Exact quotient orbit count of the CAS-loop n=3 two-crash space.
+const N3_TWO_CRASH_ORBITS: u64 = 1_588_408;
 
 /// State floor for the n=4 newly-feasible lane (measured 19,603,283
 /// orbits).
@@ -174,16 +151,16 @@ impl Experiment for PerfModelcheck {
     }
 
     fn title(&self) -> &'static str {
-        "explorer states/sec: full-rehash vs incremental vs parallel vs quotient, hash vs LDD"
+        "explorer states/sec: full-rehash vs incremental vs parallel vs quotient"
     }
 
     fn claim(&self) -> &'static str {
-        "PR-3 perf floors (incremental >= 2x full-rehash, parallel >= 3x with >= 4 workers, identical counts), the symmetry quotient (>= 1.8x reduction, the n=3 two-crash space exhausted), and the LDD visited store: identical counts to the hash backend and >= 4x compression vs explicit vector storage at the fixed A/B workload, with the n=4 two-crash space (19.6M orbits) exhausted under wall-clock and resident-byte ceilings"
+        "explorer perf floors (incremental >= 2x full-rehash, parallel >= 3x with >= 4 workers, identical counts) and the symmetry quotient (>= 1.8x reduction; the n=3 two-crash space exhausted at exactly 1,588,408 orbits; the n=4 two-crash space, 19.6M orbits, exhausted under wall-clock and resident-byte ceilings)"
     }
 
     fn deterministic(&self, mode: Mode) -> bool {
         // Full mode renders wall-clock states/sec; smoke renders only
-        // the deterministic state counts and store footprints.
+        // the deterministic state counts.
         mode == Mode::Smoke
     }
 
@@ -288,7 +265,13 @@ impl Experiment for PerfModelcheck {
                 "resident_bytes",
             ])
         };
-        let par_label = format!("parallel({workers})");
+        // The worker count depends on the host, so only full mode,
+        // whose report is not byte-gated, names it.
+        let par_label = if ctx.smoke() {
+            "parallel".to_string()
+        } else {
+            format!("parallel({workers})")
+        };
         let rows: [(&str, &CheckReport, f64, f64); 3] = [
             ("full-rehash", &full_report, full_sps, 1.0),
             ("incremental", &inc_report, inc_sps, inc_speedup),
@@ -346,108 +329,6 @@ impl Experiment for PerfModelcheck {
         }
         report.section(sym_workload.clone(), sym_table);
 
-        // The hash-vs-LDD A/B on a fixed quotient workload. Smoke runs
-        // the ~21k-orbit n=2 one-crash space sequentially (every
-        // reported column is deterministic); full runs the ~1.59M-orbit
-        // n=3 two-crash space with the parallel explorer. The gated
-        // floor is compression vs *explicit* vector storage — the hash
-        // rows are the lossy baseline the LDD is deliberately not
-        // measured against on bytes (DESIGN.md "Set-based visited
-        // store" has the information-theoretic argument).
-        let (ab_readers, ab_crash, ldd_floor) = if ctx.smoke() {
-            (2usize, 1u32, LDD_FLOOR_SMOKE)
-        } else {
-            (3, 2, LDD_FLOOR_FULL)
-        };
-        let (ab_factory, ab_check) = casloop_factory(ab_readers, ab_crash);
-        let ab_hash_cfg = CheckConfig {
-            symmetry: Symmetry::Quotient,
-            ..ab_check.clone()
-        };
-        let ab_ldd_cfg = CheckConfig {
-            symmetry: Symmetry::Quotient,
-            backend: VisitedBackend::Ldd,
-            ..ab_check
-        };
-        // The canonical vector length is fixed per world; + 3 for the
-        // crash/abort/passage budget words the visited key appends.
-        let vector_words = {
-            let mut v = Vec::new();
-            ab_factory().canonical_vec(&mut v);
-            v.len() as u64 + 3
-        };
-        let ab_expect = "CAS-loop A/B space is safe";
-        let (ab_hash_secs, ab_hash) = if ctx.smoke() {
-            timed(|| explore(&ab_factory, &ab_hash_cfg).expect(ab_expect))
-        } else {
-            timed(|| explore_par(&ab_factory, &ab_hash_cfg, workers).expect(ab_expect))
-        };
-        let (ab_ldd_secs, ab_ldd) = if ctx.smoke() {
-            timed(|| explore(&ab_factory, &ab_ldd_cfg).expect(ab_expect))
-        } else {
-            timed(|| explore_par(&ab_factory, &ab_ldd_cfg, workers).expect(ab_expect))
-        };
-        let explicit_bytes = ab_ldd.visited.entries * vector_words * 8;
-        let compression = explicit_bytes as f64 / ab_ldd.visited.resident_bytes.max(1) as f64;
-        let ab_counts_agree = ab_hash.counts() == ab_ldd.counts();
-        let ab_complete = ab_hash.complete && ab_ldd.complete;
-        let ab_workload = format!(
-            "A_f(CasLoop) n={ab_readers} m=1 passages=1 crash_budget={ab_crash} writeback quotient"
-        );
-
-        let mut ab_table = if ctx.smoke() {
-            Table::new([
-                "backend",
-                "states",
-                "resident_bytes",
-                "ldd nodes",
-                "complete",
-            ])
-        } else {
-            Table::new([
-                "backend",
-                "states",
-                "seconds",
-                "states/s",
-                "resident_bytes",
-                "ldd nodes",
-                "op-cache hit",
-            ])
-        };
-        let hit_cell = |r: &CheckReport| match r.visited.op_cache_hit_rate() {
-            Some(rate) => format!("{:.1}%", rate * 100.0),
-            None => "-".to_string(),
-        };
-        let ab_rows: [(&str, &CheckReport, f64); 2] = [
-            ("hash", &ab_hash, ab_hash_secs),
-            ("ldd", &ab_ldd, ab_ldd_secs),
-        ];
-        for (label, r, secs) in ab_rows {
-            if ctx.smoke() {
-                ab_table.row([
-                    label.to_string(),
-                    r.states_explored.to_string(),
-                    r.visited.resident_bytes.to_string(),
-                    r.visited.nodes.to_string(),
-                    r.complete.to_string(),
-                ]);
-            } else {
-                ab_table.row([
-                    label.to_string(),
-                    r.states_explored.to_string(),
-                    format!("{secs:.1}"),
-                    format!("{:.0}", r.states_explored as f64 / secs),
-                    r.visited.resident_bytes.to_string(),
-                    r.visited.nodes.to_string(),
-                    hit_cell(r),
-                ]);
-            }
-        }
-        report.section(
-            format!("hash vs LDD visited store: {ab_workload}"),
-            ab_table,
-        );
-
         report
             .check(Check::new(
                 "all exploration modes exhaust their spaces",
@@ -476,30 +357,6 @@ impl Experiment for PerfModelcheck {
                 format!(">= {REDUCTION_FLOOR:.2}x fewer stored states"),
                 format!("{reduction:.2}x"),
                 reduction >= REDUCTION_FLOOR,
-            ))
-            .check(Check::new(
-                "hash and LDD visited stores partition the A/B space identically",
-                "complete, state counts equal across backends",
-                if ab_complete && ab_counts_agree {
-                    "complete, equal"
-                } else if !ab_complete {
-                    "INCOMPLETE"
-                } else {
-                    "DIVERGED"
-                },
-                ab_complete && ab_counts_agree,
-            ))
-            .check(Check::new(
-                "LDD store holds the compression floor vs explicit vector storage",
-                format!(
-                    ">= {ldd_floor:.2}x ({} states x {vector_words} words x 8 B explicit)",
-                    ab_ldd.visited.entries
-                ),
-                format!(
-                    "{compression:.2}x ({} B resident, {} nodes)",
-                    ab_ldd.visited.resident_bytes, ab_ldd.visited.nodes
-                ),
-                compression >= ldd_floor,
             ));
 
         if !ctx.smoke() {
@@ -528,6 +385,20 @@ impl Experiment for PerfModelcheck {
                 .expect("A_f two-crash space is safe");
             let big_secs = start.elapsed().as_secs_f64();
             let big_sps = big.states_explored as f64 / big_secs;
+
+            // Three readers, two crashes, CAS-loop counters: 8.87M
+            // concrete states, exhausted as a pinned orbit count.
+            let (n3_factory, n3_check) = casloop_factory(3, 2);
+            let n3_cfg = CheckConfig {
+                symmetry: Symmetry::Quotient,
+                ..n3_check
+            };
+            let start = Instant::now();
+            let n3 = explore_par(&n3_factory, &n3_cfg, workers)
+                .expect("CAS-loop n=3 two-crash space is safe");
+            let n3_secs = start.elapsed().as_secs_f64();
+            let n3_sps = n3.states_explored as f64 / n3_secs;
+            let n3_workload = "A_f(CasLoop) n=3 m=1 passages=1 crash_budget=2 writeback";
 
             // The *newly* feasible instance: four readers, two crashes,
             // CAS-loop counters — 19.6M quotient orbits, far past the
@@ -565,6 +436,14 @@ impl Experiment for PerfModelcheck {
                 big.visited.resident_bytes.to_string(),
             ]);
             big_table.row([
+                n3_workload.to_string(),
+                Symmetry::Quotient.to_string(),
+                n3.states_explored.to_string(),
+                format!("{n3_secs:.1}"),
+                format!("{n3_sps:.0}"),
+                n3.visited.resident_bytes.to_string(),
+            ]);
+            big_table.row([
                 new_workload.clone(),
                 new_symmetry.to_string(),
                 new.states_explored.to_string(),
@@ -590,6 +469,20 @@ impl Experiment for PerfModelcheck {
                     big.states_explored
                 ),
                 big.complete && big.states_explored > 2_000_000,
+            ));
+            report.check(Check::new(
+                "the n=3 two-crash CAS-loop space is exhausted at its pinned orbit count",
+                format!("complete, exactly {N3_TWO_CRASH_ORBITS} orbits"),
+                format!(
+                    "{}, {} orbits",
+                    if n3.complete {
+                        "complete"
+                    } else {
+                        "INCOMPLETE"
+                    },
+                    n3.states_explored
+                ),
+                n3.complete && n3.states_explored == N3_TWO_CRASH_ORBITS,
             ));
             report.check(Check::new(
                 "the n=4 two-crash CAS-loop space is exhausted (newly feasible)",
@@ -623,7 +516,6 @@ impl Experiment for PerfModelcheck {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_secs())
                 .unwrap_or(0);
-            let ab_hit_rate = ab_ldd.visited.op_cache_hit_rate().unwrap_or(0.0);
             let json = format!(
                 "{{\n  \"experiment\": \"perf_modelcheck\",\n  \"unix_timestamp\": {unix_secs},\n  \
                  \"workers\": {workers},\n  \"samples\": {samples},\n  \"workload\": \
@@ -640,25 +532,19 @@ impl Experiment for PerfModelcheck {
                  \"concrete_states_per_sec\": {off_sps:.0},\n  \
                  \"quotient_states_per_sec\": {quo_sps:.0},\n  \
                  \"concrete_resident_bytes\": {},\n  \
-                 \"quotient_resident_bytes\": {},\n  \"ldd_ab\": {{\n    \
-                 \"workload\": \"{ab_workload}\",\n    \
-                 \"states\": {},\n    \"vector_words\": {vector_words},\n    \
-                 \"hash_resident_bytes\": {},\n    \
-                 \"ldd_resident_bytes\": {},\n    \
-                 \"explicit_vector_bytes\": {explicit_bytes},\n    \
-                 \"ldd_nodes\": {},\n    \
-                 \"op_cache_hit_rate\": {ab_hit_rate:.4},\n    \
-                 \"hash_seconds\": {ab_hash_secs:.1},\n    \
-                 \"ldd_seconds\": {ab_ldd_secs:.1},\n    \
-                 \"compression_vs_explicit\": {compression:.2},\n    \
-                 \"compression_floor\": {ldd_floor:.2}\n  }},\n  \"infeasible_instance\": {{\n    \
+                 \"quotient_resident_bytes\": {},\n  \"infeasible_instance\": {{\n    \
                  \"workload\": \"A_f n=2 m=1 passages=1 crash_budget=2 writeback\",\n    \
                  \"states\": {},\n    \"seconds\": {big_secs:.1},\n    \
                  \"states_per_sec\": {big_sps:.0},\n    \"complete\": {}\n  }},\n  \
+                 \"quotient_instance\": {{\n    \
+                 \"workload\": \"{n3_workload}\",\n    \
+                 \"symmetry\": \"quotient\",\n    \
+                 \"states\": {},\n    \"resident_bytes\": {},\n    \
+                 \"seconds\": {n3_secs:.1},\n    \
+                 \"states_per_sec\": {n3_sps:.0},\n    \"complete\": {}\n  }},\n  \
                  \"newly_feasible_instance\": {{\n    \
                  \"workload\": \"{new_workload}\",\n    \
                  \"symmetry\": \"{new_symmetry}\",\n    \
-                 \"backend\": \"hash\",\n    \
                  \"states\": {},\n    \"visited_entries\": {},\n    \
                  \"resident_bytes\": {},\n    \
                  \"resident_ceiling_bytes\": {NEWLY_FEASIBLE_RESIDENT_CEILING},\n    \
@@ -668,12 +554,11 @@ impl Experiment for PerfModelcheck {
                 inc_report.states_explored,
                 off_report.visited.resident_bytes,
                 quo_report.visited.resident_bytes,
-                ab_ldd.states_explored,
-                ab_hash.visited.resident_bytes,
-                ab_ldd.visited.resident_bytes,
-                ab_ldd.visited.nodes,
                 big.states_explored,
                 big.complete,
+                n3.states_explored,
+                n3.visited.resident_bytes,
+                n3.complete,
                 new.states_explored,
                 new.visited.entries,
                 new.visited.resident_bytes,

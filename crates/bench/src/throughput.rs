@@ -8,9 +8,7 @@
 //! here with no harness edits — and contended workload shapes come from
 //! the [`Scenario`] DSL, the same strings the model-check suite consumes.
 //!
-//! The lock adapter trait is [`rwcore::RealLock`] (formerly
-//! `BenchLock` in this module; re-exported under the old name for one
-//! release — see the CHANGELOG migration note). The external baseline is
+//! The lock adapter trait is [`rwcore::RealLock`]. The external baseline is
 //! `std::sync::RwLock` only: the workspace builds offline with zero
 //! external dependencies, so the `parking_lot` contender was dropped.
 
@@ -22,11 +20,6 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 pub use rwcore::{RawAdapter, RealLock, StdAdapter};
-
-/// Deprecated alias for [`RealLock`] (the trait moved to `rwcore` so the
-/// registry can build contenders without depending on the harness).
-#[deprecated(note = "renamed to `rwcore::RealLock`; see the CHANGELOG migration note")]
-pub use rwcore::RealLock as BenchLock;
 
 /// Workload shape: how many reader and writer threads, and how many
 /// passages each performs.

@@ -270,16 +270,6 @@ impl Memory {
         self.vals_fp
     }
 
-    /// XOR of the Zobrist slot signatures of the given variables at their
-    /// current values. The symmetry-quotient canonical fingerprint uses
-    /// this to XOR the *index-salted* contributions of class-owned
-    /// variable slices back out of [`Memory::values_fingerprint`], so the
-    /// owned values can be re-entered position-keyed inside each member's
-    /// sorted-multiset bundle instead (see `Sim::fingerprint_canonical`).
-    pub(crate) fn slots_signature(&self, vars: impl Iterator<Item = VarId>) -> u64 {
-        vars.fold(0u64, |acc, v| acc ^ slot_sig(v.0, &self.values[v.0]))
-    }
-
     /// Recompute [`Memory::values_fingerprint`] from scratch. Used as the
     /// debug-assert oracle for the maintained hash (and by tests).
     pub fn values_fingerprint_full(&self) -> u64 {

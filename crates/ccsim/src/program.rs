@@ -173,18 +173,17 @@ pub trait Program: Send {
     /// * **Concrete** ([`crate::Sim::fingerprint`]) — the digest is fed
     ///   through a process-index-seeded hash, so it may freely encode
     ///   process ids or absolute variable ids.
-    /// * **Canonical** ([`crate::Sim::fingerprint_canonical`]) — for
-    ///   processes declared interchangeable in a
-    ///   [`crate::SymmetryClass`], the digest is combined **index-free**
-    ///   into a sorted multiset; it must then be identical for any two
-    ///   members in swapped local states (no process ids, no
+    /// * **Canonical** ([`crate::Sim::canonical_vec`]) — for processes
+    ///   declared interchangeable in a [`crate::SymmetryClass`], the
+    ///   digest enters **index-free** into a member bundle that is sorted
+    ///   against the other members' bundles; it must then be identical
+    ///   for any two members in swapped local states (no process ids, no
     ///   member-distinguishing variable ids — member-owned values are
     ///   instead canonicalized via the class's owned slices).
-    /// * Either way, the digest is only ever mixed through a hasher's
-    ///   multiply, never bare-XORed with index or slot terms: digests of
-    ///   the `mix64` family would otherwise cancel pairwise and merge
-    ///   mirror configurations (the PR-3 injectivity regression — see
-    ///   `proc_sig` in `sim.rs`).
+    /// * In the concrete mode the digest is only ever mixed through a
+    ///   hasher's multiply, never bare-XORed with index or slot terms:
+    ///   digests of the `mix64` family would otherwise cancel pairwise
+    ///   and merge mirror configurations (see `proc_sig` in `sim.rs`).
     fn fingerprint64(&self) -> u64 {
         let mut h = FxHasher::default();
         self.fingerprint(&mut h);

@@ -13,44 +13,26 @@ use std::fmt;
 /// lives in `memory.rs` with a different salt).
 const PROC_SALT: u64 = 0x5eed_0000_0000_0002;
 
-/// Salt for the *index-free* member signatures of the symmetry-quotient
-/// canonical fingerprint ([`Sim::fingerprint_canonical`]). Distinct from
-/// [`PROC_SALT`] so a canonical member bundle can never collide with a
-/// concrete process-slot signature.
-const MEMBER_SALT: u64 = 0x5eed_0000_0000_0003;
-
-/// Sentinel hashed in place of a [`Value::Proc`] self-reference inside a
-/// member bundle: "this slot holds *its own owner's* id" is the
-/// index-free fact, whichever concrete process that is.
-const SELF_REF_SENTINEL: u64 = 0x5e1f_5e1f_5e1f_5e1f;
-
-/// The Zobrist signature of "process `i` has this local state": the
-/// program's 64-bit digest fed through a hasher *seeded* by the process
-/// index. The sim's process fingerprint is the XOR of one signature per
-/// process, so a step or crash of one process is an O(1) patch.
+/// The Zobrist signature of "process `i` has local-state digest
+/// `digest`" (the digest is [`Program::fingerprint64`]), fed through a
+/// hasher *seeded* by the process index. The sim's process fingerprint
+/// is the XOR of one signature per process, so a step or crash of one
+/// process is an O(1) patch.
 ///
 /// This is the *concrete* (index-salted) mix: swapping the local states
-/// of two processes always changes [`Sim::fingerprint`]. The
-/// symmetry-quotient mode ([`Sim::fingerprint_canonical`]) deliberately
-/// drops the index salt for processes declared interchangeable in a
-/// [`SymmetryClass`] and re-combines their digests as a *sorted multiset*
-/// instead, so a pure swap of class members hashes identically.
-///
-/// In **both** mixes the digest must enter through a hasher's multiply,
-/// never a bare XOR with the other terms: programs commonly implement
-/// [`Program::fingerprint64`] as `mix64(small_code)`, the same family as
-/// `mix64(i)`, and a plain `mix64(salt ^ mix64(i) ^ digest)` then makes
-/// "process 0 in state 1" and "process 1 in state 0" produce *identical*
-/// signatures (their XOR contributions cancel pairwise), silently
-/// merging mirror configurations in the model checker's visited set —
-/// the PR-3 injectivity regression. The canonical mode has the same
-/// hazard between a member's digest and its owned-value slots, which is
-/// why the bundle feeds everything through one seeded [`FxHasher`].
+/// of two processes always changes [`Sim::fingerprint`]. The digest must
+/// enter through the hasher's multiply, never a bare XOR with the other
+/// terms: programs commonly implement [`Program::fingerprint64`] as
+/// `mix64(small_code)`, the same family as `mix64(i)`, and a plain
+/// `mix64(salt ^ mix64(i) ^ digest)` then makes "process 0 in state 1"
+/// and "process 1 in state 0" produce *identical* signatures (their XOR
+/// contributions cancel pairwise), silently merging mirror
+/// configurations in the model checker's visited set.
 #[inline]
-fn proc_sig(i: usize, prog: &dyn Program) -> u64 {
+fn proc_sig(i: usize, digest: u64) -> u64 {
     use std::hash::Hasher;
     let mut h = FxHasher::with_seed(PROC_SALT ^ mix64(i as u64));
-    h.write_u64(prog.fingerprint64());
+    h.write_u64(digest);
     h.finish()
 }
 
@@ -60,8 +42,7 @@ fn proc_sig(i: usize, prog: &dyn Program) -> u64 {
 /// the value sits in a class member's owned slot, a [`Value::Proc`]
 /// reference to the owner itself is canonicalized to a dedicated tag:
 /// "this slot names its own owner" is the index-free fact, whichever
-/// concrete process that is (the vector analogue of
-/// [`SELF_REF_SENTINEL`]).
+/// concrete process that is.
 fn encode_value(v: Value, owner: Option<ProcId>, out: &mut Vec<u64>) {
     match v {
         Value::Nil => out.push(0),
@@ -101,10 +82,11 @@ fn encode_value(v: Value, owner: Option<ProcId>, out: &mut Vec<u64>) {
 /// (position `k` of member `j`'s slice corresponds to position `k` of
 /// every other member's slice), and (c) no *other* process or shared
 /// variable observes a member's identity. See DESIGN.md "Symmetry
-/// quotient" for a worked non-example: f-array tree counters fail (c) —
-/// the refresh's fixed left-then-right child reads sample swapped leaves
-/// at different moments, so even sibling-leaf readers are not
-/// interchangeable mid-refresh.
+/// quotient" for where f-array tree counters sit on that boundary:
+/// readers whose leaves are siblings under one parent form a class
+/// (each owning its leaf slots), while a wider reader swap fails (c) —
+/// a refresh at a higher level reads *absolute* heap children, so it
+/// would observe which leaf a swapped reader owns.
 #[derive(Clone, Debug)]
 pub struct SymmetryClass {
     members: Vec<ProcId>,
@@ -266,14 +248,16 @@ pub struct Sim {
     /// the remainder section. Affects passage accounting (the withdrawal
     /// counts as an abort, not a passage) and the abort_* counters.
     aborting: Vec<bool>,
-    /// Maintained [`proc_sig`] per process; `procs_fp` is their XOR.
-    /// Re-derived only for the process that just stepped or crashed, so
-    /// [`Sim::fingerprint`] is O(1) instead of a full-state rehash.
-    proc_sigs: Vec<u64>,
+    /// Maintained [`Program::fingerprint64`] digest per process, and
+    /// `procs_fp`, the XOR of their [`proc_sig`]s. Re-derived only for
+    /// the process that just stepped or crashed, so [`Sim::fingerprint`]
+    /// is O(1) instead of a full-state rehash, and the canonical vector
+    /// reads digests without a virtual call per process.
+    digests: Vec<u64>,
     procs_fp: u64,
     /// Interchangeable-process classes declared by the world builder via
     /// [`Sim::declare_symmetry`]; consulted only by the canonical
-    /// fingerprint ([`Sim::fingerprint_canonical`]), never by stepping.
+    /// vector ([`Sim::canonical_vec`]), never by stepping.
     symmetry: Vec<SymmetryClass>,
     /// `owned_mask[v]` — variable `v` appears in some class member's
     /// owned slice (derived by [`Sim::declare_symmetry`]; lets the
@@ -298,12 +282,11 @@ impl Sim {
             "memory must have one cache per process"
         );
         let n = procs.len();
-        let proc_sigs: Vec<u64> = procs
+        let digests: Vec<u64> = procs.iter().map(|p| p.fingerprint64()).collect();
+        let procs_fp = digests
             .iter()
             .enumerate()
-            .map(|(i, p)| proc_sig(i, &**p))
-            .collect();
-        let procs_fp = proc_sigs.iter().fold(0u64, |acc, s| acc ^ s);
+            .fold(0u64, |acc, (i, &d)| acc ^ proc_sig(i, d));
         let n_vars = mem.n_vars();
         Sim {
             mem,
@@ -311,7 +294,7 @@ impl Sim {
             stats: vec![ProcStats::default(); n],
             recovering: vec![false; n],
             aborting: vec![false; n],
-            proc_sigs,
+            digests,
             procs_fp,
             symmetry: Vec::new(),
             owned_mask: vec![false; n_vars],
@@ -321,12 +304,14 @@ impl Sim {
         }
     }
 
-    /// Re-derive process `p`'s Zobrist signature after its local state
-    /// changed (a resume or a crash) and patch the maintained XOR.
-    fn refresh_proc_sig(&mut self, p: ProcId) {
-        let sig = proc_sig(p.0, &*self.procs[p.0]);
-        self.procs_fp ^= self.proc_sigs[p.0] ^ sig;
-        self.proc_sigs[p.0] = sig;
+    /// Re-derive process `p`'s digest after its local state changed (a
+    /// resume, crash or abort) and patch its Zobrist signature into the
+    /// maintained XOR.
+    fn refresh_digest(&mut self, p: ProcId) {
+        let digest = self.procs[p.0].fingerprint64();
+        let old = self.digests[p.0];
+        self.procs_fp ^= proc_sig(p.0, old) ^ proc_sig(p.0, digest);
+        self.digests[p.0] = digest;
     }
 
     /// Enable (or disable) step tracing. Tracing is off by default; the
@@ -470,7 +455,7 @@ impl Sim {
                 StepKind::BeginPassage
             }
         };
-        self.refresh_proc_sig(p);
+        self.refresh_digest(p);
         // Passage completion: the process just returned to the remainder
         // section (usually Exit -> Remainder; Cs -> Remainder when the exit
         // section is empty, e.g. a 1-process tournament). A withdrawal
@@ -525,7 +510,7 @@ impl Sim {
         let role = self.procs[p.0].role();
         self.mem.crash_invalidate(p);
         self.procs[p.0].on_crash();
-        self.refresh_proc_sig(p);
+        self.refresh_digest(p);
         assert_eq!(
             self.procs[p.0].phase(),
             Phase::Remainder,
@@ -566,7 +551,7 @@ impl Sim {
             let p = ProcId(i);
             self.mem.crash_invalidate(p);
             self.procs[i].on_crash();
-            self.refresh_proc_sig(p);
+            self.refresh_digest(p);
             assert_eq!(
                 self.procs[i].phase(),
                 Phase::Remainder,
@@ -609,7 +594,7 @@ impl Sim {
         let phase_before = self.procs[p.0].phase();
         let role = self.procs[p.0].role();
         self.procs[p.0].on_abort();
-        self.refresh_proc_sig(p);
+        self.refresh_digest(p);
         if self.procs[p.0].phase() == Phase::Remainder {
             // Nothing to undo: the withdrawal completed instantly.
             self.stats[p.0].aborts += 1;
@@ -697,15 +682,16 @@ impl Sim {
             .procs
             .iter()
             .enumerate()
-            .fold(0u64, |acc, (i, p)| acc ^ proc_sig(i, &**p));
+            .fold(0u64, |acc, (i, p)| acc ^ proc_sig(i, p.fingerprint64()));
         vals ^ procs
     }
 
     /// Declare the interchangeable-process classes of this world.
     /// Replaces any previous declaration. Stepping and the concrete
-    /// [`Sim::fingerprint`] are unaffected; only
-    /// [`Sim::fingerprint_canonical`] (and the model checker's quotient
-    /// visited-set backend built on it) consult the classes.
+    /// [`Sim::fingerprint`] are unaffected; only [`Sim::canonical_vec`]
+    /// (and the model checker's quotient state key and
+    /// [`Sim::fingerprint_canonical`], both built on it) consult the
+    /// classes.
     ///
     /// # Panics
     /// Panics loudly on a malformed declaration: a class with fewer than
@@ -740,12 +726,11 @@ impl Sim {
                     seen_vars[v.0] = true;
                 }
             }
-            let d0 = self.procs[class.members[0].0].fingerprint64();
+            let d0 = self.digests[class.members[0].0];
             let vals0: Vec<Value> = class.owned[0].iter().map(|&v| self.mem.peek(v)).collect();
             for (j, &p) in class.members.iter().enumerate() {
                 assert_eq!(
-                    self.procs[p.0].fingerprint64(),
-                    d0,
+                    self.digests[p.0], d0,
                     "symmetry members must start in identical local states \
                      (member {p} differs — declare classes on a fresh world)"
                 );
@@ -768,55 +753,12 @@ impl Sim {
         &self.symmetry
     }
 
-    /// The index-free signature of one class member: its program digest
-    /// plus its owned shared-variable values, keyed by *position in the
-    /// owned slice* (not by absolute variable id) with [`Value::Proc`]
-    /// self-references canonicalized to a sentinel. Two members whose
-    /// local states and owned values are a pure swap of each other
-    /// produce equal signatures.
-    pub fn symmetry_member_sig(&self, class: usize, member: usize) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let c = &self.symmetry[class];
-        let p = c.members[member];
-        let mut h = FxHasher::with_seed(MEMBER_SALT);
-        h.write_u64(self.procs[p.0].fingerprint64());
-        for (k, &v) in c.owned[member].iter().enumerate() {
-            h.write_usize(k);
-            match self.mem.peek(v) {
-                Value::Proc(q) if q == p => h.write_u64(SELF_REF_SENTINEL),
-                val => val.hash(&mut h),
-            }
-        }
-        h.finish()
-    }
-
-    /// The symmetric part of the configuration: [`Sim::fingerprint`] with
-    /// the index-salted contributions of every class member (its
-    /// [`proc_sig`] and its owned variable slots) XORed back out. What
-    /// remains covers exactly the variables and processes *outside* the
-    /// declared classes, and is the base the sorted member bundles are
-    /// mixed onto. O(class members + owned variables) per call.
-    pub fn fingerprint_canonical_base(&self) -> u64 {
-        let mut fp = self.fingerprint();
-        for class in &self.symmetry {
-            for &p in &class.members {
-                fp ^= self.proc_sigs[p.0];
-            }
-            fp ^= self
-                .mem
-                .slots_signature(class.owned.iter().flatten().copied());
-        }
-        fp
-    }
-
-    /// The symmetry-quotient canonical fingerprint: equal for any two
-    /// configurations that differ only by permuting the members of a
-    /// declared [`SymmetryClass`] (local states and owned variable values
-    /// swapped together). Built from [`Sim::fingerprint_canonical_base`]
-    /// plus, per class, the **sorted multiset** of member signatures —
-    /// sorting erases which member holds which state, which is the whole
-    /// point. With no classes declared this degenerates to a rehash of
-    /// the concrete fingerprint (same partition of configurations).
+    /// The symmetry-quotient canonical fingerprint: a 64-bit hash of
+    /// [`Sim::canonical_vec`], so it is equal for any two configurations
+    /// that differ only by permuting the members of a declared
+    /// [`SymmetryClass`] (local states and owned variable values swapped
+    /// together). With no classes declared the vector is positional and
+    /// the partition is the concrete one.
     ///
     /// This is intentionally *coarser* than [`Sim::fingerprint`] and must
     /// only be used for visited-set deduplication in worlds whose
@@ -824,27 +766,20 @@ impl Sim {
     /// identity oracle.
     pub fn fingerprint_canonical(&self) -> u64 {
         use std::hash::Hasher;
-        let mut h = FxHasher::with_seed(MEMBER_SALT);
-        h.write_u64(self.fingerprint_canonical_base());
-        let mut sigs: Vec<u64> = Vec::new();
-        for ci in 0..self.symmetry.len() {
-            sigs.clear();
-            for j in 0..self.symmetry[ci].members.len() {
-                sigs.push(self.symmetry_member_sig(ci, j));
-            }
-            sigs.sort_unstable();
-            for &s in &sigs {
-                h.write_u64(s);
-            }
+        // At most three words per value and per process (a bundle's
+        // length, digest and annotation), so the vector never regrows.
+        let mut words = Vec::with_capacity(3 * (self.mem.n_vars() + self.procs.len()));
+        self.canonical_vec(&mut words);
+        let mut h = FxHasher::default();
+        for w in words {
+            h.write_u64(w);
         }
         h.finish()
     }
 
     /// Append the **canonical state vector** of this configuration to
-    /// `out`: the full, losslessly parseable serialization the set-based
-    /// (LDD) visited backend stores, as opposed to the 64-bit digests of
-    /// [`Sim::fingerprint`] / [`Sim::fingerprint_canonical`]. Layout, in
-    /// order:
+    /// `out`: the full, losslessly parseable serialization the
+    /// symmetry-quotient state key hashes. Layout, in order:
     ///
     /// 1. every shared variable **not** owned by a symmetry-class member,
     ///    in `VarId` order, as a tag-prefixed value encoding;
@@ -855,10 +790,7 @@ impl Sim {
     ///    word, then the member's owned values (with [`Value::Proc`]
     ///    self-references canonicalized) — with the bundles sorted
     ///    lexicographically. Sorting erases which member holds which
-    ///    state, so permuting class members yields an identical vector:
-    ///    this is the true orbit canonicalization the Zobrist multiset
-    ///    *fold* of [`Sim::fingerprint_canonical`] can only approximate
-    ///    by hashing.
+    ///    state, so permuting class members yields an identical vector.
     ///
     /// Cache state and metrics are excluded, matching the fingerprint
     /// discipline: they never influence observable behaviour, only RMR
@@ -867,6 +799,10 @@ impl Sim {
     /// shape the serialization is injective on canonical states: two
     /// configurations produce equal vectors iff they differ only by a
     /// declared-class permutation (given equal annotations).
+    ///
+    /// Digests come from the per-process cache [`Sim::step`] and
+    /// [`Sim::crash`] maintain, so building the vector makes no virtual
+    /// [`Program::fingerprint64`] call.
     pub fn canonical_vec(&self, out: &mut Vec<u64>) {
         self.canonical_vec_annotated(|_| 0, out);
     }
@@ -886,9 +822,9 @@ impl Sim {
             }
         }
         // 2. Non-class processes, positionally.
-        for (i, p) in self.procs.iter().enumerate() {
+        for (i, &digest) in self.digests.iter().enumerate() {
             if !self.class_member[i] {
-                out.push(p.fingerprint64());
+                out.push(digest);
                 out.push(annot(ProcId(i)));
             }
         }
@@ -900,7 +836,7 @@ impl Sim {
             for (j, &p) in class.members().iter().enumerate() {
                 let start = out.len();
                 out.push(0); // length placeholder
-                out.push(self.procs[p.0].fingerprint64());
+                out.push(self.digests[p.0]);
                 out.push(annot(p));
                 for &v in &class.owned()[j] {
                     encode_value(self.mem.peek(v), Some(p), out);
@@ -939,7 +875,7 @@ impl Sim {
             stats: self.stats.clone(),
             recovering: self.recovering.clone(),
             aborting: self.aborting.clone(),
-            proc_sigs: self.proc_sigs.clone(),
+            digests: self.digests.clone(),
             procs_fp: self.procs_fp,
             symmetry: self.symmetry.clone(),
             owned_mask: self.owned_mask.clone(),
@@ -971,7 +907,7 @@ impl Sim {
         dst.stats.clone_from(&self.stats);
         dst.recovering.clone_from(&self.recovering);
         dst.aborting.clone_from(&self.aborting);
-        dst.proc_sigs.clone_from(&self.proc_sigs);
+        dst.digests.clone_from(&self.digests);
         dst.procs_fp = self.procs_fp;
         dst.symmetry.clone_from(&self.symmetry);
         dst.owned_mask.clone_from(&self.owned_mask);

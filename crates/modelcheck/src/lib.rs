@@ -162,7 +162,7 @@ impl FromStr for SchedEntry {
     }
 }
 
-/// Which visited-set backend deduplicates configurations — the
+/// Which state key the visited set deduplicates configurations by — the
 /// fingerprint discipline of an exploration (see
 /// [`CheckConfig::symmetry`]).
 ///
@@ -176,9 +176,10 @@ pub enum Symmetry {
     /// [`Sim::fingerprint`].
     #[default]
     Off,
-    /// Symmetry-quotient deduplication: configurations are keyed by
-    /// [`Sim::fingerprint_canonical`], so states differing only by a
-    /// permutation of a declared [`ccsim::SymmetryClass`] share one
+    /// Symmetry-quotient deduplication: configurations are keyed by a
+    /// hash of their canonical vector ([`Sim::canonical_vec_annotated`]),
+    /// so states differing only by a permutation of a declared
+    /// [`ccsim::SymmetryClass`] share one
     /// entry and each orbit is expanded once, from whichever concrete
     /// representative reaches it first. Sound **only** for worlds whose
     /// declared classes are genuine automorphisms (see the
@@ -214,7 +215,7 @@ impl FromStr for Symmetry {
     type Err = String;
 
     /// Strict parse: exactly `"off"`, `"quotient"`, or `"full_rehash"`.
-    /// No case folding, no trimming, no prefixes — a malformed backend
+    /// No case folding, no trimming, no prefixes — a malformed mode
     /// selection must abort loudly, never silently fall back to a mode
     /// that explores a different number of states.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
@@ -224,54 +225,6 @@ impl FromStr for Symmetry {
             "full_rehash" => Ok(Symmetry::FullRehash),
             other => Err(format!(
                 "bad symmetry mode {other:?}: expected \"off\", \"quotient\", or \"full_rehash\""
-            )),
-        }
-    }
-}
-
-/// How the visited set *stores* configurations, orthogonal to the
-/// [`Symmetry`] key discipline (see [`CheckConfig::backend`]).
-///
-/// Parsed strictly from `"hash"` or `"ldd"` (exact, lowercase);
-/// anything else is a loud [`Err`], matching the [`Symmetry`] and
-/// env-knob discipline.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum VisitedBackend {
-    /// One 64-bit digest per configuration in a 64-way striped hash set
-    /// (the default). O(1) per insert, but resident bytes grow linearly
-    /// with the state count and digests cannot share structure.
-    #[default]
-    Hash,
-    /// The full canonical state vector in an LDD-style set store:
-    /// hash-consed `(value, down, right)` nodes prefix- and suffix-share
-    /// serialized states, so resident bytes track the *structure* of the
-    /// reachable set rather than its cardinality. Collision-free by
-    /// construction (vectors, not digests). Requires a vector key
-    /// discipline: combining with [`Symmetry::FullRehash`] panics.
-    Ldd,
-}
-
-impl fmt::Display for VisitedBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            VisitedBackend::Hash => "hash",
-            VisitedBackend::Ldd => "ldd",
-        })
-    }
-}
-
-impl FromStr for VisitedBackend {
-    type Err = String;
-
-    /// Strict parse: exactly `"hash"` or `"ldd"` — a malformed backend
-    /// selection must abort loudly, never silently fall back to a store
-    /// with different resident-byte semantics.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "hash" => Ok(VisitedBackend::Hash),
-            "ldd" => Ok(VisitedBackend::Ldd),
-            other => Err(format!(
-                "bad visited backend {other:?}: expected \"hash\" or \"ldd\""
             )),
         }
     }
@@ -310,19 +263,13 @@ pub struct CheckConfig {
     /// [`ccsim::Program::can_abort`] — elsewhere they are observable
     /// no-ops and exploring them would only pad the state space.
     pub abort_budget: u32,
-    /// The visited-set backend: concrete incremental fingerprints
+    /// The visited-set key: concrete incremental fingerprints
     /// ([`Symmetry::Off`], the default), the symmetry-quotient canonical
-    /// fingerprint ([`Symmetry::Quotient`]), or the full-rehash SipHash
-    /// oracle ([`Symmetry::FullRehash`]). All three preserve exactly-once
+    /// key ([`Symmetry::Quotient`]), or the full-rehash SipHash oracle
+    /// ([`Symmetry::FullRehash`]). All three preserve exactly-once
     /// expansion (per key) and deterministic BFS-minimal counterexamples;
     /// they differ in which configurations share a key and in cost.
     pub symmetry: Symmetry,
-    /// How visited configurations are stored: hashed digests
-    /// ([`VisitedBackend::Hash`], the default) or full canonical vectors
-    /// in the LDD set store ([`VisitedBackend::Ldd`]). Orthogonal to
-    /// [`CheckConfig::symmetry`], except that the LDD store needs a
-    /// vector form and therefore rejects [`Symmetry::FullRehash`].
-    pub backend: VisitedBackend,
 }
 
 impl Default for CheckConfig {
@@ -336,7 +283,6 @@ impl Default for CheckConfig {
             crash_all_budget: 0,
             abort_budget: 0,
             symmetry: Symmetry::Off,
-            backend: VisitedBackend::default(),
         }
     }
 }
@@ -486,7 +432,7 @@ impl CheckReport {
     /// [`CheckReport::max_depth_seen`], which is a discovery-order
     /// diagnostic (DFS reaches depth along its first branch; a parallel
     /// run's per-worker depths depend on how jobs were donated), and
-    /// [`CheckReport::visited`], which differs between backends by
+    /// [`CheckReport::visited`], which differs between symmetry modes by
     /// design.
     pub fn counts(&self) -> (u64, u64, u64, u64, bool) {
         (
@@ -568,9 +514,8 @@ fn push_entries(
 /// in-tree [`FxHasher`]. The [`Symmetry::FullRehash`] baseline rehashes
 /// the entire configuration with SipHash, exactly as the explorer did
 /// before the incremental fingerprints landed; [`Symmetry::Quotient`]
-/// keys orbits via the canonical fingerprint instead. The explorers
-/// reach these through the [`visited::Visited`] backend for the
-/// configured mode.
+/// keys orbits via [`state_key_quotient`] instead. The explorers reach
+/// these through [`visited::Visited::key`] for the configured mode.
 fn state_key_concrete(sim: &Sim, quota: u64, budgets: Budgets) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(sim.fingerprint());
@@ -584,51 +529,30 @@ fn state_key_concrete(sim: &Sim, quota: u64, budgets: Budgets) -> u64 {
     h.finish()
 }
 
-/// The symmetry-quotient state key: [`Sim::fingerprint_canonical_base`]
-/// (everything outside the declared classes, plus the quotas, budgets
-/// and abort flags of non-class processes, keyed exactly as in
-/// [`state_key_concrete`]) mixed with, per class, the **sorted multiset**
-/// of member bundles.
+/// The symmetry-quotient state key: the FxHash of the configuration's
+/// canonical vector ([`Sim::canonical_vec_annotated`]) followed by the
+/// three remaining adversary budgets. `scratch` is cleared and reused.
 ///
-/// A member's bundle folds its index-free signature together with its
-/// own capped passage count and in-flight abort flag. Folding those
-/// per-index *outside* the bundles would be unsound: the exploration
-/// semantics of a member (is it enabled? does completing count as abort
-/// or passage?) travel with its local state under a permutation, so they
-/// must be erased-and-sorted with it — keying them by index would merge
-/// states whose permuted members disagree on quota or abort status.
-fn state_key_canonical(sim: &Sim, quota: u64, budgets: Budgets) -> u64 {
+/// Each process's annotation word carries its exploration semantics —
+/// capped passage count and in-flight abort flag. For class members the
+/// annotation sits *inside* the sorted member bundle: the semantics of a
+/// member (is it enabled? does completing count as abort or passage?)
+/// travel with its local state under a permutation, so keying them by
+/// index would merge states whose permuted members disagree on quota or
+/// abort status.
+fn state_key_quotient(sim: &Sim, quota: u64, budgets: Budgets, scratch: &mut Vec<u64>) -> u64 {
+    scratch.clear();
+    sim.canonical_vec_annotated(
+        |p| (sim.stats(p).passages.min(quota) << 1) | sim.is_aborting(p) as u64,
+        scratch,
+    );
     let mut h = FxHasher::default();
-    h.write_u64(sim.fingerprint_canonical_base());
-    let mut class_procs = 0u64;
-    // `declare_symmetry` caps classes at 64 members, so a fixed scratch
-    // array keeps this allocation-free on the hot path.
-    let mut sigs = [0u64; 64];
-    for (ci, class) in sim.symmetry_classes().iter().enumerate() {
-        let members = class.members();
-        for (j, &p) in members.iter().enumerate() {
-            let mut mh = FxHasher::default();
-            mh.write_u64(sim.symmetry_member_sig(ci, j));
-            mh.write_u64(sim.stats(p).passages.min(quota));
-            mh.write_u8(sim.is_aborting(p) as u8);
-            sigs[j] = mh.finish();
-            class_procs |= 1u64.rotate_left(p.0 as u32);
-        }
-        let k = members.len();
-        sigs[..k].sort_unstable();
-        for &s in &sigs[..k] {
-            h.write_u64(s);
-        }
-    }
-    for p in sim.proc_ids() {
-        if class_procs & 1u64.rotate_left(p.0 as u32) == 0 {
-            h.write_u64(sim.stats(p).passages.min(quota));
-        }
+    for &w in scratch.iter() {
+        h.write_u64(w);
     }
     h.write_u32(budgets.crashes);
     h.write_u32(budgets.crash_alls);
     h.write_u32(budgets.aborts);
-    h.write_u64(aborting_bits(sim) & !class_procs);
     h.finish()
 }
 
@@ -719,7 +643,7 @@ pub fn explore_with(
     let quota = cfg.passages_per_proc;
     let full = cfg.symmetry == Symmetry::FullRehash;
     let root_budgets = Budgets::of(cfg);
-    let visited = visited::backend(cfg.symmetry, cfg.backend);
+    let visited = visited::Visited::new(cfg.symmetry);
     let mut vscratch: Vec<u64> = Vec::new();
     visited.insert(&root, quota, root_budgets, &mut vscratch);
 
@@ -1257,7 +1181,7 @@ mod tests {
 
     #[test]
     fn symmetry_mode_parse_is_strict() {
-        // A malformed backend selection must abort loudly, never fall
+        // A malformed mode selection must abort loudly, never fall
         // back silently: the chosen mode decides how many states a run
         // explores, so a typo that "defaults to off" would corrupt A/B
         // measurements without a trace.
@@ -1294,8 +1218,8 @@ mod tests {
 
     #[test]
     fn quotient_without_declared_classes_partitions_like_concrete() {
-        // With no SymmetryClass declared, the canonical fingerprint is a
-        // rehash of the concrete one: the quotient backend must visit
+        // With no SymmetryClass declared, the canonical vector is
+        // positional, so the quotient key must visit
         // exactly the same number of states, and the full-rehash oracle
         // (an independent hash family) must agree with both.
         let factory = || wmutex::mutex_world(2, Protocol::WriteBack);

@@ -12,15 +12,12 @@
 //! scheme of parallel SPIN) — subtree-sized work units, handed out from
 //! the root end where they are biggest.
 //!
-//! Deduplication goes through a [`crate::visited::Visited`] backend —
-//! 64 mutex-striped shards selected by the top bits of the state key
-//! (or of the state vector's hash), so concurrent inserts rarely
-//! contend. The key discipline is chosen by
-//! [`crate::CheckConfig::symmetry`] — concrete O(1) incremental keys,
-//! symmetry-quotient canonical keys, or the full-rehash SipHash
-//! baseline the perf suite measures against — and the storage by
-//! [`crate::CheckConfig::backend`]: hashed digests or canonical state
-//! vectors in the LDD set store.
+//! Deduplication goes through one [`crate::visited::Visited`] set —
+//! 64 mutex-striped shards selected by the top bits of the state key,
+//! so concurrent inserts rarely contend. The key discipline is chosen
+//! by [`crate::CheckConfig::symmetry`] — concrete O(1) incremental
+//! keys, symmetry-quotient canonical keys, or the full-rehash SipHash
+//! baseline the perf suite measures against.
 //!
 //! ## Determinism
 //!
@@ -41,7 +38,7 @@
 //! order among the shortest — independent of worker count or timing.
 //! Shrink/replay artifacts built from it are therefore reproducible.
 
-use crate::visited::{self, Visited};
+use crate::visited::Visited;
 use crate::{push_entries, Budgets, CheckConfig, CheckError, CheckReport, SchedEntry, Symmetry};
 use ccsim::{FxBuildHasher, Sim};
 use std::collections::{HashSet, VecDeque};
@@ -79,8 +76,8 @@ struct Shared<'a> {
     cfg: &'a CheckConfig,
     quota: u64,
     workers: usize,
-    /// The visited-set backend for [`CheckConfig::symmetry`].
-    visited: &'a dyn Visited,
+    /// The visited set, keyed by [`CheckConfig::symmetry`].
+    visited: &'a Visited,
     /// `cfg.symmetry == Symmetry::FullRehash`, cached: the baseline also
     /// disables the world-recycling pool.
     full: bool,
@@ -371,7 +368,7 @@ fn min_violation(
     // schedule on concrete states (a violation at concrete depth d has
     // its orbit reached at quotient depth <= d, because class
     // permutations map offered entries to offered entries).
-    let keys = visited::backend(cfg.symmetry, cfg.backend);
+    let keys = Visited::new(cfg.symmetry);
     let mut vscratch: Vec<u64> = Vec::new();
     let mut visited: HashSet<u64, FxBuildHasher> = HashSet::default();
     visited.insert(keys.key(&root, quota, root_budgets, &mut vscratch));
@@ -464,12 +461,12 @@ pub fn explore_par_with(
     let root = factory();
     let quota = cfg.passages_per_proc;
     let root_budgets = Budgets::of(cfg);
-    let backend = visited::backend(cfg.symmetry, cfg.backend);
+    let visited = Visited::new(cfg.symmetry);
     let sh = Shared {
         cfg,
         quota,
         workers,
-        visited: &*backend,
+        visited: &visited,
         full: cfg.symmetry == Symmetry::FullRehash,
         queue: Mutex::new(VecDeque::new()),
         ready: Condvar::new(),

@@ -1,38 +1,18 @@
-//! Pluggable visited-set backends for the explorers.
+//! The visited set the explorers deduplicate configurations through.
 //!
-//! The explorers deduplicate configurations through one [`Visited`]
-//! object: the backend chooses both the **key discipline** (which
-//! serialization partitions the space) and the **storage**. Two
-//! orthogonal axes select a backend ([`crate::CheckConfig`]):
-//!
-//! * [`Symmetry`] — *what* is keyed: concrete per-slot state
-//!   ([`Symmetry::Off`]), the orbit under the declared
-//!   [`ccsim::SymmetryClass`]es ([`Symmetry::Quotient`]), or the
-//!   pre-optimization SipHash walk kept as an independent-hash-family
-//!   oracle ([`Symmetry::FullRehash`]).
-//! * [`VisitedBackend`] — *how* it is stored: one hashed `u64` per
-//!   state in a 64-way striped hash set ([`VisitedBackend::Hash`]), or
-//!   the full canonical state **vector** in an LDD-style set store
-//!   ([`VisitedBackend::Ldd`]) that prefix- and suffix-shares vectors
-//!   across states, which 64-bit digests structurally cannot do.
-//!
-//! The LDD store is sharded 64 ways exactly like the hash sets, so
-//! `explore_par` scales identically; every shard is a unified
-//! append-only arena of `(value, down, right)` nodes with hash-consing
-//! (node id equality ⇔ set equality) plus a bounded direct-mapped
-//! memo table for the `insert`-as-union operation — the classic
-//! decision-diagram computed table, with hit rates reported in
-//! [`VisitedStats`].
-//!
-//! The same sharded storage backs the sequential explorer (where the
-//! striping is simply uncontended) and the parallel one, so
-//! [`Visited::stats`] reports comparable occupancy numbers in either.
+//! One [`Visited`] pairs a key discipline with one storage. The key is
+//! chosen by [`Symmetry`] ([`crate::CheckConfig::symmetry`]): concrete
+//! per-slot state ([`Symmetry::Off`]), the orbit under the declared
+//! [`ccsim::SymmetryClass`]es ([`Symmetry::Quotient`]), or the
+//! pre-optimization SipHash walk kept as an independent-hash-family
+//! oracle ([`Symmetry::FullRehash`]). The storage is always one 64-bit
+//! key per state in a 64-way striped hash set, so the sequential
+//! explorer (where the striping is simply uncontended) and the parallel
+//! one report comparable occupancy numbers.
 
-use crate::VisitedBackend;
-use crate::{state_key_canonical, state_key_concrete, state_key_full, Budgets, Symmetry};
-use ccsim::{FxBuildHasher, FxHasher, ProcId, Sim};
+use crate::{state_key_concrete, state_key_full, state_key_quotient, Budgets, Symmetry};
+use ccsim::{FxBuildHasher, Sim};
 use std::collections::HashSet;
-use std::hash::Hasher;
 use std::sync::Mutex;
 
 /// Shard count for the striped visited set. 64 keeps the per-shard
@@ -40,17 +20,16 @@ use std::sync::Mutex;
 /// the selector stays a single shift.
 const SHARDS: usize = 64;
 
-/// Occupancy statistics of a visited-set backend, reported at the end of
-/// an exploration in [`crate::CheckReport`]. The set only ever grows, so
+/// Occupancy statistics of the visited set, reported at the end of an
+/// exploration in [`crate::CheckReport`]. The set only ever grows, so
 /// the end-of-run numbers are also the peak.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct VisitedStats {
     /// Distinct keys stored (equals `states_explored` after a run).
     pub entries: u64,
-    /// Approximate resident bytes of the backing tables. For the hash
-    /// backend: allocated capacity (not occupancy) at 9 bytes per slot —
-    /// an 8-byte key plus one control byte, the std hash-table layout.
-    /// For the LDD backend: node arenas, unique tables, and memo tables.
+    /// Approximate resident bytes of the backing tables: allocated
+    /// capacity (not occupancy) at 9 bytes per slot — an 8-byte key plus
+    /// one control byte, the std hash-table layout.
     pub resident_bytes: u64,
     /// Entries in the most-occupied shard (the striping balance
     /// numerator; keys are full-avalanche hashes, so skew beyond a small
@@ -58,14 +37,6 @@ pub struct VisitedStats {
     pub shard_max: u64,
     /// Entries in the least-occupied shard.
     pub shard_min: u64,
-    /// LDD only: live `(value, down, right)` nodes across all shard
-    /// arenas (0 for hash backends).
-    pub nodes: u64,
-    /// LDD only: memoized union operations answered from the computed
-    /// table.
-    pub op_cache_hits: u64,
-    /// LDD only: union operations that had to run.
-    pub op_cache_misses: u64,
 }
 
 impl VisitedStats {
@@ -75,681 +46,83 @@ impl VisitedStats {
     pub fn shard_skew(&self) -> Option<f64> {
         (self.shard_min > 0).then(|| self.shard_max as f64 / self.shard_min as f64)
     }
-
-    /// Fraction of union operations answered from the memo table
-    /// (`None` for hash backends, which run no unions).
-    pub fn op_cache_hit_rate(&self) -> Option<f64> {
-        let total = self.op_cache_hits + self.op_cache_misses;
-        (total > 0).then(|| self.op_cache_hits as f64 / total as f64)
-    }
 }
 
-/// Fold per-shard occupancies into the stats' max/min fields.
-fn shard_balance(stats: &mut VisitedStats, occupancies: impl Iterator<Item = u64>) {
-    let (mut max, mut min) = (0u64, u64::MAX);
-    for n in occupancies {
-        max = max.max(n);
-        min = min.min(n);
-    }
-    stats.shard_max = max;
-    stats.shard_min = if min == u64::MAX { 0 } else { min };
-}
-
-/// A visited set striped across [`SHARDS`] mutex-protected shards,
+/// The visited set: 64 mutex-protected shards of 64-bit state keys,
 /// selected by the key's top bits (the keys are full-avalanche hashes,
-/// so any fixed bit range balances).
-struct ShardedSet {
+/// so any fixed bit range balances). Exactly-once expansion rests on
+/// [`Visited::insert`] being atomic per key, which the striped mutexes
+/// provide. `scratch` is a caller-owned buffer (one per explorer /
+/// worker) the quotient key serializes into, keeping the hot path
+/// allocation-free.
+pub(crate) struct Visited {
+    symmetry: Symmetry,
     shards: Vec<Mutex<HashSet<u64, FxBuildHasher>>>,
 }
 
-impl ShardedSet {
-    fn new() -> Self {
-        ShardedSet {
+impl Visited {
+    pub(crate) fn new(symmetry: Symmetry) -> Self {
+        Visited {
+            symmetry,
             shards: (0..SHARDS)
                 .map(|_| Mutex::new(HashSet::default()))
                 .collect(),
         }
     }
 
-    /// Insert `key`, returning true if it was new. The per-shard lock is
-    /// held only for the probe itself.
-    fn insert(&self, key: u64) -> bool {
+    /// The configuration's state key under this set's [`Symmetry`]; also
+    /// the digest the deterministic counterexample re-search
+    /// deduplicates by.
+    pub(crate) fn key(
+        &self,
+        sim: &Sim,
+        quota: u64,
+        budgets: Budgets,
+        scratch: &mut Vec<u64>,
+    ) -> u64 {
+        match self.symmetry {
+            Symmetry::Off => state_key_concrete(sim, quota, budgets),
+            Symmetry::Quotient => state_key_quotient(sim, quota, budgets, scratch),
+            Symmetry::FullRehash => state_key_full(sim, quota, budgets),
+        }
+    }
+
+    /// Record a configuration, returning true if it was new. The
+    /// per-shard lock is held only for the probe itself.
+    pub(crate) fn insert(
+        &self,
+        sim: &Sim,
+        quota: u64,
+        budgets: Budgets,
+        scratch: &mut Vec<u64>,
+    ) -> bool {
+        let key = self.key(sim, quota, budgets, scratch);
         let shard = (key >> 58) as usize & (SHARDS - 1);
         self.shards[shard].lock().unwrap().insert(key)
     }
 
-    fn len(&self) -> u64 {
+    /// Distinct configurations stored.
+    pub(crate) fn len(&self) -> u64 {
         self.shards
             .iter()
             .map(|s| s.lock().unwrap().len() as u64)
             .sum()
     }
 
-    fn stats(&self) -> VisitedStats {
-        let mut stats = VisitedStats::default();
-        let mut occupancies = [0u64; SHARDS];
-        for (i, s) in self.shards.iter().enumerate() {
-            let set = s.lock().unwrap();
-            occupancies[i] = set.len() as u64;
-            stats.entries += set.len() as u64;
-            stats.resident_bytes += set.capacity() as u64 * 9;
-        }
-        shard_balance(&mut stats, occupancies.iter().copied());
-        stats
-    }
-}
-
-/// The visited-set abstraction both explorers deduplicate through: the
-/// backend pairs a key discipline (which serialization partitions the
-/// state space) with shared storage. Exactly-once expansion rests on
-/// [`Visited::insert`] being atomic per key, which the striped mutexes
-/// provide. `scratch` is a caller-owned buffer (one per explorer /
-/// worker) the vector backends serialize into, keeping the hot path
-/// allocation-free.
-pub(crate) trait Visited: Sync {
-    /// Record a configuration, returning true if it was new.
-    fn insert(&self, sim: &Sim, quota: u64, budgets: Budgets, scratch: &mut Vec<u64>) -> bool;
-
-    /// A 64-bit digest consistent with [`Visited::insert`]'s partition
-    /// (up to hash collisions), for the BFS-local deduplication of the
-    /// deterministic counterexample re-search.
-    fn key(&self, sim: &Sim, quota: u64, budgets: Budgets, scratch: &mut Vec<u64>) -> u64;
-
-    /// Distinct configurations stored.
-    fn len(&self) -> u64;
-
     /// End-of-run occupancy (also the peak — the set only grows).
-    fn stats(&self) -> VisitedStats;
-}
-
-/// Concrete incremental keys ([`Symmetry::Off`]).
-struct Concrete(ShardedSet);
-
-/// Canonical symmetry-quotient keys ([`Symmetry::Quotient`]).
-struct Quotient(ShardedSet);
-
-/// From-scratch SipHash oracle keys ([`Symmetry::FullRehash`]).
-struct Oracle(ShardedSet);
-
-macro_rules! impl_visited_storage {
-    ($ty:ty, $keyfn:path) => {
-        impl Visited for $ty {
-            fn insert(&self, sim: &Sim, quota: u64, budgets: Budgets, _: &mut Vec<u64>) -> bool {
-                self.0.insert($keyfn(sim, quota, budgets))
-            }
-            fn key(&self, sim: &Sim, quota: u64, budgets: Budgets, _: &mut Vec<u64>) -> u64 {
-                $keyfn(sim, quota, budgets)
-            }
-            fn len(&self) -> u64 {
-                self.0.len()
-            }
-            fn stats(&self) -> VisitedStats {
-                self.0.stats()
-            }
-        }
-    };
-}
-
-impl_visited_storage!(Concrete, state_key_concrete);
-impl_visited_storage!(Quotient, state_key_canonical);
-impl_visited_storage!(Oracle, state_key_full);
-
-// ---------------------------------------------------------------------------
-// LDD set store
-// ---------------------------------------------------------------------------
-
-/// Terminal: the empty set.
-const LDD_FALSE: u32 = 0;
-/// Terminal: the set containing (only) the empty vector — reachable
-/// exactly at the end of a stored vector.
-const LDD_TRUE: u32 = 1;
-
-/// One LDD node: "vectors starting with `value` continue in `down`;
-/// vectors starting with a *larger* first word are in `right`".
-/// Right-chains are sorted by `value`, which (with hash-consing) makes
-/// the representation canonical: node id equality ⇔ set equality.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-struct Node {
-    value: u64,
-    down: u32,
-    right: u32,
-}
-
-/// Entries in the direct-mapped computed table per shard (the classic
-/// bounded BDD/LDD op cache: exact keys, overwrite on index collision —
-/// a lost entry costs a recomputation, never soundness).
-const OP_CACHE_SLOTS: usize = 1 << 8;
-
-/// Free slot marker in [`UniqueIndex`].
-const UNIQUE_EMPTY: u32 = u32::MAX;
-
-/// Open-addressed hash-consing index: a power-of-two table of arena ids
-/// probed linearly. The arena itself holds the node keys, so a slot is
-/// 4 bytes instead of the ~28 a `HashMap<Node, u32>` entry costs — the
-/// unique table is the second-largest resident structure after the
-/// arena, and the whole point of the LDD backend is resident bytes.
-struct UniqueIndex {
-    slots: Vec<u32>,
-    len: usize,
-}
-
-impl UniqueIndex {
-    fn new() -> Self {
-        UniqueIndex {
-            slots: vec![UNIQUE_EMPTY; 16],
-            len: 0,
-        }
-    }
-
-    fn hash(node: &Node) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_u64(node.value);
-        h.write_u32(node.down);
-        h.write_u32(node.right);
-        h.finish()
-    }
-
-    /// Return `node`'s arena id, appending it to `nodes` if absent.
-    fn find_or_insert(&mut self, nodes: &mut Vec<Node>, node: Node) -> u32 {
-        if (self.len + 1) * 4 >= self.slots.len() * 3 {
-            self.resize(nodes, self.slots.len() * 2);
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = Self::hash(&node) as usize & mask;
-        loop {
-            match self.slots[i] {
-                UNIQUE_EMPTY => {
-                    let id = nodes.len() as u32;
-                    nodes.push(node);
-                    self.slots[i] = id;
-                    self.len += 1;
-                    return id;
-                }
-                id if nodes[id as usize] == node => return id,
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    /// Re-key every non-terminal arena node into a table of `capacity`
-    /// slots (compaction remaps ids; growth re-spreads them).
-    fn resize(&mut self, nodes: &[Node], capacity: usize) {
-        let capacity = capacity.max(16).next_power_of_two();
-        self.slots.clear();
-        self.slots.resize(capacity, UNIQUE_EMPTY);
-        self.len = nodes.len().saturating_sub(2);
-        let mask = capacity - 1;
-        for (id, node) in nodes.iter().enumerate().skip(2) {
-            let mut i = Self::hash(node) as usize & mask;
-            while self.slots[i] != UNIQUE_EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = id as u32;
-        }
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        self.slots.len() as u64 * 4
-    }
-}
-
-/// An (a ∪ b) → result memo slot; `a == u32::MAX` marks an empty slot.
-#[derive(Copy, Clone)]
-struct OpSlot {
-    a: u32,
-    b: u32,
-    result: u32,
-}
-
-const EMPTY_SLOT: OpSlot = OpSlot {
-    a: u32::MAX,
-    b: u32::MAX,
-    result: LDD_FALSE,
-};
-
-/// One shard of the LDD visited store: a unified append-only node arena
-/// with a hash-consing unique table, the shard's current set root, and
-/// the memoized-union computed table.
-struct LddShard {
-    /// Indices 0/1 are the [`LDD_FALSE`]/[`LDD_TRUE`] terminal dummies,
-    /// so node ids are plain arena indices. Construction is bottom-up
-    /// (`mk` runs after its children exist), so every node's `down` and
-    /// `right` are strictly smaller than its own id — the invariant the
-    /// mark-compact pass relies on.
-    nodes: Vec<Node>,
-    /// Hash-consing: one arena id per distinct `(value, down, right)`.
-    unique: UniqueIndex,
-    cache: Vec<OpSlot>,
-    root: u32,
-    entries: u64,
-    hits: u64,
-    misses: u64,
-    /// Run a mark-compact pass when the arena reaches this length
-    /// (insert-as-union on an immutable store strands the rebuilt
-    /// right-chain spines; compaction keeps resident bytes proportional
-    /// to *live* nodes).
-    compact_at: usize,
-}
-
-impl LddShard {
-    fn new() -> Self {
-        let dummy = Node {
-            value: 0,
-            down: LDD_FALSE,
-            right: LDD_FALSE,
+    pub(crate) fn stats(&self) -> VisitedStats {
+        let mut stats = VisitedStats {
+            shard_min: u64::MAX,
+            ..VisitedStats::default()
         };
-        LddShard {
-            nodes: vec![dummy; 2],
-            unique: UniqueIndex::new(),
-            cache: vec![EMPTY_SLOT; OP_CACHE_SLOTS],
-            root: LDD_FALSE,
-            entries: 0,
-            hits: 0,
-            misses: 0,
-            compact_at: 4096,
+        for s in &self.shards {
+            let set = s.lock().unwrap();
+            let n = set.len() as u64;
+            stats.entries += n;
+            stats.resident_bytes += set.capacity() as u64 * 9;
+            stats.shard_max = stats.shard_max.max(n);
+            stats.shard_min = stats.shard_min.min(n);
         }
-    }
-
-    /// Hash-cons a node.
-    fn mk(&mut self, value: u64, down: u32, right: u32) -> u32 {
-        let node = Node { value, down, right };
-        debug_assert!(down != LDD_FALSE, "a node's down-set is never empty");
-        self.unique.find_or_insert(&mut self.nodes, node)
-    }
-
-    /// The hash-consed singleton chain for `vec` (suffixes shared with
-    /// every previously stored vector via the unique table).
-    fn chain(&mut self, vec: &[u64]) -> u32 {
-        let mut node = LDD_TRUE;
-        for &v in vec.iter().rev() {
-            node = self.mk(v, node, LDD_FALSE);
-        }
-        node
-    }
-
-    fn cache_index(a: u32, b: u32) -> usize {
-        let mut h = FxHasher::default();
-        h.write_u32(a);
-        h.write_u32(b);
-        h.finish() as usize & (OP_CACHE_SLOTS - 1)
-    }
-
-    /// `a ∪ b` where `b` is a singleton chain (every `right` is
-    /// [`LDD_FALSE`]). Recursion is on `down` only — depth is the vector
-    /// length — while right-chains are walked iteratively with the
-    /// chain-prefix spine collected in `spine` (caller-owned scratch,
-    /// truncated to its entry length on return).
-    fn union1(&mut self, a: u32, b: u32, spine: &mut Vec<u32>) -> u32 {
-        if a == b {
-            return a;
-        }
-        if a == LDD_FALSE {
-            return b;
-        }
-        if b == LDD_FALSE {
-            return a;
-        }
-        if a == LDD_TRUE || b == LDD_TRUE {
-            // One vector is a proper prefix of another. The canonical
-            // serialization is a prefix code, so this can only mean the
-            // world shape changed mid-run — a caller bug.
-            panic!("LDD visited store: state vectors are not prefix-free");
-        }
-        let idx = Self::cache_index(a, b);
-        let slot = self.cache[idx];
-        if slot.a == a && slot.b == b {
-            self.hits += 1;
-            return slot.result;
-        }
-        self.misses += 1;
-        let bn = self.nodes[b as usize];
-        debug_assert_eq!(bn.right, LDD_FALSE, "b must be a singleton chain");
-        let mark = spine.len();
-        let mut cur = a;
-        let tail = loop {
-            if cur == LDD_FALSE {
-                // b's value is larger than everything in the chain.
-                break b;
-            }
-            let n = self.nodes[cur as usize];
-            if n.value < bn.value {
-                spine.push(cur);
-                cur = n.right;
-            } else if n.value == bn.value {
-                let down = self.union1(n.down, bn.down, spine);
-                break if down == n.down {
-                    cur // already present below here: reuse the subtree
-                } else {
-                    self.mk(n.value, down, n.right)
-                };
-            } else {
-                break self.mk(bn.value, bn.down, cur);
-            }
-        };
-        let mut result = tail;
-        for i in (mark..spine.len()).rev() {
-            let n = self.nodes[spine[i] as usize];
-            result = if n.right == result {
-                spine[i] // unchanged suffix: the whole prefix is reusable
-            } else {
-                self.mk(n.value, n.down, result)
-            };
-        }
-        spine.truncate(mark);
-        self.cache[idx] = OpSlot { a, b, result };
-        result
-    }
-
-    /// Insert `vec`, returning true if it was new. Hash-consing makes
-    /// node id equality set equality, so "the union changed the root" is
-    /// exactly "the vector was new".
-    fn insert_vec(&mut self, vec: &[u64], spine: &mut Vec<u32>) -> bool {
-        let chain = self.chain(vec);
-        let new_root = self.union1(self.root, chain, spine);
-        let inserted = new_root != self.root;
-        self.root = new_root;
-        self.entries += inserted as u64;
-        if self.nodes.len() >= self.compact_at {
-            self.compact();
-        }
-        inserted
-    }
-
-    /// Mark-compact the arena: drop nodes unreachable from the root
-    /// (stranded spines of superseded right-chains), rebuild the unique
-    /// table, and invalidate the computed table (its entries hold old
-    /// ids). Children precede parents in the arena, so one descending
-    /// mark scan and one ascending rebuild scan suffice.
-    fn compact(&mut self) {
-        const DEAD: u32 = u32::MAX;
-        let mut remap = vec![DEAD; self.nodes.len()];
-        remap[LDD_FALSE as usize] = LDD_FALSE;
-        remap[LDD_TRUE as usize] = LDD_TRUE;
-        remap[self.root as usize] = 0; // provisional mark
-        for id in (2..self.nodes.len()).rev() {
-            if remap[id] != DEAD || id as u32 == self.root {
-                let n = self.nodes[id];
-                remap[n.down as usize] = 0;
-                remap[n.right as usize] = 0;
-                remap[id] = 0;
-            }
-        }
-        remap[LDD_FALSE as usize] = LDD_FALSE;
-        remap[LDD_TRUE as usize] = LDD_TRUE;
-        let mut live = Vec::with_capacity(self.nodes.len() / 2);
-        live.extend_from_slice(&self.nodes[..2]);
-        for id in 2..self.nodes.len() {
-            if remap[id] == DEAD {
-                continue;
-            }
-            let n = self.nodes[id];
-            let node = Node {
-                value: n.value,
-                down: remap[n.down as usize],
-                right: remap[n.right as usize],
-            };
-            let new_id = live.len() as u32;
-            live.push(node);
-            remap[id] = new_id;
-        }
-        self.root = remap[self.root as usize];
-        self.nodes = live;
-        self.unique.resize(&self.nodes, self.nodes.len() * 2);
-        self.cache.fill(EMPTY_SLOT);
-        self.compact_at = (self.nodes.len() * 4).max(4096);
-    }
-
-    /// Final GC before reporting: resident bytes must describe the live
-    /// set structure, not transient union garbage or growth slack.
-    fn compact_and_shrink(&mut self) {
-        self.compact();
-        self.nodes.shrink_to_fit();
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        // Arena nodes are 16 bytes; unique-index slots are 4-byte arena
-        // ids; memo slots are 12 bytes.
-        self.nodes.capacity() as u64 * 16
-            + self.unique.resident_bytes()
-            + self.cache.len() as u64 * 12
-    }
-}
-
-/// The LDD-backed visited set: 64 shards selected by the top bits of the
-/// vector's hash, exactly like [`ShardedSet`]. The key discipline
-/// (concrete vs orbit) is chosen by the annotation the serialization is
-/// given — see [`LddVisited::annotate`].
-pub(crate) struct LddVisited {
-    shards: Vec<Mutex<LddShard>>,
-    /// [`Symmetry::Quotient`]: serialize orbits (index-free annotations,
-    /// sorted member bundles). Off: pin every process to its slot.
-    quotient: bool,
-}
-
-impl LddVisited {
-    fn new(quotient: bool) -> Self {
-        LddVisited {
-            shards: (0..SHARDS).map(|_| Mutex::new(LddShard::new())).collect(),
-            quotient,
-        }
-    }
-
-    /// Serialize the configuration into `scratch` (cleared first) under
-    /// this backend's key discipline, appending the remaining adversary
-    /// budgets. The annotation word carries each process's exploration
-    /// semantics — capped passage count and in-flight abort flag — and,
-    /// in concrete mode, the process index itself, which re-pins class
-    /// members to their slots (the sorted bundles then differ whenever
-    /// the slots differ, exactly the concrete partition).
-    fn serialize(&self, sim: &Sim, quota: u64, budgets: Budgets, scratch: &mut Vec<u64>) {
-        scratch.clear();
-        let quotient = self.quotient;
-        let annot = |p: ProcId| {
-            let base = (sim.stats(p).passages.min(quota) << 1) | sim.is_aborting(p) as u64;
-            debug_assert!(base < 1 << 40, "passage quota overflows the annotation");
-            if quotient {
-                base
-            } else {
-                ((p.0 as u64 + 1) << 40) | base
-            }
-        };
-        sim.canonical_vec_annotated(annot, scratch);
-        scratch.push(budgets.crashes as u64);
-        scratch.push(budgets.crash_alls as u64);
-        scratch.push(budgets.aborts as u64);
-    }
-
-    /// Full-avalanche hash of the serialized vector: shard selector and
-    /// the `key()` digest for the BFS re-search.
-    fn hash_vec(scratch: &[u64]) -> u64 {
-        let mut h = FxHasher::default();
-        for &w in scratch {
-            h.write_u64(w);
-        }
-        h.finish()
-    }
-}
-
-impl Visited for LddVisited {
-    fn insert(&self, sim: &Sim, quota: u64, budgets: Budgets, scratch: &mut Vec<u64>) -> bool {
-        self.serialize(sim, quota, budgets, scratch);
-        let hash = Self::hash_vec(scratch);
-        let shard = (hash >> 58) as usize & (SHARDS - 1);
-        let mut spine: Vec<u32> = Vec::with_capacity(16);
-        self.shards[shard]
-            .lock()
-            .unwrap()
-            .insert_vec(scratch, &mut spine)
-    }
-
-    fn key(&self, sim: &Sim, quota: u64, budgets: Budgets, scratch: &mut Vec<u64>) -> u64 {
-        self.serialize(sim, quota, budgets, scratch);
-        Self::hash_vec(scratch)
-    }
-
-    fn len(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().unwrap().entries).sum()
-    }
-
-    fn stats(&self) -> VisitedStats {
-        let mut stats = VisitedStats::default();
-        let mut occupancies = [0u64; SHARDS];
-        for (i, s) in self.shards.iter().enumerate() {
-            let mut shard = s.lock().unwrap();
-            shard.compact_and_shrink();
-            occupancies[i] = shard.entries;
-            stats.entries += shard.entries;
-            stats.resident_bytes += shard.resident_bytes();
-            stats.nodes += (shard.nodes.len() - 2) as u64;
-            stats.op_cache_hits += shard.hits;
-            stats.op_cache_misses += shard.misses;
-        }
-        shard_balance(&mut stats, occupancies.iter().copied());
         stats
-    }
-}
-
-/// Construct the backend for a ([`Symmetry`], [`VisitedBackend`]) pair.
-///
-/// # Panics
-/// Panics on [`Symmetry::FullRehash`] × [`VisitedBackend::Ldd`]: the
-/// full-rehash mode *is* a hash-walk oracle — it has no vector form, and
-/// silently storing hashes in the "set-based" backend would corrupt A/B
-/// comparisons.
-pub(crate) fn backend(symmetry: Symmetry, store: VisitedBackend) -> Box<dyn Visited> {
-    match (store, symmetry) {
-        (VisitedBackend::Hash, Symmetry::Off) => Box::new(Concrete(ShardedSet::new())),
-        (VisitedBackend::Hash, Symmetry::Quotient) => Box::new(Quotient(ShardedSet::new())),
-        (VisitedBackend::Hash, Symmetry::FullRehash) => Box::new(Oracle(ShardedSet::new())),
-        (VisitedBackend::Ldd, Symmetry::Off) => Box::new(LddVisited::new(false)),
-        (VisitedBackend::Ldd, Symmetry::Quotient) => Box::new(LddVisited::new(true)),
-        (VisitedBackend::Ldd, Symmetry::FullRehash) => panic!(
-            "VisitedBackend::Ldd requires a vector key discipline; \
-             Symmetry::FullRehash is a hash-walk oracle (use Hash)"
-        ),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn insert(shard: &mut LddShard, vec: &[u64]) -> bool {
-        let mut spine = Vec::new();
-        shard.insert_vec(vec, &mut spine)
-    }
-
-    #[test]
-    fn ldd_shard_set_semantics() {
-        let mut s = LddShard::new();
-        assert!(insert(&mut s, &[1, 2, 3]));
-        assert!(!insert(&mut s, &[1, 2, 3]), "duplicate rejected");
-        assert!(insert(&mut s, &[1, 2, 4]));
-        assert!(insert(&mut s, &[0, 2, 3]));
-        assert!(insert(&mut s, &[9, 9, 9]));
-        assert!(!insert(&mut s, &[0, 2, 3]));
-        assert_eq!(s.entries, 4);
-    }
-
-    #[test]
-    fn ldd_shares_prefixes_and_suffixes() {
-        // 16 vectors differing only in one middle word: the store should
-        // hold far fewer than 16 full chains' worth of nodes.
-        let mut s = LddShard::new();
-        for i in 0..16u64 {
-            let mut v = vec![7u64; 10];
-            v[5] = i;
-            assert!(insert(&mut s, &v));
-        }
-        assert_eq!(s.entries, 16);
-        // Superseded right-chain spines are garbage until compaction, so
-        // measure the *live* structure.
-        s.compact();
-        let nodes = s.nodes.len() - 2;
-        // A naive trie of 16 such vectors holds 5 shared prefix nodes +
-        // 16 * 5 tail nodes = 85; suffix sharing collapses the 16
-        // identical tails to 4 nodes (plus the 16-way branch level).
-        assert!(nodes <= 5 + 16 + 4, "nodes = {nodes}");
-    }
-
-    #[test]
-    fn ldd_insert_order_is_irrelevant_to_the_set() {
-        // Hash-consing + ordered chains give canonical roots: any insert
-        // order of the same vectors ends at the same root id *count*
-        // (ids differ across stores; set equality is tested via
-        // membership).
-        let vecs: Vec<Vec<u64>> = vec![vec![3, 1], vec![1, 3], vec![2, 2], vec![3, 3], vec![1, 1]];
-        let mut fwd = LddShard::new();
-        for v in &vecs {
-            insert(&mut fwd, v);
-        }
-        let mut rev = LddShard::new();
-        for v in vecs.iter().rev() {
-            insert(&mut rev, v);
-        }
-        assert_eq!(fwd.entries, rev.entries);
-        for v in &vecs {
-            assert!(!insert(&mut fwd, v));
-            assert!(!insert(&mut rev, v));
-        }
-    }
-
-    #[test]
-    fn ldd_compaction_preserves_the_set() {
-        let mut s = LddShard::new();
-        let mut vecs = Vec::new();
-        for i in 0..200u64 {
-            let v = vec![i % 7, i % 13, i, i % 3];
-            insert(&mut s, &v);
-            vecs.push(v);
-        }
-        let entries_before = s.entries;
-        s.compact();
-        assert_eq!(s.entries, entries_before);
-        for v in &vecs {
-            assert!(!insert(&mut s, v), "compaction lost {v:?}");
-        }
-        // Fresh vectors still insert cleanly post-compaction.
-        assert!(insert(&mut s, &[99, 99, 99, 99]));
-    }
-
-    #[test]
-    fn ldd_compaction_drops_stranded_spines() {
-        let mut s = LddShard::new();
-        for i in 0..500u64 {
-            insert(&mut s, &[i % 5, i % 11, i, 42]);
-        }
-        let before = s.nodes.len();
-        s.compact();
-        assert!(
-            s.nodes.len() < before,
-            "compaction must reclaim superseded chain spines \
-             ({before} -> {})",
-            s.nodes.len()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "prefix-free")]
-    fn ldd_rejects_prefix_vectors() {
-        let mut s = LddShard::new();
-        insert(&mut s, &[1, 2, 3]);
-        insert(&mut s, &[1, 2]);
-    }
-
-    #[test]
-    fn op_cache_reports_traffic() {
-        // Two distinct vectors so the root is a real branch (a singleton
-        // set's root *is* the hash-consed chain, and `union1(x, x)`
-        // short-circuits before touching the memo table).
-        let mut s = LddShard::new();
-        insert(&mut s, &[1, 9]);
-        insert(&mut s, &[5, 9]);
-        // First duplicate union runs and is memoized; duplicates leave
-        // the root unchanged, so the second one hits the same key.
-        insert(&mut s, &[5, 9]);
-        assert!(s.misses > 0, "unions ran");
-        insert(&mut s, &[5, 9]);
-        assert!(s.hits > 0, "duplicate unions must hit the memo table");
     }
 }

@@ -1,45 +1,28 @@
-//! Three-way visited-backend parity over the generated suite.
+//! Quotient-key parity with the full-rehash oracle over the generated
+//! suite.
 //!
-//! The LDD set store must be a pure storage swap: for every case the
-//! registry suite generates, `Quotient × Hash`, `Quotient × Ldd`, and
-//! the `FullRehash` oracle must return the same verdict, the two
-//! quotient backends must agree exactly on every count (they key the
-//! same partition — one through a hashed canonical fingerprint, one
-//! through the canonical vector itself), and on violating worlds the
-//! counterexample each explorer reports must be backend-independent
-//! (DFS-first for the sequential explorer, BFS-minimal for the
-//! parallel one).
+//! For every case the registry suite generates, the `Quotient` key and
+//! the independent-hash-family `FullRehash` oracle must return the same
+//! verdict, the oracle (which keys the concrete partition) must never
+//! store fewer states than the quotient, and on violating worlds the
+//! counterexample each explorer reports must not depend on the state
+//! key (DFS-first for the sequential explorer, BFS-minimal for the
+//! parallel one). The exact orbit counts are pinned separately in
+//! `symmetry_quotient.rs`.
 
 use ccsim::Protocol;
 use modelcheck::suite::{planned_cases, run_case, run_case_seq};
-use modelcheck::{
-    explore, explore_par, CheckConfig, CheckError, CheckReport, Symmetry, VisitedBackend,
-};
+use modelcheck::{explore, explore_par, CheckConfig, CheckError, CheckReport, Symmetry};
 use rwcore::{af_world_seq_reuse_bug, AfConfig, LockRegistry, Scenario};
 
-/// The two quotient storages plus the independent-hash-family oracle.
-const BACKENDS: [(Symmetry, VisitedBackend); 3] = [
-    (Symmetry::Quotient, VisitedBackend::Hash),
-    (Symmetry::Quotient, VisitedBackend::Ldd),
-    (Symmetry::FullRehash, VisitedBackend::Hash),
-];
+/// The quotient key and the independent-hash-family oracle.
+const MODES: [Symmetry; 2] = [Symmetry::Quotient, Symmetry::FullRehash];
 
-fn with_backend(
-    base: &CheckConfig,
-    (symmetry, backend): (Symmetry, VisitedBackend),
-) -> CheckConfig {
-    CheckConfig {
-        symmetry,
-        backend,
-        ..base.clone()
-    }
-}
-
-/// Every suite case, sequential and parallel, across the three
-/// backends: identical verdicts everywhere; identical counts and
-/// visited occupancy between the two quotient storages.
+/// Every suite case, sequential and parallel, under both keys:
+/// identical verdicts, and the oracle's concrete partition never
+/// smaller than the quotient.
 #[test]
-fn suite_cases_agree_across_backends() {
+fn suite_cases_agree_between_quotient_and_oracle() {
     let reg = LockRegistry::builtin();
     let scenario: Scenario = "r2:1,xcrash=0.01,xabort=0.01".parse().unwrap();
     let base = CheckConfig::default();
@@ -52,90 +35,75 @@ fn suite_cases_agree_across_backends() {
         let label = case.describe();
 
         let mut reports: Vec<CheckReport> = Vec::new();
-        for combo in BACKENDS {
-            let cfg = with_backend(&case.config, combo);
+        for symmetry in MODES {
             let tuned = modelcheck::suite::SuiteCase {
-                config: cfg,
+                config: CheckConfig {
+                    symmetry,
+                    ..case.config.clone()
+                },
                 ..case.clone()
             };
             let seq = run_case_seq(sim.as_ref(), &inst, &tuned, Protocol::WriteBack)
-                .unwrap_or_else(|e| panic!("{label} seq {combo:?}: unexpected violation: {e}"));
-            assert!(seq.complete, "{label} {combo:?}");
+                .unwrap_or_else(|e| panic!("{label} seq {symmetry}: unexpected violation: {e}"));
+            assert!(seq.complete, "{label} {symmetry}");
             assert_eq!(
                 seq.visited.entries, seq.states_explored,
-                "{label} {combo:?}: one visited entry per expanded state"
+                "{label} {symmetry}: one visited entry per expanded state"
             );
-            // The parallel explorer must agree with the sequential one
-            // per backend. (The FullRehash oracle is checked seq-only:
-            // its par agreement is already covered by par_determinism,
-            // and it is by far the slowest lane.)
-            if combo.0 != Symmetry::FullRehash {
+            // The parallel explorer must agree with the sequential one.
+            // (The FullRehash oracle is checked seq-only: its par
+            // agreement is already covered by par_determinism, and it is
+            // by far the slowest lane.)
+            if symmetry == Symmetry::Quotient {
                 let par = run_case(sim.as_ref(), &inst, &tuned, Protocol::WriteBack, 2)
-                    .unwrap_or_else(|e| panic!("{label} par {combo:?}: unexpected violation: {e}"));
-                assert!(par.complete, "{label} {combo:?}");
-                assert_eq!(seq.counts(), par.counts(), "{label} {combo:?}: seq vs par");
+                    .unwrap_or_else(|e| {
+                        panic!("{label} par {symmetry}: unexpected violation: {e}")
+                    });
+                assert!(par.complete, "{label} {symmetry}");
+                assert_eq!(seq.counts(), par.counts(), "{label} {symmetry}: seq vs par");
             }
             reports.push(seq);
         }
 
-        // The two quotient storages key the same partition: every count
-        // and the visited occupancy must match exactly.
-        assert_eq!(
-            reports[0].counts(),
-            reports[1].counts(),
-            "{label}: hash-quotient vs ldd-quotient"
-        );
-        assert_eq!(
-            reports[0].visited.entries, reports[1].visited.entries,
-            "{label}: quotient storages disagree on orbit count"
-        );
         // The oracle explores the *concrete* partition: never fewer
         // states than the quotient.
         assert!(
-            reports[2].states_explored >= reports[0].states_explored,
+            reports[1].states_explored >= reports[0].states_explored,
             "{label}: oracle explored fewer states than the quotient"
-        );
-        // The LDD store actually stored vectors, not hashes.
-        assert!(
-            reports[1].visited.nodes > 0,
-            "{label}: LDD backend reported no nodes"
         );
     }
 }
 
-/// On a violating world every backend combination recovers the same
+/// On a violating world every state key recovers the same
 /// counterexample per explorer: the parallel explorer's deterministic
-/// BFS-minimal re-search must be backend-independent, and so must the
+/// BFS-minimal re-search must be key-independent, and so must the
 /// sequential explorer's DFS-order hit (same partition ⇒ same walk).
 /// The two explorers' schedules differ by construction (DFS-first vs
 /// BFS-minimal), so they are compared within their own group, plus the
 /// minimality relation between the groups.
 #[test]
-fn violating_world_counterexamples_identical_across_backends() {
+fn violating_world_counterexamples_identical_across_keys() {
     // 1 reader + 1 writer: no classes declared, so Off and Quotient key
-    // the same partition and all five combinations are comparable.
+    // the same partition and all three keys are comparable.
     let factory = || af_world_seq_reuse_bug(AfConfig::new(1, 1), Protocol::WriteBack).sim;
     let base = CheckConfig {
         passages_per_proc: 2,
         crash_all_budget: 1,
         ..Default::default()
     };
-    let combos = [
-        (Symmetry::Off, VisitedBackend::Hash),
-        (Symmetry::Off, VisitedBackend::Ldd),
-        (Symmetry::Quotient, VisitedBackend::Hash),
-        (Symmetry::Quotient, VisitedBackend::Ldd),
-        (Symmetry::FullRehash, VisitedBackend::Hash),
-    ];
+    let modes = [Symmetry::Off, Symmetry::Quotient, Symmetry::FullRehash];
     let mut seq_schedules = Vec::new();
     let mut par_schedules = Vec::new();
-    for combo in combos {
-        let cfg = with_backend(&base, combo);
+    for symmetry in modes {
+        let cfg = CheckConfig {
+            symmetry,
+            ..base.clone()
+        };
         let seq_err = explore(factory, &cfg).expect_err("epoch reuse must violate MX");
         let par_err = explore_par(factory, &cfg, 2).expect_err("epoch reuse must violate MX");
         for (sink, err) in [(&mut seq_schedules, seq_err), (&mut par_schedules, par_err)] {
             let CheckError::MutualExclusion { schedule, .. } = err else {
-                panic!("{combo:?}: expected an MX violation");
+                panic!("{symmetry}: expected an MX violation");
             };
             sink.push(schedule);
         }
@@ -143,33 +111,19 @@ fn violating_world_counterexamples_identical_across_backends() {
     for (i, s) in seq_schedules.iter().enumerate() {
         assert_eq!(
             s, &seq_schedules[0],
-            "{:?}: sequential counterexamples must be backend-independent",
-            combos[i]
+            "{}: sequential counterexamples must be key-independent",
+            modes[i]
         );
     }
     for (i, s) in par_schedules.iter().enumerate() {
         assert_eq!(
             s, &par_schedules[0],
-            "{:?}: BFS-minimal counterexamples must be backend-independent",
-            combos[i]
+            "{}: BFS-minimal counterexamples must be key-independent",
+            modes[i]
         );
     }
     assert!(
         par_schedules[0].len() <= seq_schedules[0].len(),
         "the BFS re-search schedule is minimal"
     );
-}
-
-/// `Ldd × FullRehash` is a contradiction (the oracle has no vector
-/// form) and must abort loudly, never silently store hashes.
-#[test]
-#[should_panic(expected = "FullRehash")]
-fn ldd_with_full_rehash_panics() {
-    let factory = || af_world_seq_reuse_bug(AfConfig::new(1, 1), Protocol::WriteBack).sim;
-    let cfg = CheckConfig {
-        symmetry: Symmetry::FullRehash,
-        backend: VisitedBackend::Ldd,
-        ..Default::default()
-    };
-    let _ = explore(factory, &cfg);
 }

@@ -17,7 +17,7 @@
 use ccsim::{Phase, Protocol, Sim};
 use modelcheck::{
     explore, explore_par, explore_par_with, explore_with, replay, shrink, CheckConfig, CheckError,
-    Symmetry, VisitedBackend, VisitedStats,
+    Symmetry, VisitedStats,
 };
 use rwcore::{af_world_with_order, AfConfig, FPolicy, HelpOrder};
 
@@ -62,27 +62,15 @@ fn assert_balanced_shards(visited: &VisitedStats, label: &str) {
 
 /// Sequential counts (incremental keys), sequential counts (full-rehash
 /// SipHash keys), and parallel counts at every worker count must all
-/// agree on a complete run — and both visited storages (hash map and
-/// LDD) must shard the space without hot spots.
+/// agree on a complete run — and the visited set must shard the space
+/// without hot spots.
 fn assert_all_explorers_agree(factory: &(impl Fn() -> Sim + Sync), cfg: &CheckConfig, label: &str) {
     let seq = explore(factory, cfg).unwrap_or_else(|e| panic!("{label}: sequential: {e}"));
     assert!(
         seq.complete,
         "{label}: sequential run must exhaust the space"
     );
-    assert_balanced_shards(&seq.visited, &format!("{label} (hash)"));
-
-    let ldd_cfg = CheckConfig {
-        backend: VisitedBackend::Ldd,
-        ..cfg.clone()
-    };
-    let ldd = explore(factory, &ldd_cfg).unwrap_or_else(|e| panic!("{label}: ldd: {e}"));
-    assert_eq!(
-        seq.counts(),
-        ldd.counts(),
-        "{label}: the LDD visited store partitions the space differently"
-    );
-    assert_balanced_shards(&ldd.visited, &format!("{label} (ldd)"));
+    assert_balanced_shards(&seq.visited, label);
 
     let full_cfg = CheckConfig {
         symmetry: Symmetry::FullRehash,

@@ -1,10 +1,11 @@
-//! Soundness contract of the symmetry-quotient visited-set backend.
+//! Soundness contract of the symmetry-quotient state key.
 //!
 //! [`Symmetry::Quotient`] may only change *how many* configurations the
 //! explorers store and expand — never a verdict. The suite checks the
 //! three-way agreement (`Off` / `Quotient` / `FullRehash`) on safe and
 //! violating worlds, the orbit-counting bounds
-//! `quotient ≤ concrete ≤ quotient · |class|!`, and that counterexamples
+//! `quotient ≤ concrete ≤ quotient · |class|!`, the exact quotient
+//! partition of fixed worlds, and that counterexamples
 //! found under the quotient are concrete schedules: breadth-first
 //! minimal, deterministic, shrinkable, and replayable through the trace
 //! artifact format.
@@ -219,6 +220,64 @@ fn farray_verdicts_agree_and_quotient_strictly_reduces() {
         assert!(
             off.states_explored <= quo.states_explored * 2,
             "{label}: impossible reduction for a 2-member class"
+        );
+    }
+}
+
+/// The exact orbit partition of the quotient key on fixed worlds:
+/// `(states, transitions)` of a complete sequential quotient
+/// exploration. Any change to the canonical serialization or to the
+/// state key that merges or splits even one orbit moves these numbers,
+/// so they hold every rewrite of the key to the same partition.
+#[test]
+fn quotient_partition_is_pinned() {
+    type Factory = Box<dyn Fn() -> Sim>;
+    let cases: [(&str, Factory, u32, (u64, u64)); 5] = [
+        (
+            "CasLoop n=2 m=1",
+            Box::new(casloop_factory(2, 1)),
+            0,
+            (2_165, 5_654),
+        ),
+        (
+            "CasLoop n=2 m=1",
+            Box::new(casloop_factory(2, 1)),
+            1,
+            (21_174, 61_933),
+        ),
+        (
+            "CasLoop n=3 m=1",
+            Box::new(casloop_factory(3, 1)),
+            1,
+            (250_590, 963_460),
+        ),
+        (
+            "FArray pair n=2 m=1",
+            Box::new(farray_pair_factory(1)),
+            0,
+            (17_547, 45_041),
+        ),
+        (
+            "FArray pair n=2 m=1",
+            Box::new(farray_pair_factory(1)),
+            1,
+            (236_294, 669_906),
+        ),
+    ];
+    for (world, factory, crash_budget, expect) in cases {
+        let cfg = CheckConfig {
+            passages_per_proc: 1,
+            crash_budget,
+            symmetry: Symmetry::Quotient,
+            ..Default::default()
+        };
+        let report = explore(&factory, &cfg)
+            .unwrap_or_else(|e| panic!("{world} crash_budget={crash_budget}: {e}"));
+        assert!(report.complete, "{world} crash_budget={crash_budget}");
+        assert_eq!(
+            (report.states_explored, report.transitions),
+            expect,
+            "{world} crash_budget={crash_budget}: quotient partition moved"
         );
     }
 }

@@ -13,10 +13,8 @@
 //! carry (where a lock forgotten in one list silently vanished from
 //! that experiment).
 //!
-//! `RealLock` is the trait formerly known as `bench::throughput::BenchLock`
-//! — same three methods, now living below the bench crate so that the
-//! registry (and lock adapters) need no dependency on the harness. See
-//! the CHANGELOG migration note.
+//! `RealLock` lives below the bench crate so that the registry (and
+//! lock adapters) need no dependency on the harness.
 
 use crate::baselines::real::RawRwLock;
 use ccsim::{Protocol, Sim};
@@ -76,9 +74,6 @@ impl fmt::Display for RealShape {
 /// A real-atomics lock instance as the bench harness drives it: one
 /// full passage per call, with a tiny critical section touching shared
 /// data.
-///
-/// (Renamed from `BenchLock`; the bench crate re-exports it under both
-/// names for one release.)
 pub trait RealLock: Send + Sync {
     /// One reader passage by reader process `id`.
     fn read_pass(&self, id: usize);
