@@ -11,10 +11,9 @@
 //!
 //! The registry lives in [`crate::experiments`]; the single `experiments`
 //! binary drives it (`--list`, `--filter`, `--smoke`, `--json`,
-//! `--check`, `--bless`). The historical per-experiment binaries
-//! (`e1_lower_bound` … `e15_crash_robustness`, `perf_smoke`,
-//! `perf_modelcheck`) are thin wrappers over [`run_as_bin`], so
-//! documented invocations and `results/` provenance keep working.
+//! `--check`, `--bless`). One experiment runs standalone with
+//! `experiments --filter <id>`, which prints its text report and exits
+//! nonzero if any structured check fails.
 //!
 //! ## Modes and goldens
 //!
@@ -618,25 +617,6 @@ pub fn unified_diff(old: &str, new: &str, old_label: &str, new_label: &str) -> S
 // ---------------------------------------------------------------------------
 // Drivers
 // ---------------------------------------------------------------------------
-
-/// Run the registry experiment `id` the way its historical standalone
-/// binary did: full sweep (or smoke when asked), text report on stdout,
-/// process exit nonzero if any structured check failed.
-pub fn run_as_bin(id: &str, smoke: bool) -> ! {
-    let registry = crate::experiments::registry();
-    let exp = registry
-        .iter()
-        .find(|e| e.id() == id)
-        .unwrap_or_else(|| panic!("experiment {id:?} is not registered"));
-    let ctx = Ctx::new(if smoke { Mode::Smoke } else { Mode::Full });
-    let report = exp.run(&ctx);
-    print!("{}", report.render_text());
-    if !report.passed() {
-        eprintln!("{id}: one or more structured checks FAILED (see [checks] above)");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
 
 /// Parsed options for the unified `experiments` driver binary.
 #[derive(Debug, Default, PartialEq, Eq)]

@@ -27,11 +27,9 @@
 use super::prelude::*;
 use crate::exp::bench_scenarios;
 use crate::hist::format_ns;
-use crate::throughput::{
-    contended_contenders, run_contended, ContendedSample, MixedWorkload, OpBudget, RealLock,
-};
+use crate::throughput::{run_contended, ContendedSample, MixedWorkload, OpBudget, RealLock};
 use crate::{par, pin};
-use rwcore::NamedScenario;
+use rwcore::{LockRegistry, NamedScenario, RealShape};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -151,7 +149,9 @@ fn run_smoke(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
     for (i, (named, &quota)) in scenarios.iter().zip(quotas.iter()).enumerate() {
         let wl = scenario_workload(named, i, THREADS, OpBudget::PerThreadOps(quota), false);
         let mut table = Table::new(["lock", "ops", "reads", "writes", "shards"]);
-        for lock in contended_contenders(wl.threads, SHARDS) {
+        for lock in
+            LockRegistry::builtin().real_locks(RealShape::symmetric(wl.threads).with_shards(SHARDS))
+        {
             let s = run_contended(lock, &wl);
             total += 1;
             if s.reads + s.writes == quota * wl.threads as u64 {
@@ -199,7 +199,7 @@ fn run_smoke(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
             OpBudget::Duration(Duration::from_millis(100)),
             false,
         );
-        let locks = contended_contenders(8, 8);
+        let locks = LockRegistry::builtin().real_locks(RealShape::symmetric(8).with_shards(8));
         let single = run_contended(find_lock(&locks, "a_f"), &wl);
         let sharded = run_contended(find_lock(&locks, "a_f-sharded"), &wl);
         let ratio = sharded.ops_per_sec() / single.ops_per_sec().max(1e-9);
@@ -248,7 +248,9 @@ fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
         let mut table = Table::new([
             "lock", "ops/s", "r p50", "r p99", "r p999", "w p99", "shards",
         ]);
-        for lock in contended_contenders(wl.threads, shards_requested) {
+        for lock in LockRegistry::builtin()
+            .real_locks(RealShape::symmetric(wl.threads).with_shards(shards_requested))
+        {
             let s = run_contended(lock, &wl);
             table.row([
                 s.lock.clone(),

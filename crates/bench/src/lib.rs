@@ -3,17 +3,15 @@
 //! Every experiment lives behind the registry in [`experiments`] (one
 //! module per paper claim, all implementing [`exp::Experiment`]) and is
 //! driven by the unified `experiments` binary — `--list`, `--filter`,
-//! `--smoke`, `--json`, `--check`, `--bless`; see [`exp`]. The
-//! historical per-experiment binaries under `src/bin/` are thin
-//! wrappers over the same registry, so documented invocations and the
-//! `results/` goldens' provenance keep working. Dependency-free
-//! micro-benchmarks live under `benches/` (plain `harness = false`
-//! mains timed with [`stopwatch`]).
+//! `--smoke`, `--json`, `--check`, `--bless`; see [`exp`]. One
+//! experiment runs standalone with `experiments --filter <id>`.
+//! Dependency-free micro-benchmarks live under `benches/` (plain
+//! `harness = false` mains timed with [`stopwatch`]).
 //!
 //! The experiment index (tested against the registry — see
 //! `experiments::tests`):
 //!
-//! | id / binary | claim |
+//! | id | claim |
 //! |---|---|
 //! | `e1_lower_bound` | Theorem 5 / Figure 1: `r = Θ(log₃(n/f))`, Lemma 2 & 4 |
 //! | `e2_writer_rmr` | Lemma 17: writer passage `Θ(f(n))` RMRs |
@@ -35,7 +33,9 @@
 //! | `perf_modelcheck` | explorer states/sec: full-rehash vs incremental vs parallel |
 //! | `perf_locks` | contended lock lab: sharded `A_f` vs the field, throughput + latency tails |
 //!
-//! (`e8` is the throughput bench suite: `cargo bench -p bench`.)
+//! (`e8`, real-hardware throughput, lives in `perf_locks` for contended
+//! runs and in `cargo bench -p bench --bench uncontended` for
+//! single-thread passages.)
 //!
 //! Sweep-shaped experiments fan their independent configs across cores
 //! with [`par::par_map`]; results come back in input order, so rendered

@@ -1,6 +1,6 @@
 //! Dependency-free parallel sweep harness.
 //!
-//! The experiment binaries sweep hundreds of independent
+//! The experiments sweep hundreds of independent
 //! `(n, policy, protocol)` simulator configurations; each one is a pure
 //! function of its config, so they fan out across cores with
 //! [`std::thread::scope`] and a shared atomic work index — no external

@@ -276,7 +276,7 @@ pub fn measure_concurrent_entering(cfg: AfConfig, protocol: Protocol) -> u64 {
     max_entry_steps
 }
 
-/// The named `(n, policy)` sweep used by several experiment binaries.
+/// The named `(n, policy)` sweep used by several experiments.
 pub fn standard_sweep() -> Vec<(usize, FPolicy)> {
     let mut out = Vec::new();
     for n in [8usize, 16, 32, 64, 128, 256, 512, 1024] {

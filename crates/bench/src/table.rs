@@ -1,4 +1,4 @@
-//! Plain-text table rendering for experiment binaries.
+//! Plain-text table rendering for experiment reports.
 
 use std::fmt::Display;
 

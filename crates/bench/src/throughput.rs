@@ -1,12 +1,10 @@
-//! Real-hardware throughput harness (experiment E8 and the contended
-//! lock lab).
+//! The contended lock lab's harness (the `perf_locks` experiment).
 //!
-//! Measures wall-clock passages/second of the real-atomics locks under
-//! mixed read/write workloads, with per-thread roles fixed up front (the
-//! `A_f` model has distinct reader and writer processes). Contender sets
+//! Measures wall-clock passages/second and per-op latency of the
+//! real-atomics locks under mixed read/write workloads. Contender sets
 //! come from [`rwcore::LockRegistry`] — a lock registered there appears
-//! here with no harness edits — and contended workload shapes come from
-//! the [`Scenario`] DSL, the same strings the model-check suite consumes.
+//! here with no harness edits — and workload shapes come from the
+//! [`Scenario`] DSL, the same strings the model-check suite consumes.
 //!
 //! The lock adapter trait is [`rwcore::RealLock`]. The external baseline is
 //! `std::sync::RwLock` only: the workspace builds offline with zero
@@ -14,114 +12,12 @@
 
 use crate::hist::Histogram;
 use ccsim::Prng;
-use rwcore::{LockRegistry, RealShape, Scenario};
-use std::sync::atomic::{AtomicBool, Ordering};
+use rwcore::Scenario;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 pub use rwcore::{RawAdapter, RealLock, StdAdapter};
-
-/// Workload shape: how many reader and writer threads, and how many
-/// passages each performs.
-#[derive(Copy, Clone, Debug)]
-pub struct Workload {
-    /// Reader thread count.
-    pub readers: usize,
-    /// Writer thread count.
-    pub writers: usize,
-    /// Passages per reader thread.
-    pub reads_per_reader: u64,
-    /// Passages per writer thread.
-    pub writes_per_writer: u64,
-}
-
-impl Workload {
-    /// A read-heavy workload sized to `threads` total.
-    pub fn read_heavy(threads: usize) -> Self {
-        let writers = 1.max(threads / 8);
-        Workload {
-            readers: threads.saturating_sub(writers).max(1),
-            writers,
-            reads_per_reader: 20_000,
-            writes_per_writer: 2_000,
-        }
-    }
-
-    /// A balanced workload.
-    pub fn mixed(threads: usize) -> Self {
-        let writers = 1.max(threads / 2);
-        Workload {
-            readers: threads.saturating_sub(writers).max(1),
-            writers,
-            reads_per_reader: 10_000,
-            writes_per_writer: 10_000,
-        }
-    }
-
-    /// Total passages.
-    pub fn total_passages(&self) -> u64 {
-        self.readers as u64 * self.reads_per_reader + self.writers as u64 * self.writes_per_writer
-    }
-}
-
-/// Result of one throughput run.
-#[derive(Clone, Debug)]
-pub struct ThroughputSample {
-    /// Lock label.
-    pub lock: String,
-    /// The workload run.
-    pub workload: Workload,
-    /// Wall-clock duration.
-    pub elapsed: Duration,
-    /// Total passages / second.
-    pub passages_per_sec: f64,
-}
-
-/// Run `workload` against `lock` once and report throughput.
-pub fn run_throughput(lock: Arc<dyn RealLock>, workload: Workload) -> ThroughputSample {
-    let barrier = Arc::new(Barrier::new(workload.readers + workload.writers + 1));
-    let mut handles = Vec::new();
-    for r in 0..workload.readers {
-        let lock = Arc::clone(&lock);
-        let barrier = Arc::clone(&barrier);
-        let reads = workload.reads_per_reader;
-        handles.push(std::thread::spawn(move || {
-            barrier.wait();
-            for _ in 0..reads {
-                lock.read_pass(r);
-            }
-        }));
-    }
-    for w in 0..workload.writers {
-        let lock = Arc::clone(&lock);
-        let barrier = Arc::clone(&barrier);
-        let writes = workload.writes_per_writer;
-        handles.push(std::thread::spawn(move || {
-            barrier.wait();
-            for _ in 0..writes {
-                lock.write_pass(w);
-            }
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    for h in handles {
-        h.join().expect("bench thread panicked");
-    }
-    let elapsed = start.elapsed();
-    ThroughputSample {
-        lock: lock.label(),
-        workload,
-        elapsed,
-        passages_per_sec: workload.total_passages() as f64 / elapsed.as_secs_f64(),
-    }
-}
-
-/// The standard contender set for a given `(readers, writers)` shape:
-/// every real-capable lock in [`LockRegistry::builtin`], freshly built.
-pub fn contenders(readers: usize, writers: usize) -> Vec<Arc<dyn RealLock>> {
-    LockRegistry::builtin().real_locks(RealShape::new(readers, writers))
-}
 
 /// How long a contended run lasts.
 #[derive(Copy, Clone, Debug)]
@@ -229,11 +125,14 @@ struct ThreadTake {
 /// Run `wl` against `lock` once: all threads start together behind a
 /// barrier, record per-op latencies into thread-local histograms, and
 /// stop on the budget (a stop flag for [`OpBudget::Duration`], a local
-/// countdown for [`OpBudget::PerThreadOps`]).
+/// countdown for [`OpBudget::PerThreadOps`]). The critical section is
+/// tiny and the same for every lock: a read passage loads one shared
+/// counter, a write passage increments it.
 pub fn run_contended(lock: Arc<dyn RealLock>, wl: &MixedWorkload) -> ContendedSample {
     assert!(wl.threads > 0, "need at least one thread");
     let barrier = Arc::new(Barrier::new(wl.threads + 1));
     let stop = Arc::new(AtomicBool::new(false));
+    let shared = Arc::new(AtomicU64::new(0));
     let ncpu = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -243,6 +142,7 @@ pub fn run_contended(lock: Arc<dyn RealLock>, wl: &MixedWorkload) -> ContendedSa
         let lock = Arc::clone(&lock);
         let barrier = Arc::clone(&barrier);
         let stop = Arc::clone(&stop);
+        let shared = Arc::clone(&shared);
         let wl = *wl;
         handles.push(std::thread::spawn(move || {
             let pinned = if wl.pin {
@@ -278,9 +178,14 @@ pub fn run_contended(lock: Arc<dyn RealLock>, wl: &MixedWorkload) -> ContendedSa
                 prev_read = Some(is_read);
                 let t0 = Instant::now();
                 if is_read {
-                    lock.read_pass(t);
+                    lock.read_pass(t, &mut || {
+                        std::hint::black_box(shared.load(Ordering::Relaxed));
+                    });
                 } else {
-                    lock.write_pass(t);
+                    lock.write_pass(t, &mut || {
+                        let v = shared.load(Ordering::Relaxed);
+                        shared.store(v + 1, Ordering::Relaxed);
+                    });
                 }
                 let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                 if is_read {
@@ -330,18 +235,10 @@ pub fn run_contended(lock: Arc<dyn RealLock>, wl: &MixedWorkload) -> ContendedSa
     sample
 }
 
-/// The contended-lab contender set for `threads` symmetric threads with
-/// an explicit shard request: every real-capable lock in
-/// [`LockRegistry::builtin`] at the symmetric shape. The sharded variant
-/// may cap the request (see [`RealLock::effective_shards`]); the
-/// per-sample `shards` field reports what it actually ran with.
-pub fn contended_contenders(threads: usize, shards: usize) -> Vec<Arc<dyn RealLock>> {
-    LockRegistry::builtin().real_locks(RealShape::symmetric(threads).with_shards(shards))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rwcore::{LockRegistry, RealShape};
 
     fn mixed_wl(scenario: &str, threads: usize, budget: OpBudget, seed: u64) -> MixedWorkload {
         MixedWorkload {
@@ -354,32 +251,9 @@ mod tests {
     }
 
     #[test]
-    fn all_contenders_complete_a_small_workload() {
-        let wl = Workload {
-            readers: 2,
-            writers: 1,
-            reads_per_reader: 500,
-            writes_per_writer: 100,
-        };
-        for lock in contenders(2, 1) {
-            let sample = run_throughput(lock, wl);
-            assert!(sample.passages_per_sec > 0.0, "{}", sample.lock);
-        }
-    }
-
-    #[test]
-    fn workload_shapes() {
-        let rh = Workload::read_heavy(8);
-        assert!(rh.readers > rh.writers);
-        assert!(rh.total_passages() > 0);
-        let mx = Workload::mixed(8);
-        assert_eq!(mx.readers + mx.writers, 8);
-    }
-
-    #[test]
     fn contended_run_completes_for_all_locks() {
         let wl = mixed_wl("r9:1", 2, OpBudget::PerThreadOps(200), 7);
-        for lock in contended_contenders(2, 2) {
+        for lock in LockRegistry::builtin().real_locks(RealShape::symmetric(2).with_shards(2)) {
             let label = lock.label();
             let s = run_contended(lock, &wl);
             assert_eq!(s.reads + s.writes, 400, "{label}");

@@ -1,13 +1,15 @@
 //! The registration contract, end to end: registering a lock in
 //! exactly one place — a [`rwcore::LockEntry`] appended to the registry
-//! — makes it appear on all three downstream surfaces with no further
+//! — makes it appear on all four downstream surfaces with no further
 //! wiring:
 //!
 //! 1. the `experiments --list` catalog ([`bench::exp::render_list`]),
 //! 2. the `perf_locks` lock × scenario matrix
-//!    ([`bench::exp::scenario_matrix`]), and
+//!    ([`bench::exp::scenario_matrix`]),
 //! 3. the auto-generated model-check suite
-//!    ([`modelcheck::suite::plan`]).
+//!    ([`modelcheck::suite::plan`]), and
+//! 4. the real-atomics conformance suite ([`rwcore::conformance`] over
+//!    [`rwcore::LockRegistry::real_locks`]).
 //!
 //! Plus the sim/real parity contract: both harnesses derive their
 //! workload parameters from the *same* [`rwcore::Scenario`] accessors,
@@ -19,8 +21,8 @@ use ccsim::{Prng, Protocol, Sim};
 use modelcheck::suite;
 use modelcheck::CheckConfig;
 use rwcore::{
-    centralized_world, FaultSupport, LockEntry, LockRegistry, RealLock, RealLockFactory, Scenario,
-    SimInstance, SimLock,
+    centralized_world, conformance, FaultSupport, LockEntry, LockRegistry, RealLock,
+    RealLockFactory, RealShape, Scenario, SimInstance, SimLock,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,7 +38,7 @@ struct ToyTicket {
 const WRITER_BIT: u64 = 1 << 63;
 
 impl RealLock for ToyTicket {
-    fn read_pass(&self, _id: usize) {
+    fn read_pass(&self, _id: usize, cs: &mut dyn FnMut()) {
         loop {
             let v = self.word.load(Ordering::Acquire);
             if v & WRITER_BIT != 0 {
@@ -51,10 +53,11 @@ impl RealLock for ToyTicket {
                 break;
             }
         }
+        cs();
         self.word.fetch_sub(1, Ordering::AcqRel);
     }
 
-    fn write_pass(&self, _id: usize) {
+    fn write_pass(&self, _id: usize, cs: &mut dyn FnMut()) {
         loop {
             if self
                 .word
@@ -65,11 +68,31 @@ impl RealLock for ToyTicket {
             }
             std::hint::spin_loop();
         }
+        cs();
         self.word.store(0, Ordering::Release);
     }
 
     fn label(&self) -> String {
         "toy-ticket".to_string()
+    }
+}
+
+/// The negative control: [`ToyTicket`]'s readers, but a `write_pass`
+/// that takes no lock at all.
+#[derive(Debug, Default)]
+struct BrokenToy(ToyTicket);
+
+impl RealLock for BrokenToy {
+    fn read_pass(&self, id: usize, cs: &mut dyn FnMut()) {
+        self.0.read_pass(id, cs);
+    }
+
+    fn write_pass(&self, _id: usize, cs: &mut dyn FnMut()) {
+        cs();
+    }
+
+    fn label(&self) -> String {
+        "broken-toy".to_string()
     }
 }
 
@@ -179,6 +202,27 @@ fn the_toy_lock_actually_runs_on_both_surfaces() {
     let report = suite::run_case(sim.as_ref(), inst, case, Protocol::WriteBack, 1)
         .expect("toy sim twin passes Mutual Exclusion");
     assert!(report.states_explored > 0);
+}
+
+/// Surface 4: the toy, built through the registry like every other
+/// real lock, passes the conformance suite; the broken toy, whose
+/// writers take no lock, fails it.
+#[test]
+fn conformance_accepts_the_toy_and_rejects_a_lockless_writer() {
+    let shape = RealShape::new(3, 2);
+    let locks = registry_with_toy().real_locks(shape);
+    let toy = locks
+        .iter()
+        .find(|l| l.label() == "toy-ticket")
+        .expect("contender set includes the toy");
+    conformance(toy.as_ref(), shape, 0x70E).expect("the toy lock conforms");
+
+    // Whether a run overlaps two critical sections depends on the
+    // host's scheduling, so allow a few seeds to find one.
+    let err = (0..8)
+        .find_map(|seed| conformance(&BrokenToy::default(), shape, seed).err())
+        .expect("the suite rejects writers that take no lock");
+    assert!(err.starts_with("broken-toy: "), "{err}");
 }
 
 /// Sim/real parity: one scenario string, parsed twice, drives both

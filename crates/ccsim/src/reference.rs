@@ -8,7 +8,7 @@
 //! * the randomized differential test (`tests/differential_memory.rs`)
 //!   can assert the rewrite preserves [`StepOutcome`] semantics exactly,
 //!   operation by operation, under all three protocols; and
-//! * the `perf_smoke` bench binary can measure the before/after
+//! * the `perf_smoke` experiment can measure the before/after
 //!   steps-per-second ratio on the same workload.
 //!
 //! Nothing else should depend on this module: it is not part of the

@@ -707,10 +707,6 @@ impl Sim {
                 class.members.len() >= 2,
                 "a symmetry class needs at least two members"
             );
-            assert!(
-                class.members.len() <= 64,
-                "symmetry classes are limited to 64 members"
-            );
             for &p in &class.members {
                 assert!(p.0 < self.procs.len(), "symmetry member {p} out of range");
                 assert!(
@@ -831,8 +827,6 @@ impl Sim {
         // 3. Per class: the sorted multiset of member bundles.
         for class in &self.symmetry {
             let base = out.len();
-            // `declare_symmetry` caps classes at 64 members.
-            let mut ranges = [(0u32, 0u32); 64];
             for (j, &p) in class.members().iter().enumerate() {
                 let start = out.len();
                 out.push(0); // length placeholder
@@ -842,20 +836,27 @@ impl Sim {
                     encode_value(self.mem.peek(v), Some(p), out);
                 }
                 out[start] = (out.len() - start) as u64;
-                ranges[j] = (start as u32, out.len() as u32);
             }
-            let k = class.members().len();
+            // Index the bundles in a tail of `out`, one `start << 32 |
+            // end` word each (bundle `j + 1` starts where `j` ends), and
+            // sort that tail by bundle content.
             let unsorted_end = out.len();
-            ranges[..k].sort_unstable_by(|&(as_, ae), &(bs, be)| {
-                out[as_ as usize..ae as usize].cmp(&out[bs as usize..be as usize])
-            });
-            // Re-emit the bundles in sorted order, then drop the
-            // unsorted originals — no extra allocation once `out` is
-            // warm.
-            for &(s, e) in &ranges[..k] {
-                out.extend_from_within(s as usize..e as usize);
+            let mut start = base;
+            while start < unsorted_end {
+                let end = start + out[start] as usize;
+                out.push((start as u64) << 32 | end as u64);
+                start = end;
             }
-            out.drain(base..unsorted_end);
+            let (bundles, index) = out.split_at_mut(unsorted_end);
+            let span = |w: u64| (w >> 32) as usize..(w as u32) as usize;
+            index.sort_unstable_by(|&a, &b| bundles[span(a)].cmp(&bundles[span(b)]));
+            // Re-emit the bundles in sorted order, then drop the
+            // unsorted originals and the index — no allocation once
+            // `out` is warm.
+            for i in unsorted_end..out.len() {
+                out.extend_from_within(span(out[i]));
+            }
+            out.drain(base..unsorted_end + class.members().len());
         }
     }
 
@@ -1414,6 +1415,25 @@ mod tests {
         // The vectors agree exactly where the canonical fingerprints do.
         assert_eq!(canon_vec(&a), canon_vec(&b));
         assert_ne!(canon_vec(&a), canon_vec(&per_slot_world(3)));
+    }
+
+    #[test]
+    fn canonical_vec_merges_permutations_of_a_65_member_class() {
+        // Member `i` takes `steps(i)` steps in `a`; in `b` member `64 - i`
+        // does, so `b` is `a` with the class reversed.
+        let steps = |i: usize| if i.is_multiple_of(3) { 0 } else { i % 4 };
+        let mut a = per_slot_world(65);
+        let mut b = per_slot_world(65);
+        for i in 0..65 {
+            for _ in 0..steps(i) {
+                a.step(ProcId(i));
+                b.step(ProcId(64 - i));
+            }
+        }
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_eq!(canon_vec(&a), canon_vec(&b));
+        b.step(ProcId(0));
+        assert_ne!(canon_vec(&a), canon_vec(&b));
     }
 
     #[test]

@@ -383,44 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn real_gated_lock_stress() {
-        use crate::baselines::real::RawRwLock;
-        let cfg = AfConfig {
-            readers: 4,
-            writers: 2,
-            policy: FPolicy::LogN,
-        };
-        let lock = std::sync::Arc::new(GatedAfLock::new(cfg));
-        let occ = std::sync::Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for r in 0..4 {
-                let (lock, occ) = (std::sync::Arc::clone(&lock), std::sync::Arc::clone(&occ));
-                s.spawn(move || {
-                    for _ in 0..500 {
-                        lock.reader_lock(r);
-                        let v = occ.fetch_add(1, Ordering::SeqCst);
-                        assert_eq!(v >> 32, 0, "reader with a writer");
-                        occ.fetch_sub(1, Ordering::SeqCst);
-                        lock.reader_unlock(r);
-                    }
-                });
-            }
-            for w in 0..2 {
-                let (lock, occ) = (std::sync::Arc::clone(&lock), std::sync::Arc::clone(&occ));
-                s.spawn(move || {
-                    for _ in 0..500 {
-                        RawRwLock::writer_lock(&*lock, w);
-                        let v = occ.fetch_add(1 << 32, Ordering::SeqCst);
-                        assert_eq!(v, 0, "writer with occupants");
-                        occ.fetch_sub(1 << 32, Ordering::SeqCst);
-                        RawRwLock::writer_unlock(&*lock, w);
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
     fn concurrent_entering_still_holds_when_writers_quiet() {
         // All writers in remainder => gate is 0 => readers enter in
         // bounded steps (the +1 is the gate read).

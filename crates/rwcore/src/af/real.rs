@@ -327,122 +327,7 @@ impl RawAfLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FPolicy;
-    use std::sync::atomic::AtomicU64 as TestAtomic;
     use std::sync::Arc;
-
-    /// Shared oracle state: tracks CS occupancy and checks the paper's
-    /// Mutual Exclusion property on every transition.
-    #[derive(Default)]
-    struct Oracle {
-        /// Low 32 bits: reader count; high 32 bits: writer count.
-        occupancy: TestAtomic,
-    }
-
-    impl Oracle {
-        fn reader_enter(&self) {
-            let v = self.occupancy.fetch_add(1, Ordering::SeqCst);
-            assert_eq!(v >> 32, 0, "reader entered while a writer was in the CS");
-        }
-        fn reader_exit(&self) {
-            self.occupancy.fetch_sub(1, Ordering::SeqCst);
-        }
-        fn writer_enter(&self) {
-            let v = self.occupancy.fetch_add(1 << 32, Ordering::SeqCst);
-            assert_eq!(v, 0, "writer entered a non-empty CS (occupancy {v:#x})");
-        }
-        fn writer_exit(&self) {
-            self.occupancy.fetch_sub(1 << 32, Ordering::SeqCst);
-        }
-    }
-
-    fn stress(cfg: AfConfig, passes: u64) {
-        let lock = Arc::new(RawAfLock::new(cfg));
-        let oracle = Arc::new(Oracle::default());
-        let mut handles = Vec::new();
-        for r in 0..cfg.readers {
-            let lock = Arc::clone(&lock);
-            let oracle = Arc::clone(&oracle);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..passes {
-                    lock.reader_lock(r);
-                    oracle.reader_enter();
-                    oracle.reader_exit();
-                    lock.reader_unlock(r);
-                }
-            }));
-        }
-        for w in 0..cfg.writers {
-            let lock = Arc::clone(&lock);
-            let oracle = Arc::clone(&oracle);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..passes {
-                    lock.writer_lock(w);
-                    oracle.writer_enter();
-                    oracle.writer_exit();
-                    lock.writer_unlock(w);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn single_reader_single_writer() {
-        stress(AfConfig::new(1, 1), 2_000);
-    }
-
-    #[test]
-    fn many_readers_one_writer_all_policies() {
-        for policy in FPolicy::NAMED {
-            stress(
-                AfConfig {
-                    readers: 6,
-                    writers: 1,
-                    policy,
-                },
-                500,
-            );
-        }
-    }
-
-    #[test]
-    fn many_readers_many_writers() {
-        stress(
-            AfConfig {
-                readers: 6,
-                writers: 3,
-                policy: FPolicy::LogN,
-            },
-            500,
-        );
-    }
-
-    #[test]
-    fn groups_of_one() {
-        stress(
-            AfConfig {
-                readers: 4,
-                writers: 2,
-                policy: FPolicy::Linear,
-            },
-            500,
-        );
-    }
-
-    #[test]
-    fn single_group() {
-        stress(
-            AfConfig {
-                readers: 5,
-                writers: 2,
-                policy: FPolicy::One,
-            },
-            500,
-        );
-    }
 
     #[test]
     fn uncontended_reader_passage() {

@@ -231,83 +231,3 @@ impl RawRwLock for MutexRwLock {
         "mutex-only"
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicU64 as TestWord;
-    use std::sync::Arc;
-
-    fn stress(lock: Arc<dyn RawRwLock>, readers: usize, writers: usize, passes: u64) {
-        // Occupancy oracle: readers in low bits, writers in high bits.
-        let occ = Arc::new(TestWord::new(0));
-        let mut handles = Vec::new();
-        for r in 0..readers {
-            let lock = Arc::clone(&lock);
-            let occ = Arc::clone(&occ);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..passes {
-                    lock.reader_lock(r);
-                    let v = occ.fetch_add(1, Ordering::SeqCst);
-                    assert_eq!(v >> 32, 0, "{}: reader joined a writer", lock.name());
-                    occ.fetch_sub(1, Ordering::SeqCst);
-                    lock.reader_unlock(r);
-                }
-            }));
-        }
-        for w in 0..writers {
-            let lock = Arc::clone(&lock);
-            let occ = Arc::clone(&occ);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..passes {
-                    lock.writer_lock(w);
-                    let v = occ.fetch_add(1 << 32, Ordering::SeqCst);
-                    assert_eq!(v, 0, "{}: writer joined occupants", lock.name());
-                    occ.fetch_sub(1 << 32, Ordering::SeqCst);
-                    lock.writer_unlock(w);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn centralized_mutual_exclusion() {
-        stress(Arc::new(CentralizedRwLock::new()), 4, 2, 1_000);
-    }
-
-    #[test]
-    fn faa_mutual_exclusion() {
-        stress(Arc::new(FaaRwLock::new(2)), 4, 2, 1_000);
-    }
-
-    #[test]
-    fn mutex_rw_mutual_exclusion() {
-        stress(Arc::new(MutexRwLock::new(4, 2)), 4, 2, 500);
-    }
-
-    #[test]
-    fn af_via_trait_object() {
-        let cfg = crate::AfConfig::new(4, 2);
-        stress(Arc::new(crate::RawAfLock::new(cfg)), 4, 2, 300);
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let names = [
-            RawRwLock::name(&CentralizedRwLock::new()),
-            RawRwLock::name(&FaaRwLock::new(1)),
-            RawRwLock::name(&MutexRwLock::new(1, 1)),
-            RawRwLock::name(&crate::RawAfLock::new(crate::AfConfig::new(1, 1))),
-            RawRwLock::name(&crate::GatedAfLock::new(crate::AfConfig::new(1, 1))),
-            RawRwLock::name(&crate::ShardedAfRwLock::new(1, 1)),
-            RawRwLock::name(&crate::BusyForbiddenLock::new(1, 1)),
-        ];
-        assert_eq!(
-            names.iter().collect::<std::collections::HashSet<_>>().len(),
-            names.len()
-        );
-    }
-}

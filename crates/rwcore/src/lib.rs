@@ -57,8 +57,8 @@ pub use baselines::sim::{centralized_world, faa_world, mutex_rw_world, BaselineW
 pub use busy_forbidden::BusyForbiddenLock;
 pub use config::{AfConfig, FPolicy, GroupSlot};
 pub use lock::{
-    FaultSupport, RawAdapter, RealLock, RealLockFactory, RealShape, SimInstance, SimLock,
-    StdAdapter,
+    conformance, FaultSupport, RawAdapter, RealLock, RealLockFactory, RealShape, SimInstance,
+    SimLock, StdAdapter,
 };
 pub use registry::{LockEntry, LockRegistry};
 pub use scenario::{NamedScenario, Rate, Scenario};

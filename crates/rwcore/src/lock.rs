@@ -4,23 +4,22 @@
 //!
 //! A lock variant joins the repo by implementing one or both and
 //! registering once in [`crate::registry`]; everything downstream —
-//! the contended lab, the `perf_locks` scenario matrix, the
-//! auto-generated model-check suite, `experiments --list` — enumerates
-//! the registry instead of naming locks by hand. The real side is
-//! constructor-per-contender: a [`RealLockFactory`] builds a fresh
-//! instance *per run* from a [`RealShape`], replacing the hand-rolled
-//! `contenders`/`contended_contenders` lists the bench crate used to
-//! carry (where a lock forgotten in one list silently vanished from
-//! that experiment).
+//! the `perf_locks` scenario matrix, the auto-generated model-check
+//! suite, the real-atomics [`conformance`] check, `experiments --list`
+//! — enumerates the registry instead of naming locks by hand. The real
+//! side is constructor-per-contender: a [`RealLockFactory`] builds a
+//! fresh instance *per run* from a [`RealShape`], so a lock cannot be
+//! forgotten in one hand-kept list and silently vanish from that
+//! experiment.
 //!
 //! `RealLock` lives below the bench crate so that the registry (and
 //! lock adapters) need no dependency on the harness.
 
 use crate::baselines::real::RawRwLock;
-use ccsim::{Protocol, Sim};
+use ccsim::{Prng, Protocol, Sim};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex};
 
 /// The shape a real-atomics contender is built for: how many reader and
 /// writer slots the instance must serve, and (for sharded locks) the
@@ -72,13 +71,16 @@ impl fmt::Display for RealShape {
 }
 
 /// A real-atomics lock instance as the bench harness drives it: one
-/// full passage per call, with a tiny critical section touching shared
-/// data.
+/// full passage per call, running the caller's critical section `cs`
+/// while the lock is held. The lock owns no payload: the bench harness
+/// passes a shared-counter touch, [`conformance`] its oracle.
 pub trait RealLock: Send + Sync {
-    /// One reader passage by reader process `id`.
-    fn read_pass(&self, id: usize);
-    /// One writer passage by writer process `id`.
-    fn write_pass(&self, id: usize);
+    /// One reader passage by reader process `id`, running `cs` in the
+    /// critical section.
+    fn read_pass(&self, id: usize, cs: &mut dyn FnMut());
+    /// One writer passage by writer process `id`, running `cs` in the
+    /// critical section.
+    fn write_pass(&self, id: usize, cs: &mut dyn FnMut());
     /// Implementation name for tables.
     fn label(&self) -> String;
     /// The shard count this instance actually runs with, for sharded
@@ -110,8 +112,8 @@ impl RealLockFactory {
         }
     }
 
-    /// A factory over any [`RawRwLock`] constructor, adapting it with
-    /// the standard shared-counter critical section ([`RawAdapter`]).
+    /// A factory over any [`RawRwLock`] constructor, adapted with
+    /// [`RawAdapter`].
     pub fn raw<L: RawRwLock + 'static>(
         ctor: impl Fn(RealShape) -> L + Send + Sync + 'static,
     ) -> Self {
@@ -130,33 +132,28 @@ impl fmt::Debug for RealLockFactory {
     }
 }
 
-/// Wraps any [`RawRwLock`] (our locks) with a tiny shared-counter CS.
+/// Adapts any [`RawRwLock`] (our locks) to [`RealLock`].
 #[derive(Debug)]
 pub struct RawAdapter<L> {
     lock: L,
-    shared: AtomicU64,
 }
 
 impl<L: RawRwLock> RawAdapter<L> {
     /// Wrap a raw lock.
     pub fn new(lock: L) -> Self {
-        RawAdapter {
-            lock,
-            shared: AtomicU64::new(0),
-        }
+        RawAdapter { lock }
     }
 }
 
 impl<L: RawRwLock> RealLock for RawAdapter<L> {
-    fn read_pass(&self, id: usize) {
+    fn read_pass(&self, id: usize, cs: &mut dyn FnMut()) {
         self.lock.reader_lock(id);
-        std::hint::black_box(self.shared.load(Ordering::Relaxed));
+        cs();
         self.lock.reader_unlock(id);
     }
-    fn write_pass(&self, id: usize) {
+    fn write_pass(&self, id: usize, cs: &mut dyn FnMut()) {
         self.lock.writer_lock(id);
-        let v = self.shared.load(Ordering::Relaxed);
-        self.shared.store(v + 1, Ordering::Relaxed);
+        cs();
         self.lock.writer_unlock(id);
     }
     fn label(&self) -> String {
@@ -171,18 +168,165 @@ impl<L: RawRwLock> RealLock for RawAdapter<L> {
 /// builds offline with zero dependencies, so `parking_lot` is out).
 #[derive(Debug, Default)]
 pub struct StdAdapter {
-    lock: std::sync::RwLock<u64>,
+    lock: std::sync::RwLock<()>,
 }
 
 impl RealLock for StdAdapter {
-    fn read_pass(&self, _id: usize) {
-        std::hint::black_box(*self.lock.read().unwrap());
+    fn read_pass(&self, _id: usize, cs: &mut dyn FnMut()) {
+        let _guard = self
+            .lock
+            .read()
+            .expect("a passage panicked holding the lock");
+        cs();
     }
-    fn write_pass(&self, _id: usize) {
-        *self.lock.write().unwrap() += 1;
+    fn write_pass(&self, _id: usize, cs: &mut dyn FnMut()) {
+        let _guard = self
+            .lock
+            .write()
+            .expect("a passage panicked holding the lock");
+        cs();
     }
     fn label(&self) -> String {
         "std::RwLock".into()
+    }
+}
+
+/// Passages each [`conformance`] thread runs.
+const CONFORMANCE_PASSES: usize = 500;
+
+/// A writer in [`Oracle::occupancy`]; readers count in the low 32 bits.
+const WRITER: u64 = 1 << 32;
+
+/// The Mutual Exclusion oracle [`conformance`] runs inside every
+/// critical section, checking at entry and at exit.
+#[derive(Default)]
+struct Oracle {
+    /// Readers in the low 32 bits, writers from bit 32 up.
+    occupancy: AtomicU64,
+    /// Bumped by every write passage with a plain load and a later
+    /// store, so two overlapping writers lose an update; readers check
+    /// it does not move under them.
+    payload: AtomicU64,
+    /// The first violation seen.
+    violation: Mutex<Option<String>>,
+}
+
+impl Oracle {
+    fn flag(&self, what: impl FnOnce() -> String) {
+        self.violation
+            .lock()
+            .expect("the oracle never panics holding its mutex")
+            .get_or_insert_with(what);
+    }
+
+    fn read_cs(&self, spins: usize) {
+        let at_entry = self.occupancy.fetch_add(1, Ordering::SeqCst);
+        if at_entry >= WRITER {
+            self.flag(|| format!("reader entered beside a writer (occupancy {at_entry:#x})"));
+        }
+        let before = self.payload.load(Ordering::SeqCst);
+        pause(spins);
+        let after = self.payload.load(Ordering::SeqCst);
+        let at_exit = self.occupancy.fetch_sub(1, Ordering::SeqCst);
+        if at_exit >= WRITER || before != after {
+            self.flag(|| format!("a writer overlapped a reader (payload {before} -> {after})"));
+        }
+    }
+
+    fn write_cs(&self, spins: usize) {
+        let at_entry = self.occupancy.fetch_add(WRITER, Ordering::SeqCst);
+        if at_entry != 0 {
+            self.flag(|| format!("writer entered beside others (occupancy {at_entry:#x})"));
+        }
+        let v = self.payload.load(Ordering::SeqCst);
+        pause(spins);
+        self.payload.store(v + 1, Ordering::SeqCst);
+        let at_exit = self.occupancy.fetch_sub(WRITER, Ordering::SeqCst);
+        if at_exit != WRITER {
+            self.flag(|| {
+                format!("another process entered beside a writer (occupancy {at_exit:#x})")
+            });
+        }
+    }
+}
+
+/// The in-CS pause: `n` spins, or a yield when `n` is zero, so that
+/// even a one-CPU host switches threads inside critical sections.
+fn pause(n: usize) {
+    if n == 0 {
+        std::thread::yield_now();
+    }
+    for _ in 0..n {
+        std::hint::spin_loop();
+    }
+}
+
+/// The real-atomics conformance check every registered lock faces: the
+/// twin of the model-check suite, on real threads.
+///
+/// Thread `t` acts as reader `t` when `t < shape.readers` and as writer
+/// `t` when `t < shape.writers`; a barrier releases them together. Each
+/// draws its read/write mix, and an in-CS pause that makes overlaps
+/// likely (a short spin, or one time in 128 a yield), from a [`Prng`]
+/// seeded by `seed` and `t`. Inside every critical section an oracle
+/// checks, at entry and at exit, that no reader sits beside a writer
+/// and no writer beside anyone. At the end, the writers' payload must
+/// equal the number of write passages completed, or an update was lost.
+///
+/// Returns the first violation, naming the lock, shape and seed. The
+/// oracle never panics inside a critical section, so a broken lock
+/// cannot wedge the other threads.
+pub fn conformance(lock: &dyn RealLock, shape: RealShape, seed: u64) -> Result<(), String> {
+    let threads = shape.readers.max(shape.writers);
+    assert!(threads > 0, "conformance needs a reader or writer slot");
+    let oracle = Oracle::default();
+    let start = Barrier::new(threads);
+    let writes: u64 = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (oracle, start) = (&oracle, &start);
+                s.spawn(move || {
+                    let mut rng =
+                        Prng::new(seed ^ (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                    let (reader, writer) = (t < shape.readers, t < shape.writers);
+                    // A thread with both roles writes about once in
+                    // `write_every` passages.
+                    let write_every = 2 + rng.below(7);
+                    let mut writes = 0;
+                    start.wait();
+                    for _ in 0..CONFORMANCE_PASSES {
+                        let spins = rng.below(128);
+                        if writer && (!reader || rng.below(write_every) == 0) {
+                            lock.write_pass(t, &mut || oracle.write_cs(spins));
+                            writes += 1;
+                        } else {
+                            lock.read_pass(t, &mut || oracle.read_cs(spins));
+                        }
+                    }
+                    writes
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a conformance thread panicked"))
+            .sum()
+    });
+    let payload = oracle.payload.load(Ordering::SeqCst);
+    let violation = oracle
+        .violation
+        .into_inner()
+        .expect("the oracle never panics holding its mutex")
+        .or_else(|| {
+            (payload != writes)
+                .then(|| format!("lost update: payload {payload} after {writes} write passages"))
+        });
+    match violation {
+        Some(what) => Err(format!(
+            "{}: {what} (shape {shape}, seed {seed:#x})",
+            lock.label()
+        )),
+        None => Ok(()),
     }
 }
 
@@ -326,8 +470,8 @@ mod tests {
         let a = f.build(RealShape::new(2, 1));
         assert_eq!(a.label(), "a_f");
         assert_eq!(a.effective_shards(), None);
-        a.read_pass(0);
-        a.write_pass(0);
+        a.read_pass(0, &mut || {});
+        a.write_pass(0, &mut || {});
         let b = f.build(RealShape::new(2, 1));
         assert!(!Arc::ptr_eq(&a, &b), "factories build per run");
     }

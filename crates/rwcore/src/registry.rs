@@ -1,7 +1,9 @@
 //! The central lock registry: every lock variant registers **once**
-//! here and automatically appears on all three downstream surfaces —
-//! `experiments --list`, the `perf_locks` lock × scenario matrix, and
-//! (when it has a sim twin) the auto-generated model-check suite.
+//! here and automatically appears on every downstream surface —
+//! `experiments --list`, the `perf_locks` lock × scenario matrix, the
+//! real-atomics [`crate::conformance`] suite (`tests/conformance.rs`
+//! at the repo root), and (when it has a sim twin) the auto-generated
+//! model-check suite.
 //!
 //! Before this registry, the wiring ran the other way: the bench crate
 //! carried hand-rolled `contenders`/`contended_contenders` lists and
@@ -342,8 +344,8 @@ mod tests {
         let locks = reg.real_locks(RealShape::symmetric(2).with_shards(2));
         assert_eq!(locks.len(), 8);
         for lock in &locks {
-            lock.read_pass(0);
-            lock.write_pass(0);
+            lock.read_pass(0, &mut || {});
+            lock.write_pass(0, &mut || {});
         }
         // Only the sharded variant reports an effective shard count.
         let sharded: Vec<_> = locks
