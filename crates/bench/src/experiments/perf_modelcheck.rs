@@ -516,9 +516,10 @@ impl Experiment for PerfModelcheck {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_secs())
                 .unwrap_or(0);
+            let ncpu = std::thread::available_parallelism().map_or(1, |p| p.get());
             let json = format!(
                 "{{\n  \"experiment\": \"perf_modelcheck\",\n  \"unix_timestamp\": {unix_secs},\n  \
-                 \"workers\": {workers},\n  \"samples\": {samples},\n  \"workload\": \
+                 \"ncpu\": {ncpu},\n  \"workers\": {workers},\n  \"samples\": {samples},\n  \"workload\": \
                  \"{workload}\",\n  \"states\": {},\n  \
                  \"full_rehash_states_per_sec\": {full_sps:.0},\n  \
                  \"incremental_states_per_sec\": {inc_sps:.0},\n  \

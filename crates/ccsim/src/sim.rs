@@ -8,6 +8,7 @@ use crate::trace::{StepKind, StepRecord, Trace};
 use crate::value::{ProcId, Value, VarId};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Salt for per-process Zobrist signatures (the value-slot counterpart
 /// lives in `memory.rs` with a different salt).
@@ -138,6 +139,20 @@ impl SymmetryClass {
     }
 }
 
+/// What [`Sim::declare_symmetry`] derives: the declared classes plus two
+/// lookup masks. Immutable once declared, so every world branched from
+/// one declaration shares a single copy.
+#[derive(Debug)]
+struct SymmetryDecl {
+    classes: Vec<SymmetryClass>,
+    /// `owned_mask[v]` — variable `v` appears in some class member's
+    /// owned slice (lets the canonical serialization skip owned slots in
+    /// O(1) per variable).
+    owned_mask: Vec<bool>,
+    /// `class_member[p]` — process `p` belongs to some declared class.
+    class_member: Vec<bool>,
+}
+
 /// Per-process execution metrics, split by passage section.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct ProcStats {
@@ -257,14 +272,9 @@ pub struct Sim {
     procs_fp: u64,
     /// Interchangeable-process classes declared by the world builder via
     /// [`Sim::declare_symmetry`]; consulted only by the canonical
-    /// vector ([`Sim::canonical_vec`]), never by stepping.
-    symmetry: Vec<SymmetryClass>,
-    /// `owned_mask[v]` — variable `v` appears in some class member's
-    /// owned slice (derived by [`Sim::declare_symmetry`]; lets the
-    /// canonical serialization skip owned slots in O(1) per variable).
-    owned_mask: Vec<bool>,
-    /// `class_member[p]` — process `p` belongs to some declared class.
-    class_member: Vec<bool>,
+    /// vector ([`Sim::canonical_vec`]), never by stepping. Shared by
+    /// every world branched from this one.
+    symmetry: Arc<SymmetryDecl>,
     trace: Option<Trace>,
     steps: u64,
 }
@@ -296,9 +306,11 @@ impl Sim {
             aborting: vec![false; n],
             digests,
             procs_fp,
-            symmetry: Vec::new(),
-            owned_mask: vec![false; n_vars],
-            class_member: vec![false; n],
+            symmetry: Arc::new(SymmetryDecl {
+                classes: Vec::new(),
+                owned_mask: vec![false; n_vars],
+                class_member: vec![false; n],
+            }),
             trace: None,
             steps: 0,
         }
@@ -639,13 +651,17 @@ impl Sim {
     /// # Errors
     /// Returns the full occupant list on violation.
     pub fn check_mutual_exclusion(&self) -> Result<(), MutualExclusionViolation> {
-        let occupants: Vec<(ProcId, Role)> = self
-            .procs_in_cs()
-            .into_iter()
-            .map(|p| (p, self.role(p)))
-            .collect();
-        let writer_present = occupants.iter().any(|(_, r)| *r == Role::Writer);
-        if writer_present && occupants.len() > 1 {
+        let (mut occupants, mut writers) = (0, 0);
+        for p in self.proc_ids().filter(|&p| self.phase(p) == Phase::Cs) {
+            occupants += 1;
+            writers += usize::from(self.role(p) == Role::Writer);
+        }
+        if writers > 0 && occupants > 1 {
+            let occupants = self
+                .procs_in_cs()
+                .into_iter()
+                .map(|p| (p, self.role(p)))
+                .collect();
             return Err(MutualExclusionViolation { occupants });
         }
         Ok(())
@@ -738,15 +754,17 @@ impl Sim {
                 );
             }
         }
-        self.owned_mask = seen_vars;
-        self.class_member = seen_procs;
-        self.symmetry = classes;
+        self.symmetry = Arc::new(SymmetryDecl {
+            classes,
+            owned_mask: seen_vars,
+            class_member: seen_procs,
+        });
     }
 
     /// The declared interchangeable-process classes (empty unless the
     /// world builder called [`Sim::declare_symmetry`]).
     pub fn symmetry_classes(&self) -> &[SymmetryClass] {
-        &self.symmetry
+        &self.symmetry.classes
     }
 
     /// The symmetry-quotient canonical fingerprint: a 64-bit hash of
@@ -813,19 +831,19 @@ impl Sim {
     pub fn canonical_vec_annotated(&self, annot: impl Fn(ProcId) -> u64, out: &mut Vec<u64>) {
         // 1. Shared memory minus class-owned slots, in VarId order.
         for v in 0..self.mem.n_vars() {
-            if !self.owned_mask[v] {
+            if !self.symmetry.owned_mask[v] {
                 encode_value(self.mem.peek(VarId(v)), None, out);
             }
         }
         // 2. Non-class processes, positionally.
         for (i, &digest) in self.digests.iter().enumerate() {
-            if !self.class_member[i] {
+            if !self.symmetry.class_member[i] {
                 out.push(digest);
                 out.push(annot(ProcId(i)));
             }
         }
         // 3. Per class: the sorted multiset of member bundles.
-        for class in &self.symmetry {
+        for class in &self.symmetry.classes {
             let base = out.len();
             for (j, &p) in class.members().iter().enumerate() {
                 let start = out.len();
@@ -878,9 +896,7 @@ impl Sim {
             aborting: self.aborting.clone(),
             digests: self.digests.clone(),
             procs_fp: self.procs_fp,
-            symmetry: self.symmetry.clone(),
-            owned_mask: self.owned_mask.clone(),
-            class_member: self.class_member.clone(),
+            symmetry: Arc::clone(&self.symmetry),
             trace: None,
             steps: self.steps,
         }
@@ -910,9 +926,9 @@ impl Sim {
         dst.aborting.clone_from(&self.aborting);
         dst.digests.clone_from(&self.digests);
         dst.procs_fp = self.procs_fp;
-        dst.symmetry.clone_from(&self.symmetry);
-        dst.owned_mask.clone_from(&self.owned_mask);
-        dst.class_member.clone_from(&self.class_member);
+        if !Arc::ptr_eq(&dst.symmetry, &self.symmetry) {
+            dst.symmetry = Arc::clone(&self.symmetry);
+        }
         dst.trace = None;
         dst.steps = self.steps;
     }

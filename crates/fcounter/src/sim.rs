@@ -17,13 +17,15 @@ fn sum_of(v: Value) -> i64 {
 }
 
 /// Shared-memory descriptor of a simulated `K`-process f-array counter:
-/// the variable ids of its tree nodes. Cheap to clone; every process of
-/// the group holds a clone inside its machines.
-#[derive(Clone, Debug)]
+/// the tree shape and where its node variables start. `Copy`; every
+/// process of the group holds one inside its machines.
+#[derive(Copy, Clone, Debug)]
 pub struct SimCounter {
     shape: TreeShape,
-    /// Heap-indexed node variables; slot 0 is a dummy.
-    nodes: Vec<VarId>,
+    /// The variable of heap slot 0 (a dummy). [`SimCounter::allocate`]
+    /// takes the heap's variables from the layout back to back, so heap
+    /// node `x` is the variable `base + x`.
+    base: VarId,
 }
 
 impl SimCounter {
@@ -34,7 +36,7 @@ impl SimCounter {
     /// Panics if `k == 0`.
     pub fn allocate(layout: &mut Layout, name: &str, k: usize) -> Self {
         let shape = TreeShape::new(k);
-        let mut nodes = Vec::with_capacity(shape.heap_len());
+        let base = VarId(layout.len());
         for x in 0..shape.heap_len() {
             let init = if x == 0 {
                 Value::Nil // unused dummy slot
@@ -43,9 +45,9 @@ impl SimCounter {
             } else {
                 Value::Pair(0, 0)
             };
-            nodes.push(layout.var(format!("{name}.node[{x}]"), init));
+            layout.var(format!("{name}.node[{x}]"), init);
         }
-        SimCounter { shape, nodes }
+        SimCounter { shape, base }
     }
 
     /// Number of registered processes.
@@ -61,7 +63,7 @@ impl SimCounter {
     pub fn handle(&self, leaf: usize) -> SimCounterHandle {
         assert!(leaf < self.shape.leaves(), "leaf {leaf} out of range");
         SimCounterHandle {
-            counter: self.clone(),
+            counter: *self,
             leaf,
             mirror: 0,
         }
@@ -70,7 +72,7 @@ impl SimCounter {
     /// Start a `read` operation (any process may read).
     pub fn read(&self) -> ReadMachine {
         ReadMachine {
-            root: self.nodes[self.shape.root()],
+            root: self.var(self.shape.root()),
             done: None,
         }
     }
@@ -78,7 +80,7 @@ impl SimCounter {
     /// Inspect the counter's current value without simulating steps
     /// (test/assertion aid).
     pub fn peek(&self, mem: &Memory) -> i64 {
-        sum_of(mem.peek(self.nodes[self.shape.root()]))
+        sum_of(mem.peek(self.var(self.shape.root())))
     }
 
     /// The shared variable backing process `leaf`'s leaf — the location a
@@ -88,7 +90,7 @@ impl SimCounter {
     /// Panics if `leaf >= processes()`.
     pub fn leaf_var(&self, leaf: usize) -> VarId {
         assert!(leaf < self.shape.leaves(), "leaf {leaf} out of range");
-        self.nodes[self.shape.leaf(leaf)]
+        self.var(self.shape.leaf(leaf))
     }
 
     /// Are `a` and `b` sibling leaves (same parent node)? Sibling leaves
@@ -102,13 +104,13 @@ impl SimCounter {
     }
 
     fn var(&self, heap: usize) -> VarId {
-        self.nodes[heap]
+        VarId(self.base.0 + heap)
     }
 }
 
 /// A process's private handle on a [`SimCounter`]: remembers the current
 /// value of its own (single-writer) leaf so an `add` needs no leaf read.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct SimCounterHandle {
     counter: SimCounter,
     leaf: usize,
@@ -121,12 +123,10 @@ impl SimCounterHandle {
     /// before the next operation on this handle starts.
     pub fn add(&mut self, delta: i64) -> AddMachine {
         self.mirror += delta;
-        let shape = self.counter.shape;
         AddMachine {
-            counter: self.counter.clone(),
-            leaf_heap: shape.leaf(self.leaf),
+            counter: self.counter,
+            leaf_heap: self.counter.shape.leaf(self.leaf),
             new_leaf_value: self.mirror,
-            path: shape.path_to_root(self.leaf),
             pc: AddPc::WriteLeaf,
         }
     }
@@ -144,7 +144,7 @@ impl SimCounterHandle {
 
 /// Program counter of an [`AddMachine`]. `path_pos` indexes the bottom-up
 /// path of internal nodes; `round` distinguishes the two refresh attempts.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 enum AddPc {
     WriteLeaf,
     ReadNode {
@@ -181,18 +181,21 @@ enum AddPc {
 /// processes a transition automorphism (each machine's next shared
 /// access maps to the swapped machine's next shared access), which is
 /// what lets f-array worlds declare reader symmetry classes.
-#[derive(Clone, Debug)]
+///
+/// The path is not stored: its node at `path_pos` is
+/// `leaf_heap >> (path_pos + 1)` and its length is the tree depth
+/// (see [`TreeShape::path_to_root`]), so the machine is `Copy`.
+#[derive(Copy, Clone, Debug)]
 pub struct AddMachine {
     counter: SimCounter,
     leaf_heap: usize,
     new_leaf_value: i64,
-    path: Vec<usize>,
     pc: AddPc,
 }
 
 impl AddMachine {
     fn refresh_start(&self, path_pos: usize, round: u8) -> AddPc {
-        if path_pos >= self.path.len() {
+        if path_pos >= self.counter.shape.depth() as usize {
             debug_assert_eq!(round, 0);
             AddPc::Done
         } else {
@@ -200,10 +203,15 @@ impl AddMachine {
         }
     }
 
-    /// The two children of `path[path_pos]` in *read order*: own leaf
-    /// first at the leaf level, left-then-right above it.
+    /// The internal node at bottom-up position `path_pos` of the path.
+    fn path_node(&self, path_pos: usize) -> usize {
+        self.leaf_heap >> (path_pos + 1)
+    }
+
+    /// The two children of the path node at `path_pos` in *read order*:
+    /// own leaf first at the leaf level, left-then-right above it.
     fn children_in_read_order(&self, path_pos: usize) -> (usize, usize) {
-        let (l, r) = self.counter.shape.children(self.path[path_pos]);
+        let (l, r) = self.counter.shape.children(self.path_node(path_pos));
         if path_pos == 0 && r == self.leaf_heap {
             (r, l)
         } else {
@@ -220,7 +228,7 @@ impl SubMachine for AddMachine {
                 self.new_leaf_value,
             )),
             AddPc::ReadNode { path_pos, .. } => {
-                SubStep::Op(Op::Read(self.counter.var(self.path[*path_pos])))
+                SubStep::Op(Op::Read(self.counter.var(self.path_node(*path_pos))))
             }
             AddPc::ReadFirst { path_pos, .. } => {
                 let (first, _) = self.children_in_read_order(*path_pos);
@@ -236,7 +244,7 @@ impl SubMachine for AddMachine {
                 new,
                 ..
             } => SubStep::Op(Op::Cas {
-                var: self.counter.var(self.path[*path_pos]),
+                var: self.counter.var(self.path_node(*path_pos)),
                 expected: *expected,
                 new: *new,
             }),
@@ -245,7 +253,7 @@ impl SubMachine for AddMachine {
     }
 
     fn resume(&mut self, response: Value) {
-        self.pc = match self.pc.clone() {
+        self.pc = match self.pc {
             AddPc::WriteLeaf => self.refresh_start(0, 0),
             AddPc::ReadNode { path_pos, round } => AddPc::ReadFirst {
                 path_pos,
@@ -310,7 +318,7 @@ impl SubMachine for AddMachine {
 }
 
 /// Step machine for a constant-step `read`: one root load.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct ReadMachine {
     root: VarId,
     done: Option<i64>,
@@ -531,6 +539,27 @@ mod tests {
                     assert_eq!(v, c.leaf_var(leaf), "leaf {leaf} reads own leaf first")
                 }
                 other => panic!("expected first child read, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn node_x_is_the_layout_variable_named_node_x() {
+        for k in 1..=9 {
+            let mut layout = Layout::new();
+            layout.var("before", Value::Nil); // the counter need not start at 0
+            let c = SimCounter::allocate(&mut layout, "C", k);
+            layout.var("after", Value::Nil);
+            let shape = TreeShape::new(k);
+            for x in 0..shape.heap_len() {
+                assert_eq!(layout.name(c.var(x)), format!("C.node[{x}]"), "k={k}");
+            }
+            for leaf in 0..k {
+                let m = c.handle(leaf).add(1);
+                let path: Vec<usize> = (0..shape.depth() as usize)
+                    .map(|pos| m.path_node(pos))
+                    .collect();
+                assert_eq!(path, shape.path_to_root(leaf).collect::<Vec<_>>(), "k={k}");
             }
         }
     }

@@ -75,18 +75,15 @@ impl TreeShape {
     }
 
     /// The internal nodes on the path from leaf `i`'s parent to the root,
-    /// bottom-up. Empty when the tree is a single leaf.
-    pub fn path_to_root(&self, i: usize) -> Vec<usize> {
-        let mut path = Vec::new();
-        let mut x = self.parent(self.leaf(i));
-        while x >= 1 {
-            path.push(x);
-            if x == 1 {
-                break;
-            }
-            x = self.parent(x);
-        }
-        path
+    /// bottom-up: level `l` (counting from 0) is `leaf(i) >> (l + 1)`, and
+    /// there are `depth()` of them. Empty when the tree is a single leaf.
+    /// Computed on the fly, so walking it never allocates.
+    ///
+    /// # Panics
+    /// Panics if `i >= leaves()`.
+    pub fn path_to_root(&self, i: usize) -> impl ExactSizeIterator<Item = usize> {
+        let leaf = self.leaf(i);
+        (1..self.depth() + 1).map(move |level| leaf >> level)
     }
 
     /// Tree depth: number of internal levels (`log2(width)`).
@@ -106,7 +103,7 @@ mod tests {
         assert_eq!(t.leaf(0), 1);
         assert_eq!(t.root(), 1);
         assert!(t.is_leaf(t.root()), "root is the leaf when k = 1");
-        assert!(t.path_to_root(0).is_empty());
+        assert_eq!(t.path_to_root(0).len(), 0);
         assert_eq!(t.depth(), 0);
     }
 
@@ -123,12 +120,36 @@ mod tests {
     #[test]
     fn path_is_bottom_up_to_root() {
         let t = TreeShape::new(4);
-        assert_eq!(
-            t.path_to_root(3),
-            vec![3, 1],
+        assert!(
+            t.path_to_root(3).eq([3, 1]),
             "leaf 3 = node 7; parents 3, 1"
         );
-        assert_eq!(t.path_to_root(0), vec![2, 1]);
+        assert!(t.path_to_root(0).eq([2, 1]));
+    }
+
+    #[test]
+    fn path_iterator_matches_the_parent_walk() {
+        // The parent-pointer walk `path_to_root` used to collect.
+        fn parent_walk(t: &TreeShape, i: usize) -> Vec<usize> {
+            let mut path = Vec::new();
+            let mut x = t.parent(t.leaf(i));
+            while x >= 1 {
+                path.push(x);
+                if x == 1 {
+                    break;
+                }
+                x = t.parent(x);
+            }
+            path
+        }
+        for k in 1..=17 {
+            let t = TreeShape::new(k);
+            for i in 0..k {
+                let path = t.path_to_root(i);
+                assert_eq!(path.len(), t.depth() as usize, "k={k} i={i}");
+                assert_eq!(path.collect::<Vec<_>>(), parent_walk(&t, i), "k={k} i={i}");
+            }
+        }
     }
 
     #[test]

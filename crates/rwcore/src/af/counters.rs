@@ -24,7 +24,7 @@ pub enum CounterKind {
 }
 
 /// A group counter of either kind (shared descriptor).
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub enum GroupCounter {
     /// Tree counter.
     FArray(SimCounter),
@@ -105,7 +105,7 @@ impl GroupCounter {
 }
 
 /// A per-process handle on a [`GroupCounter`].
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub enum GroupHandle {
     /// Handle on a tree counter (owns the leaf mirror).
     FArray(SimCounterHandle),
@@ -159,7 +159,7 @@ pub enum CasAddPc {
 }
 
 /// Step machine for one `add` on either counter kind.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub enum GroupAddMachine {
     /// The wait-free tree walk.
     FArray(AddMachine),
@@ -223,7 +223,7 @@ impl SubMachine for GroupAddMachine {
 }
 
 /// Step machine for one `read` on either counter kind (1 step each).
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub enum GroupReadMachine {
     /// Tree root read.
     FArray(ReadMachine),

@@ -445,12 +445,35 @@ impl SwPc {
 /// per state like the reader's batch machines): an `A_f` writer parks in
 /// its CS holding a local sequence number that its exit section needs,
 /// so the machine that entered shard `s` must be the one that exits it.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ShardedWriterSim {
     shared: Arc<ShardedSimShared>,
     id: usize,
     pc: SwPc,
     inners: Vec<AfWriterSim>,
+}
+
+/// Manual `Clone` so `clone_from` (the model checker's recycling-pool hot
+/// path, see [`ccsim::Sim::clone_world_into`]) copies the per-shard
+/// writers into the existing `Vec` instead of allocating a new one.
+impl Clone for ShardedWriterSim {
+    fn clone(&self) -> Self {
+        ShardedWriterSim {
+            shared: Arc::clone(&self.shared),
+            id: self.id,
+            pc: self.pc.clone(),
+            inners: self.inners.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        if !Arc::ptr_eq(&self.shared, &src.shared) {
+            self.shared = Arc::clone(&src.shared);
+        }
+        self.id = src.id;
+        self.pc = src.pc.clone();
+        self.inners.clone_from(&src.inners);
+    }
 }
 
 impl ShardedWriterSim {

@@ -200,8 +200,8 @@ impl Clone for AfReaderSim {
             shared: Arc::clone(&self.shared),
             id: self.id,
             slot: self.slot,
-            c_handle: self.c_handle.clone(),
-            w_handle: self.w_handle.clone(),
+            c_handle: self.c_handle,
+            w_handle: self.w_handle,
             pc: self.pc.clone(),
             recover: self.recover,
         }
@@ -213,8 +213,8 @@ impl Clone for AfReaderSim {
         }
         self.id = src.id;
         self.slot = src.slot;
-        self.c_handle = src.c_handle.clone();
-        self.w_handle = src.w_handle.clone();
+        self.c_handle = src.c_handle;
+        self.w_handle = src.w_handle;
         self.pc = src.pc.clone();
         self.recover = src.recover;
     }

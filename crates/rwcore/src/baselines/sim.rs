@@ -506,14 +506,14 @@ pub fn mutex_rw_world(readers: usize, writers: usize, protocol: Protocol) -> Bas
     let mut procs: Vec<Box<dyn Program>> = Vec::new();
     for r in 0..readers {
         procs.push(Box::new(wmutex::MutexClient::with_role(
-            mutex.clone(),
+            mutex,
             r,
             Role::Reader,
         )));
     }
     for w in 0..writers {
         procs.push(Box::new(wmutex::MutexClient::with_role(
-            mutex.clone(),
+            mutex,
             readers + w,
             Role::Writer,
         )));
@@ -538,7 +538,7 @@ pub fn faa_world(readers: usize, writers: usize, protocol: Protocol) -> Baseline
         procs.push(Box::new(FaaReaderSim::new(indicator, wflag)));
     }
     for w in 0..writers {
-        procs.push(Box::new(FaaWriterSim::new(indicator, wflag, wl.clone(), w)));
+        procs.push(Box::new(FaaWriterSim::new(indicator, wflag, wl, w)));
     }
     BaselineWorld {
         sim: Sim::new(mem, procs),

@@ -11,35 +11,17 @@ struct SimNode {
     turn: VarId,
 }
 
-/// Shared-memory descriptor of a simulated m-process tournament mutex.
-/// Cheap to clone; every competing process holds a clone inside its
-/// machines.
-#[derive(Debug)]
+/// Shared-memory descriptor of a simulated m-process tournament mutex:
+/// its size and where its node variables start. `Copy`; every competing
+/// process holds one inside its machines.
+#[derive(Copy, Clone, Debug)]
 pub struct SimTournament {
     m: usize,
     width: usize,
-    /// Internal nodes, heap indices `1..width` (slot 0 is a dummy).
-    nodes: Vec<SimNode>,
-}
-
-/// Manual `Clone` so `clone_from` reuses the node `Vec`'s allocation —
-/// every [`MutexClient`] carries a copy, and the model checker's
-/// recycling pool (see [`ccsim::Sim::clone_world_into`]) overwrites it
-/// millions of times per exploration.
-impl Clone for SimTournament {
-    fn clone(&self) -> Self {
-        SimTournament {
-            m: self.m,
-            width: self.width,
-            nodes: self.nodes.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.m = src.m;
-        self.width = src.width;
-        self.nodes.clone_from(&src.nodes);
-    }
+    /// The first variable of heap node 0 (a dummy); internal nodes are
+    /// heap indices `1..width`, and node `x`'s `flag0`, `flag1` and
+    /// `turn` are the variables `base + 3x`, `+ 1` and `+ 2`.
+    base: VarId,
 }
 
 impl SimTournament {
@@ -51,16 +33,13 @@ impl SimTournament {
     pub fn allocate(layout: &mut Layout, name: &str, m: usize) -> Self {
         assert!(m > 0, "a mutex needs at least one process");
         let width = m.next_power_of_two();
-        let nodes = (0..width)
-            .map(|x| SimNode {
-                flag: [
-                    layout.var(format!("{name}.n[{x}].flag0"), Value::Bool(false)),
-                    layout.var(format!("{name}.n[{x}].flag1"), Value::Bool(false)),
-                ],
-                turn: layout.var(format!("{name}.n[{x}].turn"), Value::Int(0)),
-            })
-            .collect();
-        SimTournament { m, width, nodes }
+        let base = VarId(layout.len());
+        for x in 0..width {
+            layout.var(format!("{name}.n[{x}].flag0"), Value::Bool(false));
+            layout.var(format!("{name}.n[{x}].flag1"), Value::Bool(false));
+            layout.var(format!("{name}.n[{x}].turn"), Value::Int(0));
+        }
+        SimTournament { m, width, base }
     }
 
     /// Number of registered processes.
@@ -73,20 +52,21 @@ impl SimTournament {
         self.width.trailing_zeros() as usize
     }
 
-    /// The `(node, side)` pairs process `p` competes at, bottom-up.
-    fn path(&self, p: usize) -> Vec<(SimNode, usize)> {
+    /// The levels process `p` competes at.
+    fn path(&self, p: usize) -> Path {
         assert!(p < self.m, "process id {p} out of range");
-        let leaf = self.width + p;
-        (0..self.levels())
-            .map(|level| (self.nodes[leaf >> (level + 1)], (leaf >> level) & 1))
-            .collect()
+        Path {
+            base: self.base,
+            leaf: self.width + p,
+            len: self.levels(),
+        }
     }
 
     /// Start an acquisition for process `p`.
     pub fn enter(&self, p: usize) -> EnterMachine {
         let path = self.path(p);
         EnterMachine {
-            pc: if path.is_empty() {
+            pc: if path.len == 0 {
                 EnterPc::Done
             } else {
                 EnterPc::WriteFlag { lvl: 0 }
@@ -97,16 +77,31 @@ impl SimTournament {
 
     /// Start a release for process `p` (who must hold the lock).
     pub fn exit(&self, p: usize) -> ExitMachine {
-        let mut path = self.path(p);
-        path.reverse(); // release top-down
-        ExitMachine {
-            pc: if path.is_empty() {
-                ExitPc::Done
-            } else {
-                ExitPc::Clear { idx: 0 }
-            },
-            path,
-        }
+        ExitMachine::clearing(self.path(p))
+    }
+}
+
+/// The lowest `len` levels of a process's path through the tree. Level
+/// `lvl`'s `(node, side)` is computed from the process's leaf, so a
+/// machine carrying the path is `Copy`.
+#[derive(Copy, Clone, Debug)]
+struct Path {
+    base: VarId,
+    /// Heap index of the process's leaf.
+    leaf: usize,
+    len: usize,
+}
+
+impl Path {
+    /// The node and side competed at on level `lvl` (0 = bottom).
+    fn at(&self, lvl: usize) -> (SimNode, usize) {
+        debug_assert!(lvl < self.len);
+        let v = self.base.0 + 3 * (self.leaf >> (lvl + 1));
+        let node = SimNode {
+            flag: [VarId(v), VarId(v + 1)],
+            turn: VarId(v + 2),
+        };
+        (node, (self.leaf >> lvl) & 1)
     }
 }
 
@@ -121,15 +116,15 @@ enum EnterPc {
 
 /// Step machine for lock acquisition: Peterson entry at each level,
 /// bottom-up. Spins locally on `(rival flag, turn)` re-reads.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct EnterMachine {
-    path: Vec<(SimNode, usize)>,
+    path: Path,
     pc: EnterPc,
 }
 
 impl EnterMachine {
     fn next_level(&self, lvl: usize) -> EnterPc {
-        if lvl + 1 >= self.path.len() {
+        if lvl + 1 >= self.path.len {
             EnterPc::Done
         } else {
             EnterPc::WriteFlag { lvl: lvl + 1 }
@@ -151,18 +146,12 @@ impl EnterMachine {
             EnterPc::WriteTurn { lvl } | EnterPc::ReadRival { lvl } | EnterPc::ReadTurn { lvl } => {
                 lvl + 1
             }
-            EnterPc::Done => self.path.len(),
+            EnterPc::Done => self.path.len,
         };
-        let mut path: Vec<(SimNode, usize)> = self.path[..set].to_vec();
-        path.reverse(); // clear top-down, like a normal release
-        ExitMachine {
-            pc: if path.is_empty() {
-                ExitPc::Done
-            } else {
-                ExitPc::Clear { idx: 0 }
-            },
-            path,
-        }
+        ExitMachine::clearing(Path {
+            len: set,
+            ..self.path
+        })
     }
 
     /// Injective word encoding of the pc — the dynamic state is one of
@@ -182,19 +171,19 @@ impl SubMachine for EnterMachine {
     fn poll(&self) -> SubStep {
         match self.pc {
             EnterPc::WriteFlag { lvl } => {
-                let (node, side) = self.path[lvl];
+                let (node, side) = self.path.at(lvl);
                 SubStep::Op(Op::write(node.flag[side], true))
             }
             EnterPc::WriteTurn { lvl } => {
-                let (node, side) = self.path[lvl];
+                let (node, side) = self.path.at(lvl);
                 SubStep::Op(Op::write(node.turn, side as i64))
             }
             EnterPc::ReadRival { lvl } => {
-                let (node, side) = self.path[lvl];
+                let (node, side) = self.path.at(lvl);
                 SubStep::Op(Op::Read(node.flag[1 - side]))
             }
             EnterPc::ReadTurn { lvl } => {
-                let (node, _) = self.path[lvl];
+                let (node, _) = self.path.at(lvl);
                 SubStep::Op(Op::Read(node.turn))
             }
             EnterPc::Done => SubStep::Done(Value::Nil),
@@ -213,7 +202,7 @@ impl SubMachine for EnterMachine {
                 }
             }
             EnterPc::ReadTurn { lvl } => {
-                let (_, side) = self.path[lvl];
+                let (_, side) = self.path.at(lvl);
                 if response.expect_int() == side as i64 {
                     EnterPc::ReadRival { lvl } // still our turn to wait: spin
                 } else {
@@ -237,14 +226,27 @@ enum ExitPc {
 
 /// Step machine for lock release: clear our flag at each level, top-down.
 /// Bounded: exactly `levels()` writes.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct ExitMachine {
-    /// Path in release (top-down) order.
-    path: Vec<(SimNode, usize)>,
+    /// The levels to clear; `Clear { idx }` clears level
+    /// `path.len - 1 - idx` (release order is top-down).
+    path: Path,
     pc: ExitPc,
 }
 
 impl ExitMachine {
+    /// Clear every level of `path`, highest first.
+    fn clearing(path: Path) -> ExitMachine {
+        ExitMachine {
+            pc: if path.len == 0 {
+                ExitPc::Done
+            } else {
+                ExitPc::Clear { idx: 0 }
+            },
+            path,
+        }
+    }
+
     /// Injective word encoding of the pc (see [`EnterMachine::pc_code`]).
     fn pc_code(&self) -> u64 {
         match self.pc {
@@ -258,7 +260,7 @@ impl SubMachine for ExitMachine {
     fn poll(&self) -> SubStep {
         match self.pc {
             ExitPc::Clear { idx } => {
-                let (node, side) = self.path[idx];
+                let (node, side) = self.path.at(self.path.len - 1 - idx);
                 SubStep::Op(Op::write(node.flag[side], false))
             }
             ExitPc::Done => SubStep::Done(Value::Nil),
@@ -267,7 +269,7 @@ impl SubMachine for ExitMachine {
 
     fn resume(&mut self, _response: Value) {
         self.pc = match self.pc {
-            ExitPc::Clear { idx } if idx + 1 < self.path.len() => ExitPc::Clear { idx: idx + 1 },
+            ExitPc::Clear { idx } if idx + 1 < self.path.len => ExitPc::Clear { idx: idx + 1 },
             ExitPc::Clear { .. } => ExitPc::Done,
             ExitPc::Done => panic!("ExitMachine resumed after completion"),
         };
@@ -281,7 +283,7 @@ impl SubMachine for ExitMachine {
 /// A complete simulated mutex client: repeatedly acquires the tournament
 /// lock, occupies the CS, and releases. Used to measure the `O(log m)`
 /// writer-side RMR bound (experiment E6) and to model-check the mutex.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MutexClient {
     mutex: SimTournament,
     id: usize,
@@ -289,27 +291,7 @@ pub struct MutexClient {
     state: ClientState,
 }
 
-/// Manual `Clone` forwarding `clone_from` to [`SimTournament`]'s
-/// allocation-reusing one (the recycling-pool hot path).
-impl Clone for MutexClient {
-    fn clone(&self) -> Self {
-        MutexClient {
-            mutex: self.mutex.clone(),
-            id: self.id,
-            role: self.role,
-            state: self.state.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.mutex.clone_from(&src.mutex);
-        self.id = src.id;
-        self.role = src.role;
-        self.state.clone_from(&src.state);
-    }
-}
-
-#[derive(Debug)]
+#[derive(Copy, Clone, Debug)]
 enum ClientState {
     Remainder,
     Entering(EnterMachine),
@@ -319,37 +301,6 @@ enum ClientState {
     /// [`EnterMachine::abort`]): clearing the flags already set, after
     /// which the client returns to the remainder *without* a passage.
     Aborting(ExitMachine),
-}
-
-/// Manual `Clone` so same-variant `clone_from` reuses the contained
-/// machine's path `Vec` (processes spend most explored configurations
-/// mid-entry or mid-exit, so this is the common case in the recycling
-/// pool).
-impl Clone for ClientState {
-    fn clone(&self) -> Self {
-        match self {
-            ClientState::Remainder => ClientState::Remainder,
-            ClientState::Entering(m) => ClientState::Entering(m.clone()),
-            ClientState::Cs => ClientState::Cs,
-            ClientState::Exiting(m) => ClientState::Exiting(m.clone()),
-            ClientState::Aborting(m) => ClientState::Aborting(m.clone()),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        match (self, src) {
-            (ClientState::Entering(dst), ClientState::Entering(s)) => {
-                dst.path.clone_from(&s.path);
-                dst.pc = s.pc;
-            }
-            (ClientState::Exiting(dst), ClientState::Exiting(s))
-            | (ClientState::Aborting(dst), ClientState::Aborting(s)) => {
-                dst.path.clone_from(&s.path);
-                dst.pc = s.pc;
-            }
-            (slot, s) => *slot = s.clone(),
-        }
-    }
 }
 
 impl MutexClient {
@@ -386,7 +337,7 @@ impl Program for MutexClient {
     }
 
     fn resume(&mut self, response: Value) {
-        self.state = match std::mem::replace(&mut self.state, ClientState::Remainder) {
+        self.state = match self.state {
             ClientState::Remainder => {
                 let enter = self.mutex.enter(self.id);
                 if matches!(enter.poll(), SubStep::Done(_)) {
@@ -508,7 +459,7 @@ pub fn mutex_world(m: usize, protocol: ccsim::Protocol) -> ccsim::Sim {
     let mutex = SimTournament::allocate(&mut layout, "WL", m);
     let mem = ccsim::Memory::new(&layout, m, protocol);
     let procs: Vec<Box<dyn Program>> = (0..m)
-        .map(|i| Box::new(MutexClient::new(mutex.clone(), i)) as Box<dyn Program>)
+        .map(|i| Box::new(MutexClient::new(mutex, i)) as Box<dyn Program>)
         .collect();
     ccsim::Sim::new(mem, procs)
 }
@@ -684,6 +635,48 @@ mod tests {
         assert!(sim.abort(p).is_some());
         assert_eq!(sim.phase(p), Phase::Remainder, "nothing set: instant");
         assert_eq!(sim.stats(p).aborts, 1);
+    }
+
+    #[test]
+    fn node_x_is_the_layout_variables_named_n_x() {
+        for m in 1..=9 {
+            let mut layout = Layout::new();
+            layout.var("before", Value::Nil); // the tree need not start at 0
+            let t = SimTournament::allocate(&mut layout, "WL", m);
+            layout.var("after", Value::Nil);
+            for p in 0..m {
+                // The parent walk from p's leaf: each node, and which
+                // child the walk came from.
+                let mut walk = Vec::new();
+                let mut x = t.width + p;
+                while x > 1 {
+                    walk.push((x / 2, x & 1));
+                    x /= 2;
+                }
+                let path = t.path(p);
+                assert_eq!(path.len, walk.len(), "m={m} p={p}");
+                for (lvl, &(x, side)) in walk.iter().enumerate() {
+                    let (node, at_side) = path.at(lvl);
+                    assert_eq!(at_side, side, "m={m} p={p} lvl={lvl}");
+                    assert_eq!(layout.name(node.flag[0]), format!("WL.n[{x}].flag0"));
+                    assert_eq!(layout.name(node.flag[1]), format!("WL.n[{x}].flag1"));
+                    assert_eq!(layout.name(node.turn), format!("WL.n[{x}].turn"));
+                }
+                // Release clears the same flags, top-down.
+                let mut exit = t.exit(p);
+                let mut cleared = Vec::new();
+                while let SubStep::Op(Op::Write(var, _)) = exit.poll() {
+                    cleared.push(var);
+                    exit.resume(Value::Nil);
+                }
+                let flags: Vec<VarId> = (0..path.len)
+                    .rev()
+                    .map(|lvl| path.at(lvl))
+                    .map(|(node, side)| node.flag[side])
+                    .collect();
+                assert_eq!(cleared, flags, "m={m} p={p}");
+            }
+        }
     }
 
     #[test]

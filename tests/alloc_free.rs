@@ -1,0 +1,273 @@
+//! Gate: branching a world allocates nothing in steady state.
+//!
+//! The model checker pays for every transition with one world copy
+//! ([`Sim::clone_world_into`] over a recycled spare), one schedule entry,
+//! the Mutual Exclusion probe and a state key. Each test here explores a
+//! world depth-first with exactly those calls, twice over: the first pass
+//! warms the visited set, the spare-world pool and the frame stack, and
+//! the second pass retraces the same transitions. Any allocation the
+//! second pass makes comes from the branching path itself, and the gate
+//! allows fewer than one per 1,000 transitions.
+//!
+//! Allocations are counted per thread, so tests running in parallel do
+//! not see each other's.
+
+use rwlock_repro::*;
+use std::alloc::{GlobalAlloc, System};
+use std::cell::Cell;
+use std::collections::HashSet;
+use std::hash::Hasher;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every allocation and reallocation
+/// made by the calling thread.
+struct CountingAlloc;
+
+fn count_one() {
+    // `try_with`: the slot is gone while a thread's locals are torn down.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees hold for each call; counting only bumps a
+// thread-local `Cell`, which neither allocates nor touches the memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Each process runs one passage.
+const QUOTA: u64 = 1;
+
+/// Stop deepening once this many states are visited (siblings are still
+/// scanned), which keeps each test under a second in a debug build.
+const MAX_STATES: usize = 20_000;
+
+/// A suspended configuration; its schedule entries are
+/// `entries[next..end]`, and `start` is where they began.
+struct Frame {
+    sim: Sim,
+    start: usize,
+    next: usize,
+    end: usize,
+    crashes: u32,
+}
+
+/// A depth-first explorer that branches the way the model checker does
+/// and keeps its buffers across passes.
+struct Explorer {
+    crash_budget: u32,
+    quotient: bool,
+    visited: HashSet<u64>,
+    pool: Vec<Sim>,
+    stack: Vec<Frame>,
+    entries: Vec<SchedEntry>,
+    words: Vec<u64>,
+}
+
+/// The schedule entries enabled in `sim`: a step for every process that
+/// is mid-passage or has a passage left, and, while crashes remain, a
+/// crash for every process outside its remainder section and the CS.
+fn push_entries(sim: &Sim, crashes: u32, out: &mut Vec<SchedEntry>) {
+    for p in sim.proc_ids() {
+        if sim.poll(p) != Step::Remainder || sim.stats(p).passages < QUOTA {
+            out.push(SchedEntry::Step(p));
+        }
+    }
+    if crashes > 0 {
+        for p in sim.proc_ids() {
+            if !matches!(sim.phase(p), Phase::Remainder | Phase::Cs) {
+                out.push(SchedEntry::Crash(p));
+            }
+        }
+    }
+}
+
+/// The state key: the concrete fingerprint, or the hash of the symmetry
+/// quotient's canonical vector (built in the reused `words`), plus the
+/// capped passage counts and the crashes left.
+fn state_key(sim: &Sim, quotient: bool, crashes: u32, words: &mut Vec<u64>) -> u64 {
+    let mut h = ccsim::FxHasher::default();
+    if quotient {
+        words.clear();
+        sim.canonical_vec_annotated(|p| sim.stats(p).passages.min(QUOTA), words);
+        for &w in words.iter() {
+            h.write_u64(w);
+        }
+    } else {
+        h.write_u64(sim.fingerprint());
+        for p in sim.proc_ids() {
+            h.write_u64(sim.stats(p).passages.min(QUOTA));
+        }
+    }
+    h.write_u32(crashes);
+    h.finish()
+}
+
+impl Explorer {
+    fn new(crash_budget: u32, quotient: bool) -> Self {
+        Explorer {
+            crash_budget,
+            quotient,
+            visited: HashSet::new(),
+            pool: Vec::new(),
+            stack: Vec::new(),
+            entries: Vec::new(),
+            words: Vec::new(),
+        }
+    }
+
+    /// A copy of `src` in a recycled world, or a fresh one if the pool is
+    /// empty.
+    fn branch(pool: &mut Vec<Sim>, src: &Sim) -> Sim {
+        match pool.pop() {
+            Some(mut spare) => {
+                src.clone_world_into(&mut spare);
+                spare
+            }
+            None => src.clone_world(),
+        }
+    }
+
+    /// One exploration from `root`: `(transitions, allocations)`.
+    fn pass(&mut self, root: &Sim) -> (u64, u64) {
+        let before = allocations();
+        let mut transitions = 0u64;
+        self.visited.clear();
+        let crashes = self.crash_budget;
+        let key = state_key(root, self.quotient, crashes, &mut self.words);
+        self.visited.insert(key);
+        push_entries(root, crashes, &mut self.entries);
+        let sim = Self::branch(&mut self.pool, root);
+        self.stack.push(Frame {
+            sim,
+            start: 0,
+            next: 0,
+            end: self.entries.len(),
+            crashes,
+        });
+        while let Some(top) = self.stack.last_mut() {
+            if top.next == top.end {
+                self.entries.truncate(top.start);
+                let done = self.stack.pop().expect("a frame is on the stack");
+                self.pool.push(done.sim);
+                continue;
+            }
+            let entry = self.entries[top.next];
+            top.next += 1;
+            let crashes = top.crashes - u32::from(entry.is_crash());
+            let mut child = Self::branch(&mut self.pool, &top.sim);
+            entry.apply(&mut child);
+            transitions += 1;
+            if let Err(v) = child.check_mutual_exclusion() {
+                panic!("Mutual Exclusion violated: {v}");
+            }
+            let key = state_key(&child, self.quotient, crashes, &mut self.words);
+            if !self.visited.insert(key) || self.visited.len() >= MAX_STATES {
+                self.pool.push(child);
+                continue;
+            }
+            let start = self.entries.len();
+            push_entries(&child, crashes, &mut self.entries);
+            if self.entries.len() == start {
+                self.pool.push(child);
+                continue;
+            }
+            self.stack.push(Frame {
+                sim: child,
+                start,
+                next: start,
+                end: self.entries.len(),
+                crashes,
+            });
+        }
+        (transitions, allocations() - before)
+    }
+}
+
+/// Explore `root` twice and check the second, warm pass.
+fn assert_branching_is_allocation_free(label: &str, root: Sim, crash_budget: u32, quotient: bool) {
+    let mut explorer = Explorer::new(crash_budget, quotient);
+    let (cold_transitions, _) = explorer.pass(&root);
+    let (transitions, allocations) = explorer.pass(&root);
+    assert_eq!(transitions, cold_transitions, "{label}: passes diverged");
+    assert!(
+        transitions >= 100,
+        "{label}: only {transitions} transitions"
+    );
+    assert!(
+        allocations * 1_000 < transitions,
+        "{label}: {allocations} allocations in {transitions} warm transitions ({:.3} per transition)",
+        allocations as f64 / transitions as f64
+    );
+}
+
+fn one_writer(readers: usize) -> AfConfig {
+    AfConfig {
+        readers,
+        writers: 1,
+        policy: FPolicy::One,
+    }
+}
+
+#[test]
+fn farray_af_world_with_a_crash_branches_without_allocating() {
+    let root = af_world(one_writer(2), Protocol::WriteBack).sim;
+    assert_branching_is_allocation_free("A_f(FArray) 2r+1w crash 1", root, 1, false);
+}
+
+#[test]
+fn casloop_quotient_world_branches_without_allocating() {
+    let root = af_world_custom(
+        one_writer(3),
+        Protocol::WriteBack,
+        HelpOrder::WaitersFirst,
+        CounterKind::CasLoop,
+    )
+    .sim;
+    assert_branching_is_allocation_free("A_f(CasLoop) 3r+1w crash 1 quotient", root, 1, true);
+}
+
+#[test]
+fn two_writer_af_world_branches_without_allocating() {
+    // Two writers compete in the writer tournament.
+    let root = af_world(AfConfig::new(1, 2), Protocol::WriteBack).sim;
+    assert_branching_is_allocation_free("A_f(FArray) 1r+2w crash 1", root, 1, false);
+}
+
+#[test]
+fn every_registered_sim_twin_branches_without_allocating() {
+    for (id, lock) in LockRegistry::builtin().sim_entries() {
+        let inst = &lock.instances()[0];
+        let root = lock.build(inst, Protocol::WriteBack);
+        let crashes = u32::from(lock.fault_support().crash);
+        let label = format!("{id} {}", inst.label);
+        assert_branching_is_allocation_free(&label, root, crashes, false);
+    }
+}
