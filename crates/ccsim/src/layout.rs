@@ -97,8 +97,8 @@ impl Layout {
     }
 
     /// All home assignments, in variable order.
-    pub(crate) fn home_assignments(&self) -> Vec<Option<usize>> {
-        self.homes.clone()
+    pub(crate) fn home_assignments(&self) -> &[Option<usize>] {
+        &self.homes
     }
 }
 

@@ -7,6 +7,7 @@ use crate::layout::Layout;
 use crate::op::Op;
 use crate::value::{ProcId, Value, VarId};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Salt for per-variable Zobrist signatures, so a variable-slot signature
 /// can never collide with a process-slot signature built in `sim.rs`.
@@ -75,8 +76,10 @@ pub struct Memory {
     protocol: Protocol,
     values: Vec<Value>,
     dir: Directory,
-    /// DSM home segments (unused by the CC protocols).
-    homes: Vec<Option<usize>>,
+    /// DSM home segments (unused by the CC protocols). Never written
+    /// after construction, so every memory copied from this one shares
+    /// the same slice.
+    homes: Arc<[Option<usize>]>,
     /// Maintained XOR of [`slot_sig`] over all variables — the value part
     /// of the model checker's incremental configuration fingerprint,
     /// patched in O(1) by [`Memory::apply`] whenever a value changes.
@@ -96,20 +99,23 @@ impl Memory {
             protocol,
             dir: Directory::new(values.len(), n_procs),
             values,
-            homes: layout.home_assignments(),
+            homes: layout.home_assignments().into(),
             vals_fp,
         }
     }
 
     /// Overwrite `self` with `src`, reusing the value and directory
-    /// buffers instead of allocating fresh ones. Used by
+    /// buffers instead of allocating fresh ones (the home segments are
+    /// shared, not copied). Used by
     /// [`crate::Sim::clone_world_into`] when the model checker recycles a
     /// popped configuration.
     pub fn assign_from(&mut self, src: &Memory) {
         self.protocol = src.protocol;
         self.values.clone_from(&src.values);
         self.dir.assign_from(&src.dir);
-        self.homes.clone_from(&src.homes);
+        if !Arc::ptr_eq(&self.homes, &src.homes) {
+            self.homes = Arc::clone(&src.homes);
+        }
         self.vals_fp = src.vals_fp;
     }
 

@@ -41,7 +41,7 @@ impl RefMemory {
             protocol,
             values: layout.initial_values(),
             caches: (0..n_procs).map(|_| Cache::new()).collect(),
-            homes: layout.home_assignments(),
+            homes: layout.home_assignments().to_vec(),
         }
     }
 

@@ -206,6 +206,40 @@ impl ProcStats {
     }
 }
 
+/// Everything [`Sim`] keeps per process besides the program itself, in
+/// one `Copy` record so that branching a world copies one array.
+#[derive(Copy, Clone, Debug)]
+struct Slot {
+    stats: ProcStats,
+    /// The program's [`Program::fingerprint64`] digest; the sim's
+    /// `procs_fp` is the XOR of one [`proc_sig`] per slot.
+    digest: u64,
+    /// The program's [`Program::phase`] and [`Program::role`], cached so
+    /// the explorer's per-transition probes make no virtual call.
+    phase: Phase,
+    role: Role,
+    /// Crashed and not yet completed a fresh passage. Only affects
+    /// metric attribution (recovery_* counters), never behaviour.
+    recovering: bool,
+    /// Abort requested ([`Sim::abort`]) and not yet back in the
+    /// remainder section. Affects passage accounting (the withdrawal
+    /// counts as an abort, not a passage) and the abort_* counters.
+    aborting: bool,
+}
+
+impl Slot {
+    fn of(program: &dyn Program) -> Self {
+        Slot {
+            stats: ProcStats::default(),
+            digest: program.fingerprint64(),
+            phase: program.phase(),
+            role: program.role(),
+            recovering: false,
+            aborting: false,
+        }
+    }
+}
+
 /// A violation of the Mutual Exclusion property (§2.1): a writer in the CS
 /// concurrently with any other process.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -255,20 +289,12 @@ impl Error for MutualExclusionViolation {}
 pub struct Sim {
     mem: Memory,
     procs: Vec<Box<dyn Program>>,
-    stats: Vec<ProcStats>,
-    /// Per process: crashed and not yet completed a fresh passage. Only
-    /// affects metric attribution (recovery_* counters), never behaviour.
-    recovering: Vec<bool>,
-    /// Per process: abort requested ([`Sim::abort`]) and not yet back in
-    /// the remainder section. Affects passage accounting (the withdrawal
-    /// counts as an abort, not a passage) and the abort_* counters.
-    aborting: Vec<bool>,
-    /// Maintained [`Program::fingerprint64`] digest per process, and
-    /// `procs_fp`, the XOR of their [`proc_sig`]s. Re-derived only for
-    /// the process that just stepped or crashed, so [`Sim::fingerprint`]
-    /// is O(1) instead of a full-state rehash, and the canonical vector
-    /// reads digests without a virtual call per process.
-    digests: Vec<u64>,
+    /// One record per process: metrics, flags, and the digest, phase and
+    /// role of its program. Re-derived only for the process an event just
+    /// changed, so [`Sim::fingerprint`] is O(1) instead of a full-state
+    /// rehash, and phase, role and digest queries make no virtual call.
+    slots: Vec<Slot>,
+    /// The XOR of every slot's [`proc_sig`].
     procs_fp: u64,
     /// Interchangeable-process classes declared by the world builder via
     /// [`Sim::declare_symmetry`]; consulted only by the canonical
@@ -292,19 +318,16 @@ impl Sim {
             "memory must have one cache per process"
         );
         let n = procs.len();
-        let digests: Vec<u64> = procs.iter().map(|p| p.fingerprint64()).collect();
-        let procs_fp = digests
+        let slots: Vec<Slot> = procs.iter().map(|p| Slot::of(&**p)).collect();
+        let procs_fp = slots
             .iter()
             .enumerate()
-            .fold(0u64, |acc, (i, &d)| acc ^ proc_sig(i, d));
+            .fold(0u64, |acc, (i, s)| acc ^ proc_sig(i, s.digest));
         let n_vars = mem.n_vars();
         Sim {
             mem,
             procs,
-            stats: vec![ProcStats::default(); n],
-            recovering: vec![false; n],
-            aborting: vec![false; n],
-            digests,
+            slots,
             procs_fp,
             symmetry: Arc::new(SymmetryDecl {
                 classes: Vec::new(),
@@ -316,14 +339,18 @@ impl Sim {
         }
     }
 
-    /// Re-derive process `p`'s digest after its local state changed (a
-    /// resume, crash or abort) and patch its Zobrist signature into the
-    /// maintained XOR.
-    fn refresh_digest(&mut self, p: ProcId) {
-        let digest = self.procs[p.0].fingerprint64();
-        let old = self.digests[p.0];
-        self.procs_fp ^= proc_sig(p.0, old) ^ proc_sig(p.0, digest);
-        self.digests[p.0] = digest;
+    /// Re-derive process `p`'s digest, phase and role after its local
+    /// state changed (a resume, crash or abort) and patch its Zobrist
+    /// signature into the maintained XOR. Every change to a program goes
+    /// through here, which is what keeps the cached fields exact.
+    fn refresh_slot(&mut self, p: ProcId) {
+        let program = &*self.procs[p.0];
+        let digest = program.fingerprint64();
+        let slot = &mut self.slots[p.0];
+        self.procs_fp ^= proc_sig(p.0, slot.digest) ^ proc_sig(p.0, digest);
+        slot.digest = digest;
+        slot.phase = program.phase();
+        slot.role = program.role();
     }
 
     /// Enable (or disable) step tracing. Tracing is off by default; the
@@ -371,26 +398,40 @@ impl Sim {
         self.procs[p.0].poll()
     }
 
-    /// The phase process `p` is in.
+    /// The phase process `p` is in: [`Program::phase`] as of `p`'s last
+    /// event, cached (debug builds check it against the program).
     pub fn phase(&self, p: ProcId) -> Phase {
-        self.procs[p.0].phase()
+        let phase = self.slots[p.0].phase;
+        debug_assert_eq!(
+            phase,
+            self.procs[p.0].phase(),
+            "cached phase of {p} diverged from its program"
+        );
+        phase
     }
 
-    /// The role of process `p`.
+    /// The role of process `p`: [`Program::role`] as of `p`'s last
+    /// event, cached (debug builds check it against the program).
     pub fn role(&self, p: ProcId) -> Role {
-        self.procs[p.0].role()
+        let role = self.slots[p.0].role;
+        debug_assert_eq!(
+            role,
+            self.procs[p.0].role(),
+            "cached role of {p} diverged from its program"
+        );
+        role
     }
 
     /// Metrics for process `p`.
     pub fn stats(&self, p: ProcId) -> ProcStats {
-        self.stats[p.0]
+        self.slots[p.0].stats
     }
 
     /// Reset all metrics (the trace is unaffected). Useful between
     /// measurement phases of an experiment.
     pub fn reset_stats(&mut self) {
-        for s in &mut self.stats {
-            *s = ProcStats::default();
+        for s in &mut self.slots {
+            s.stats = ProcStats::default();
         }
     }
 
@@ -426,24 +467,25 @@ impl Sim {
     /// # Panics
     /// Panics if `p` is out of range.
     pub fn step(&mut self, p: ProcId) -> StepRecord {
-        let phase_before = self.procs[p.0].phase();
-        let role = self.procs[p.0].role();
+        let phase_before = self.phase(p);
+        let role = self.role(p);
         let kind = match self.procs[p.0].poll() {
             Step::Op(op) => {
                 let out = self.mem.apply(p, &op);
                 self.procs[p.0].resume(out.response);
-                let st = &mut self.stats[p.0];
+                let slot = &mut self.slots[p.0];
+                let st = &mut slot.stats;
                 st.ops_by_phase[phase_before.index()] += 1;
                 if out.rmr {
                     st.rmrs_by_phase[phase_before.index()] += 1;
                 }
-                if self.recovering[p.0] {
+                if slot.recovering {
                     st.recovery_ops += 1;
                     if out.rmr {
                         st.recovery_rmrs += 1;
                     }
                 }
-                if self.aborting[p.0] {
+                if slot.aborting {
                     st.abort_ops += 1;
                     if out.rmr {
                         st.abort_rmrs += 1;
@@ -467,19 +509,20 @@ impl Sim {
                 StepKind::BeginPassage
             }
         };
-        self.refresh_digest(p);
+        self.refresh_slot(p);
         // Passage completion: the process just returned to the remainder
         // section (usually Exit -> Remainder; Cs -> Remainder when the exit
         // section is empty, e.g. a 1-process tournament). A withdrawal
         // requested via [`Sim::abort`] counts as an abort instead.
-        if phase_before != Phase::Remainder && self.procs[p.0].phase() == Phase::Remainder {
-            if self.aborting[p.0] {
-                self.stats[p.0].aborts += 1;
-                self.aborting[p.0] = false;
+        let slot = &mut self.slots[p.0];
+        if phase_before != Phase::Remainder && slot.phase == Phase::Remainder {
+            if slot.aborting {
+                slot.stats.aborts += 1;
+                slot.aborting = false;
             } else {
-                self.stats[p.0].passages += 1;
+                slot.stats.passages += 1;
                 // A full passage completed after the crash: recovery is over.
-                self.recovering[p.0] = false;
+                slot.recovering = false;
             }
         }
         let record = StepRecord {
@@ -518,20 +561,9 @@ impl Sim {
     /// Panics if `p` is out of range, or if `on_crash` leaves the program
     /// outside its remainder section.
     pub fn crash(&mut self, p: ProcId) -> StepRecord {
-        let phase_before = self.procs[p.0].phase();
-        let role = self.procs[p.0].role();
-        self.mem.crash_invalidate(p);
-        self.procs[p.0].on_crash();
-        self.refresh_digest(p);
-        assert_eq!(
-            self.procs[p.0].phase(),
-            Phase::Remainder,
-            "on_crash must reset {p} to its remainder section"
-        );
-        self.stats[p.0].crashes += 1;
-        self.recovering[p.0] = true;
-        // A crash obliterates any in-flight withdrawal too.
-        self.aborting[p.0] = false;
+        let phase_before = self.phase(p);
+        let role = self.role(p);
+        self.crash_one(p);
         let record = StepRecord {
             index: self.steps,
             proc: p,
@@ -560,23 +592,12 @@ impl Sim {
     /// section.
     pub fn crash_all(&mut self) -> StepRecord {
         for i in 0..self.procs.len() {
-            let p = ProcId(i);
-            self.mem.crash_invalidate(p);
-            self.procs[i].on_crash();
-            self.refresh_digest(p);
-            assert_eq!(
-                self.procs[i].phase(),
-                Phase::Remainder,
-                "on_crash must reset {p} to its remainder section"
-            );
-            self.stats[i].crashes += 1;
-            self.recovering[i] = true;
-            self.aborting[i] = false;
+            self.crash_one(ProcId(i));
         }
         let record = StepRecord {
             index: self.steps,
             proc: ProcId(0),
-            role: self.procs.first().map_or(Role::Reader, |p| p.role()),
+            role: self.slots.first().map_or(Role::Reader, |s| s.role),
             phase: Phase::Remainder,
             kind: StepKind::CrashAll,
         };
@@ -585,6 +606,25 @@ impl Sim {
             t.push(record);
         }
         record
+    }
+
+    /// The state change of one crash (shared by [`Sim::crash`] and
+    /// [`Sim::crash_all`]): purge `p`'s cache lines, reset its program,
+    /// and open its recovery window. A crash obliterates any in-flight
+    /// withdrawal too.
+    fn crash_one(&mut self, p: ProcId) {
+        self.mem.crash_invalidate(p);
+        self.procs[p.0].on_crash();
+        self.refresh_slot(p);
+        let slot = &mut self.slots[p.0];
+        assert_eq!(
+            slot.phase,
+            Phase::Remainder,
+            "on_crash must reset {p} to its remainder section"
+        );
+        slot.stats.crashes += 1;
+        slot.recovering = true;
+        slot.aborting = false;
     }
 
     /// Request that process `p` abort its passage. If the program reports
@@ -603,15 +643,16 @@ impl Sim {
         if !self.procs[p.0].can_abort() {
             return None;
         }
-        let phase_before = self.procs[p.0].phase();
-        let role = self.procs[p.0].role();
+        let phase_before = self.phase(p);
+        let role = self.role(p);
         self.procs[p.0].on_abort();
-        self.refresh_digest(p);
-        if self.procs[p.0].phase() == Phase::Remainder {
+        self.refresh_slot(p);
+        let slot = &mut self.slots[p.0];
+        if slot.phase == Phase::Remainder {
             // Nothing to undo: the withdrawal completed instantly.
-            self.stats[p.0].aborts += 1;
+            slot.stats.aborts += 1;
         } else {
-            self.aborting[p.0] = true;
+            slot.aborting = true;
         }
         let record = StepRecord {
             index: self.steps,
@@ -629,13 +670,13 @@ impl Sim {
 
     /// True if `p` has crashed and not yet completed a fresh passage.
     pub fn is_recovering(&self, p: ProcId) -> bool {
-        self.recovering[p.0]
+        self.slots[p.0].recovering
     }
 
     /// True if `p` has an abort in flight (requested via [`Sim::abort`]
     /// and not yet back in the remainder section).
     pub fn is_aborting(&self, p: ProcId) -> bool {
-        self.aborting[p.0]
+        self.slots[p.0].aborting
     }
 
     /// All processes currently inside the critical section.
@@ -738,11 +779,11 @@ impl Sim {
                     seen_vars[v.0] = true;
                 }
             }
-            let d0 = self.digests[class.members[0].0];
+            let d0 = self.slots[class.members[0].0].digest;
             let vals0: Vec<Value> = class.owned[0].iter().map(|&v| self.mem.peek(v)).collect();
             for (j, &p) in class.members.iter().enumerate() {
                 assert_eq!(
-                    self.digests[p.0], d0,
+                    self.slots[p.0].digest, d0,
                     "symmetry members must start in identical local states \
                      (member {p} differs — declare classes on a fresh world)"
                 );
@@ -836,9 +877,9 @@ impl Sim {
             }
         }
         // 2. Non-class processes, positionally.
-        for (i, &digest) in self.digests.iter().enumerate() {
+        for (i, slot) in self.slots.iter().enumerate() {
             if !self.symmetry.class_member[i] {
-                out.push(digest);
+                out.push(slot.digest);
                 out.push(annot(ProcId(i)));
             }
         }
@@ -848,7 +889,7 @@ impl Sim {
             for (j, &p) in class.members().iter().enumerate() {
                 let start = out.len();
                 out.push(0); // length placeholder
-                out.push(self.digests[p.0]);
+                out.push(self.slots[p.0].digest);
                 out.push(annot(p));
                 for &v in &class.owned()[j] {
                     encode_value(self.mem.peek(v), Some(p), out);
@@ -891,10 +932,7 @@ impl Sim {
         Sim {
             mem: self.mem.clone(),
             procs: self.procs.iter().map(|p| p.clone_box()).collect(),
-            stats: self.stats.clone(),
-            recovering: self.recovering.clone(),
-            aborting: self.aborting.clone(),
-            digests: self.digests.clone(),
+            slots: self.slots.clone(),
             procs_fp: self.procs_fp,
             symmetry: Arc::clone(&self.symmetry),
             trace: None,
@@ -921,10 +959,7 @@ impl Sim {
                 }
             }
         }
-        dst.stats.clone_from(&self.stats);
-        dst.recovering.clone_from(&self.recovering);
-        dst.aborting.clone_from(&self.aborting);
-        dst.digests.clone_from(&self.digests);
+        dst.slots.clone_from(&self.slots);
         dst.procs_fp = self.procs_fp;
         if !Arc::ptr_eq(&dst.symmetry, &self.symmetry) {
             dst.symmetry = Arc::clone(&self.symmetry);

@@ -37,7 +37,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use ccsim::{FxHasher, MutualExclusionViolation, Phase, ProcId, Sim, Step};
+use ccsim::{FxHasher, MutualExclusionViolation, Phase, ProcId, Sim};
 use std::collections::hash_map::DefaultHasher;
 use std::error::Error;
 use std::fmt;
@@ -456,7 +456,10 @@ impl CheckReport {
 /// Appending to a caller-owned scratch buffer instead of returning a
 /// fresh `Vec` is what keeps the explorers allocation-free per state:
 /// the sequential DFS (and each parallel worker) threads one arena
-/// through its whole frame stack, truncating on pop.
+/// through its whole frame stack, truncating on pop. Enabledness comes
+/// from the sim's cached phase, not a virtual `poll`: the
+/// [`ccsim::Program`] contract makes `Step::Remainder` and
+/// `Phase::Remainder` coincide.
 fn push_entries(
     sim: &Sim,
     quota: u64,
@@ -465,11 +468,7 @@ fn push_entries(
     out: &mut Vec<SchedEntry>,
 ) {
     for p in sim.proc_ids() {
-        let enabled = match sim.poll(p) {
-            Step::Op(_) | Step::Cs => true,
-            Step::Remainder => sim.stats(p).passages < quota,
-        };
-        if enabled {
+        if sim.phase(p) != Phase::Remainder || sim.stats(p).passages < quota {
             out.push(SchedEntry::Step(p));
         }
     }
@@ -643,9 +642,9 @@ pub fn explore_with(
     let quota = cfg.passages_per_proc;
     let full = cfg.symmetry == Symmetry::FullRehash;
     let root_budgets = Budgets::of(cfg);
-    let visited = visited::Visited::new(cfg.symmetry);
+    let mut visited = visited::Visited::new(cfg.symmetry);
     let mut vscratch: Vec<u64> = Vec::new();
-    visited.insert(&root, quota, root_budgets, &mut vscratch);
+    visited.insert_mut(&root, quota, root_budgets, &mut vscratch);
 
     let mut report = CheckReport {
         states_explored: 1,
@@ -675,7 +674,10 @@ pub fn explore_with(
 
     // Popped and deduplicated worlds are recycled through this pool:
     // `clone_world_into` overwrites a spare world in place, so steady-state
-    // branching allocates nothing (see `Sim::clone_world_into`). The
+    // branching allocates nothing (see `Sim::clone_world_into`). A frame's
+    // last entry copies nothing at all: it steps the frame's own world and
+    // leaves a spare in its place, since an exhausted frame's world is
+    // never read again (schedules come from `chosen`). The
     // `Symmetry::FullRehash` baseline keeps the pre-optimization
     // discipline — a fresh allocation per transition — so the measured
     // speedup reflects the whole optimization, not just the key function.
@@ -696,6 +698,7 @@ pub fn explore_with(
         let budgets = top.budgets.after(entry);
 
         let mut child = match pool.pop() {
+            Some(spare) if top.next == top.eend => std::mem::replace(&mut top.sim, spare),
             Some(mut spare) => {
                 top.sim.clone_world_into(&mut spare);
                 spare
@@ -721,7 +724,7 @@ pub fn explore_with(
             });
         }
 
-        if !visited.insert(&child, quota, budgets, &mut vscratch) {
+        if !visited.insert_mut(&child, quota, budgets, &mut vscratch) {
             if !full {
                 pool.push(child);
             }
@@ -854,7 +857,7 @@ pub fn post_crash_acquirability_invariant(max_steps: u64) -> impl Fn(&Sim) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccsim::{Layout, Memory, Op, Phase, Program, Protocol, Role, Value, VarId};
+    use ccsim::{Layout, Memory, Op, Phase, Program, Protocol, Role, Step, Value, VarId};
 
     /// A deliberately broken "lock": processes enter the CS with no
     /// synchronisation at all.

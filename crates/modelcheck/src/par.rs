@@ -38,10 +38,10 @@
 //! order among the shortest — independent of worker count or timing.
 //! Shrink/replay artifacts built from it are therefore reproducible.
 
-use crate::visited::Visited;
+use crate::visited::{KeySet, Visited};
 use crate::{push_entries, Budgets, CheckConfig, CheckError, CheckReport, SchedEntry, Symmetry};
-use ccsim::{FxBuildHasher, Sim};
-use std::collections::{HashSet, VecDeque};
+use ccsim::Sim;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -259,11 +259,15 @@ fn run_job(
 
         // Recycle worlds through the worker-local pool: in steady state
         // branching a configuration is an in-place copy, not a fresh
-        // allocation (see `Sim::clone_world_into`). In the
+        // allocation (see `Sim::clone_world_into`), and a frame's last
+        // entry steps the frame's own world, leaving a spare in its place
+        // (`donate` only hands out frames with entries left, so nothing
+        // reads an exhausted frame's world). In the
         // `Symmetry::FullRehash` baseline the pool stays empty (nothing
         // is ever recycled into it), preserving the pre-optimization
         // allocation-per-transition behaviour the bench measures against.
         let mut child = match pool.pop() {
+            Some(spare) if top.next == top.eend => std::mem::replace(&mut top.sim, spare),
             Some(mut spare) => {
                 top.sim.clone_world_into(&mut spare);
                 spare
@@ -370,7 +374,7 @@ fn min_violation(
     // permutations map offered entries to offered entries).
     let keys = Visited::new(cfg.symmetry);
     let mut vscratch: Vec<u64> = Vec::new();
-    let mut visited: HashSet<u64, FxBuildHasher> = HashSet::default();
+    let mut visited = KeySet::new();
     visited.insert(keys.key(&root, quota, root_budgets, &mut vscratch));
     let mut level: Vec<(Sim, Vec<SchedEntry>, Budgets)> = vec![(root, Vec::new(), root_budgets)];
     let mut entries: Vec<SchedEntry> = Vec::new();

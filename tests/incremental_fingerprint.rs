@@ -100,3 +100,36 @@ fn fingerprint_is_deterministic_across_replays() {
     assert_eq!(replayed.fingerprint(), sim.fingerprint());
     assert_eq!(replayed.fingerprint(), replayed.fingerprint_full());
 }
+
+/// The phase and role [`Sim`] caches per process must match the program
+/// after every event. Every registered sim twin is walked through a
+/// seeded mix of steps and the fault events its world model supports
+/// (crashes, system-wide crashes, abort requests), and every process is
+/// checked after each one.
+#[test]
+fn registry_walks_keep_cached_phase_and_role_exact() {
+    let mut gen = Prng::new(0x0f19_ca5e + seed_offset());
+    for (id, lock) in LockRegistry::builtin().sim_entries() {
+        let faults = lock.fault_support();
+        for inst in lock.instances() {
+            let mut sim = lock.build(&inst, Protocol::WriteBack);
+            let mut rng = Prng::new(gen.next_u64());
+            for i in 0..400 {
+                let p = ProcId(rng.below(sim.n_procs()));
+                let event = match rng.below(48) {
+                    0 if faults.crash => SchedEntry::Crash(p),
+                    1 if faults.crash_all => SchedEntry::CrashAll,
+                    2..=4 if faults.abort => SchedEntry::Abort(p),
+                    _ => SchedEntry::Step(p),
+                };
+                event.apply(&mut sim);
+                for q in sim.proc_ids() {
+                    let program = sim.program(q);
+                    let at = || format!("{id} {}: {q} after event {i} ({event})", inst.label);
+                    assert_eq!(sim.phase(q), program.phase(), "{}: phase", at());
+                    assert_eq!(sim.role(q), program.role(), "{}: role", at());
+                }
+            }
+        }
+    }
+}
