@@ -158,7 +158,8 @@ impl FaultPlan {
 
 /// Walks a [`FaultPlan`] during a run: counts each process's scheduled
 /// steps and reports when a planned crash is due. Owned by the fault-aware
-/// runners in [`crate::sched`]; exposed for custom schedulers.
+/// runners ([`crate::run_round_robin_with_faults`],
+/// [`crate::run_random_with_faults`]); exposed for custom schedulers.
 #[derive(Clone, Debug)]
 pub struct FaultDriver {
     /// Per process: pending crash trigger step counts, sorted descending

@@ -45,7 +45,7 @@ pub struct StepOutcome {
 }
 
 /// Simulated shared memory: authoritative variable values plus a flat
-/// per-variable coherence [`Directory`], implementing the write-through
+/// per-variable coherence directory, implementing the write-through
 /// or write-back CC protocol as quoted in §2 of the paper.
 ///
 /// The memory is sequentially consistent: steps are applied one at a time in
@@ -291,7 +291,7 @@ impl Memory {
     }
 }
 
-/// A read-only, per-process view into the coherence [`Directory`],
+/// A read-only, per-process view into the coherence directory,
 /// answering the same queries the old per-process `Cache` struct did.
 /// Obtained from [`Memory::cache`]; used by tests and metrics.
 #[derive(Copy, Clone, Debug)]

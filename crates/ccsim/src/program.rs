@@ -205,7 +205,7 @@ pub trait Program: Send {
     ///
     /// The default conservatively reports `false`. Implementations that
     /// are `Clone + 'static` opt in with one line:
-    /// [`crate::impl_program_in_place_clone!()`][impl_program_in_place_clone].
+    /// [`crate::impl_program_in_place_clone!()`].
     ///
     /// [`Sim::clone_world`]: crate::Sim::clone_world
     fn clone_into_dyn(&self, dst: &mut dyn Program) -> bool {

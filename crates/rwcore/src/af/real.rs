@@ -11,7 +11,7 @@ use crate::config::AfConfig;
 use crate::sig::{Opcode, Signal};
 use fcounter::FArray;
 use std::sync::atomic::{AtomicU64, Ordering};
-use wmutex::{IdMutex, TournamentLock};
+use wmutex::{IdMutex, Patience, TournamentLock};
 
 /// The raw (data-less) `A_f` lock: entry/exit sections for registered
 /// reader and writer process ids.
@@ -128,11 +128,37 @@ impl RawAfLock {
         }
     }
 
-    /// Reader entry section (lines 31–38).
+    /// Reader entry section (lines 31–38), blocking: [`Self::try_reader_lock`]
+    /// with [`Patience::Forever`].
     ///
     /// # Panics
     /// Panics if `reader_id` is out of range.
     pub fn reader_lock(&self, reader_id: usize) {
+        let entered = self.try_reader_lock(reader_id, Patience::Forever);
+        debug_assert!(entered, "Patience::Forever never runs out");
+    }
+
+    /// Reader entry section (lines 31–38) with a bounded line-36 wait:
+    /// each failed re-read of `RSIG` spends `patience`. When it runs out
+    /// the reader *withdraws*: it retracts its waiting count and runs the
+    /// normal exit section (retracting `C[i]` and performing the
+    /// exit-signal duties). Returns whether the lock was acquired; after
+    /// `false`, do **not** call [`RawAfLock::reader_unlock`].
+    ///
+    /// **Known defect: the withdrawal race.** The retraction of `W[i]`
+    /// while `RSIG` still says `WAIT` breaks the premise of `HelpWCS`'s
+    /// `W`-then-`C` read order (DESIGN.md finding F1). With three readers
+    /// of one group — a helper, a CS occupant and this withdrawer — the
+    /// helper can read `W` before the withdrawal and `C` after it, see
+    /// `C = W`, and admit the writer beside the occupant. A bounded
+    /// attempt is therefore *not* indistinguishable from a passage that
+    /// never reached the CS; see ROADMAP item 1 and the committed
+    /// witnesses under `results/`.
+    ///
+    /// # Panics
+    /// Panics if `reader_id` is out of range.
+    #[inline]
+    pub fn try_reader_lock(&self, reader_id: usize, mut patience: Patience) -> bool {
         let slot = self.cfg.group_of(reader_id);
         let (i, leaf) = (slot.group, slot.leaf);
         self.c[i].add(leaf, 1); // line 31
@@ -143,35 +169,7 @@ impl RawAfLock {
             self.help_wcs(sig.seq, i); // line 35
             let wait_word = Signal::new(sig.seq, Opcode::Wait).pack();
             while self.rsig.load(Ordering::SeqCst) == wait_word {
-                std::hint::spin_loop(); // line 36 (WSEQ never repeats: ≤2 RMRs)
-            }
-            self.w[i].add(leaf, -1); // line 37
-        }
-    }
-
-    /// Bounded reader entry: like [`RawAfLock::reader_lock`], but give up
-    /// after `spins` failed re-reads of `RSIG` in the line-36 wait loop.
-    /// On timeout the reader *withdraws*: it retracts its waiting count
-    /// and runs the normal exit section (retracting `C[i]` and performing
-    /// the exit-signal duties), so to every other process the attempt
-    /// looks like a passage that never reached the CS. Returns whether
-    /// the lock was acquired; after `false`, do **not** call
-    /// [`RawAfLock::reader_unlock`].
-    ///
-    /// # Panics
-    /// Panics if `reader_id` is out of range.
-    pub fn try_reader_lock(&self, reader_id: usize, spins: u64) -> bool {
-        let slot = self.cfg.group_of(reader_id);
-        let (i, leaf) = (slot.group, slot.leaf);
-        self.c[i].add(leaf, 1); // line 31
-        let sig = self.rsig(); // line 32
-        if sig.op == Opcode::Wait {
-            self.w[i].add(leaf, 1); // line 34
-            self.help_wcs(sig.seq, i); // line 35
-            let wait_word = Signal::new(sig.seq, Opcode::Wait).pack();
-            let mut remaining = spins;
-            while self.rsig.load(Ordering::SeqCst) == wait_word {
-                if remaining == 0 {
+                if !patience.spend() {
                     // Withdraw: W first (preserving the C ≥ W invariant),
                     // then the whole exit section — its helping duties
                     // make sure the writer we abandoned is not stranded.
@@ -179,8 +177,7 @@ impl RawAfLock {
                     self.reader_unlock(reader_id);
                     return false;
                 }
-                remaining -= 1;
-                std::hint::spin_loop();
+                std::hint::spin_loop(); // line 36 (WSEQ never repeats: ≤2 RMRs)
             }
             self.w[i].add(leaf, -1); // line 37
         }
@@ -212,12 +209,33 @@ impl RawAfLock {
         }
     }
 
-    /// Writer entry section (lines 6–23).
+    /// Writer entry section (lines 6–23), blocking: [`Self::try_writer_lock`]
+    /// with [`Patience::Forever`].
     ///
     /// # Panics
     /// Panics if `writer_id` is out of range.
     pub fn writer_lock(&self, writer_id: usize) {
-        self.wl.lock(writer_id); // line 6
+        let entered = self.try_writer_lock(writer_id, Patience::Forever);
+        debug_assert!(entered, "Patience::Forever never runs out");
+    }
+
+    /// Writer entry section (lines 6–23) with bounded waits: each wait
+    /// loop (the `WL` tournament nodes and the two per-group signal
+    /// waits) spends its own copy of `patience`. When one runs out the
+    /// writer withdraws; if it had already armed this passage's signals,
+    /// the withdrawal runs the normal exit section — burning the
+    /// abandoned epoch, since readers may already be parked on (or armed
+    /// to help) its sequence number — before releasing `WL`. Returns
+    /// whether the lock was acquired; after `false`, do **not** call
+    /// [`RawAfLock::writer_unlock`].
+    ///
+    /// # Panics
+    /// Panics if `writer_id` is out of range.
+    #[inline]
+    pub fn try_writer_lock(&self, writer_id: usize, patience: Patience) -> bool {
+        if !self.wl.try_lock(writer_id, patience) {
+            return false; // line 6 timed out: no signal state touched yet
+        }
         let seq = self.wseq.load(Ordering::SeqCst);
         // Lines 7–9: arm WSIG[i] for this passage.
         for i in 0..self.groups {
@@ -229,12 +247,9 @@ impl RawAfLock {
         // Lines 12–17: verify no readers are still waiting on a previous
         // passage, group by group.
         for i in 0..self.groups {
-            if self.c[i].read() > 0 {
-                // line 14
-                let proceed = Signal::new(seq, Opcode::Proceed);
-                while self.wsig(i) != proceed {
-                    std::hint::spin_loop();
-                }
+            // line 14
+            if !self.await_group(writer_id, i, Signal::new(seq, Opcode::Proceed), patience) {
+                return false;
             }
             // line 16
             self.wsig[i].store(Signal::new(seq, Opcode::Wait).pack(), Ordering::SeqCst);
@@ -243,68 +258,30 @@ impl RawAfLock {
         self.rsig
             .store(Signal::new(seq, Opcode::Wait).pack(), Ordering::SeqCst);
         // Lines 19–23: wait for in-flight readers to clear the CS.
-        for i in 0..self.groups {
-            if self.c[i].read() > 0 {
-                // line 21
-                let cs = Signal::new(seq, Opcode::Cs);
-                while self.wsig(i) != cs {
-                    std::hint::spin_loop();
-                }
-            }
-        }
+        (0..self.groups)
+            .all(|i| self.await_group(writer_id, i, Signal::new(seq, Opcode::Cs), patience))
     }
 
-    /// Bounded writer entry: like [`RawAfLock::writer_lock`], but spend at
-    /// most `spins` re-reads in any one wait loop (the `WL` tournament
-    /// nodes and the two per-group signal waits). On timeout the writer
-    /// withdraws; if it had already armed this passage's signals, the
-    /// withdrawal runs the normal exit section — burning the abandoned
-    /// epoch, since readers may already be parked on (or armed to help)
-    /// its sequence number — before releasing `WL`. Returns whether the
-    /// lock was acquired; after `false`, do **not** call
-    /// [`RawAfLock::writer_unlock`].
-    ///
-    /// # Panics
-    /// Panics if `writer_id` is out of range.
-    pub fn try_writer_lock(&self, writer_id: usize, spins: u64) -> bool {
-        if !self.wl.try_lock(writer_id, spins) {
-            return false; // line 6 timed out: no signal state touched yet
-        }
-        let seq = self.wseq.load(Ordering::SeqCst);
-        for i in 0..self.groups {
-            self.wsig[i].store(Signal::new(seq, Opcode::Bot).pack(), Ordering::SeqCst);
-        }
-        self.rsig
-            .store(Signal::new(seq, Opcode::Preentry).pack(), Ordering::SeqCst);
-        for i in 0..self.groups {
-            if self.c[i].read() > 0 {
-                let proceed = Signal::new(seq, Opcode::Proceed);
-                let mut remaining = spins;
-                while self.wsig(i) != proceed {
-                    if remaining == 0 {
-                        self.writer_unlock(writer_id); // burn epoch `seq`
-                        return false;
-                    }
-                    remaining -= 1;
-                    std::hint::spin_loop();
+    /// Lines 14 and 21: if group `i` has readers in a passage, wait until
+    /// `WSIG[i]` reads `until`. When `patience` runs out, burn the epoch
+    /// through the exit section and return `false`. Always inlined, so
+    /// the blocking `writer_lock` keeps the call-free body its two inline
+    /// wait loops had, with `Patience::Forever` folded away.
+    #[inline(always)]
+    fn await_group(
+        &self,
+        writer_id: usize,
+        i: usize,
+        until: Signal,
+        mut patience: Patience,
+    ) -> bool {
+        if self.c[i].read() > 0 {
+            while self.wsig(i) != until {
+                if !patience.spend() {
+                    self.writer_unlock(writer_id); // burn the epoch
+                    return false;
                 }
-            }
-            self.wsig[i].store(Signal::new(seq, Opcode::Wait).pack(), Ordering::SeqCst);
-        }
-        self.rsig
-            .store(Signal::new(seq, Opcode::Wait).pack(), Ordering::SeqCst);
-        for i in 0..self.groups {
-            if self.c[i].read() > 0 {
-                let cs = Signal::new(seq, Opcode::Cs);
-                let mut remaining = spins;
-                while self.wsig(i) != cs {
-                    if remaining == 0 {
-                        self.writer_unlock(writer_id); // burn epoch `seq`
-                        return false;
-                    }
-                    remaining -= 1;
-                    std::hint::spin_loop();
-                }
+                std::hint::spin_loop();
             }
         }
         true
@@ -324,10 +301,25 @@ impl RawAfLock {
     }
 }
 
+/// Read-only probes of the shared words, for tests in this crate.
+#[cfg(test)]
+impl RawAfLock {
+    /// `WSEQ`: the number of writer epochs ended so far, burnt ones included.
+    pub(crate) fn wseq(&self) -> u64 {
+        self.wseq.load(Ordering::SeqCst)
+    }
+
+    /// `(C[i], W[i])` for group `i`.
+    pub(crate) fn group_counts(&self, i: usize) -> (i64, i64) {
+        (self.c[i].read(), self.w[i].read())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn uncontended_reader_passage() {
@@ -399,6 +391,27 @@ mod tests {
         released.store(true, Ordering::SeqCst);
         lock.writer_unlock(0);
         t.join().unwrap();
+    }
+
+    /// A deadline wait against a reader in the CS burns the writer's
+    /// epoch once — one withdrawal, not one per retry — and leaves
+    /// nothing that blocks a writer once the reader leaves.
+    #[test]
+    fn deadline_writer_burns_exactly_one_epoch() {
+        let lock = RawAfLock::new(AfConfig::new(2, 1));
+        lock.reader_lock(0);
+        let before = lock.wseq();
+        let deadline = Instant::now() + Duration::from_millis(5);
+        assert!(
+            !lock.try_writer_lock(0, Patience::Until(deadline)),
+            "reader in CS: must time out"
+        );
+        assert!(Instant::now() >= deadline, "gave up before the deadline");
+        assert_eq!(lock.wseq(), before + 1, "one timed-out attempt, one epoch");
+        lock.reader_unlock(0);
+        lock.writer_lock(0);
+        lock.writer_unlock(0);
+        assert_eq!(lock.wseq(), before + 2);
     }
 
     #[test]

@@ -68,11 +68,10 @@
 //! cost `shards × Θ(f)` — the price of the sharded read path.
 
 use crate::af::real::RawAfLock;
-use crate::af::typed::DEADLINE_SPIN_SLICE;
 use crate::config::{AfConfig, FPolicy};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use wmutex::{IdMutex, TournamentLock};
+use wmutex::{IdMutex, Patience, TournamentLock};
 
 /// Member count mask of the gate word.
 const COUNT_MASK: u64 = (1 << 32) - 1;
@@ -196,59 +195,15 @@ impl ShardedAfRwLock {
     }
 
     /// Reader entry on an explicit shard. Prefer [`Self::read_lock`];
-    /// this is the building block (and the test seam). The matching
-    /// [`Self::read_unlock_shard`] must target the same shard.
+    /// this is the building block (and the test seam): it is
+    /// [`Self::try_read_lock_shard`] with [`Patience::Forever`]. The
+    /// matching [`Self::read_unlock_shard`] must target the same shard.
     ///
     /// # Panics
     /// Panics if `shard` is out of range.
     pub fn read_lock_shard(&self, shard: usize) {
-        let sh = &self.shards[shard];
-        let mut spins = 0u32;
-        loop {
-            // Writer preference: arrivals hold off while a writer is
-            // pending, so the shard's batch can drain.
-            if sh.wp.load(Ordering::SeqCst) != 0 {
-                backoff(&mut spins);
-                continue;
-            }
-            let w = sh.gate.load(Ordering::SeqCst);
-            if w & DRAIN != 0 {
-                // An exit is retiring; the shard reopens at gate = 0.
-                backoff(&mut spins);
-                continue;
-            }
-            if w == 0 {
-                // Claim the batch: become the leader.
-                if sh
-                    .gate
-                    .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    sh.inner.reader_lock(0);
-                    sh.gate.fetch_or(OPEN, Ordering::SeqCst);
-                    return;
-                }
-            } else {
-                debug_assert!(w & COUNT_MASK < COUNT_MASK, "batch member overflow");
-                // Join the in-flight batch.
-                if sh
-                    .gate
-                    .compare_exchange(w, w + 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    if w & OPEN == 0 {
-                        // Joined while the leader is still running the
-                        // A_f entry; wait for it to open the batch.
-                        let mut fill_spins = 0u32;
-                        while sh.gate.load(Ordering::SeqCst) & OPEN == 0 {
-                            backoff(&mut fill_spins);
-                        }
-                    }
-                    return;
-                }
-            }
-            // CAS lost a race: re-check the writer flag and retry.
-        }
+        let entered = self.try_read_lock_shard(shard, Patience::Forever);
+        debug_assert!(entered, "Patience::Forever never runs out");
     }
 
     /// Reader exit on an explicit shard (pairs with
@@ -286,44 +241,43 @@ impl ShardedAfRwLock {
         }
     }
 
-    /// Bounded reader entry on an explicit shard: like
-    /// [`Self::read_lock_shard`], but spend at most `spins` backoff
-    /// rounds waiting for admission (writer-pending flag clear, batch not
-    /// draining, gate CAS won). The attempt gives up only *before* it has
-    /// CASed into a batch — after a successful gate transition the
+    /// Reader entry on an explicit shard with bounded admission: each
+    /// failed admission (writer-pending flag raised, batch draining, gate
+    /// CAS lost) spends `patience`. The attempt gives up only *before* it
+    /// has CASed into a batch — after a successful gate transition the
     /// reader is committed (at worst it rides out the single writer
     /// passage that slipped in behind its admission check), so a `false`
-    /// return leaves no residue anywhere. Pair a `true` with
-    /// [`Self::read_unlock_shard`] on the same shard.
+    /// return leaves no residue anywhere: in particular the reader never
+    /// withdraws from inside the shard's `A_f` instance. Pair a `true`
+    /// with [`Self::read_unlock_shard`] on the same shard.
     ///
     /// # Panics
     /// Panics if `shard` is out of range.
-    pub fn try_read_lock_shard(&self, shard: usize, spins: u64) -> bool {
+    #[inline]
+    pub fn try_read_lock_shard(&self, shard: usize, mut patience: Patience) -> bool {
         let sh = &self.shards[shard];
-        let mut budget = spins;
-        let mut spin_state = 0u32;
+        let mut spins = 0u32;
         loop {
-            let blocked =
-                sh.wp.load(Ordering::SeqCst) != 0 || sh.gate.load(Ordering::SeqCst) & DRAIN != 0;
-            if !blocked {
-                let w = sh.gate.load(Ordering::SeqCst);
-                if w == 0 {
-                    if sh
-                        .gate
-                        .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                    {
+            // Writer preference: arrivals hold off while a writer is
+            // pending, so the shard's batch can drain. While an exit is
+            // retiring (DRAIN) the shard reopens only at gate = 0.
+            let admissible = (sh.wp.load(Ordering::SeqCst) == 0)
+                .then(|| sh.gate.load(Ordering::SeqCst))
+                .filter(|w| w & DRAIN == 0);
+            if let Some(w) = admissible {
+                debug_assert!(w & COUNT_MASK < COUNT_MASK, "batch member overflow");
+                // Claim the idle batch (0 → 1) or join the in-flight one.
+                if sh
+                    .gate
+                    .compare_exchange(w, w + 1, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+                {
+                    if w == 0 {
                         sh.inner.reader_lock(0); // committed: leader
                         sh.gate.fetch_or(OPEN, Ordering::SeqCst);
-                        return true;
-                    }
-                } else if w & DRAIN == 0
-                    && sh
-                        .gate
-                        .compare_exchange(w, w + 1, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                {
-                    if w & OPEN == 0 {
+                    } else if w & OPEN == 0 {
+                        // Joined while the leader is still running the
+                        // A_f entry; wait for it to open the batch.
                         let mut fill_spins = 0u32;
                         while sh.gate.load(Ordering::SeqCst) & OPEN == 0 {
                             backoff(&mut fill_spins);
@@ -332,11 +286,14 @@ impl ShardedAfRwLock {
                     return true; // committed: batch member
                 }
             }
-            if budget == 0 {
+            if !patience.spend() {
                 return false;
             }
-            budget -= 1;
-            backoff(&mut spin_state);
+            // Back off while held out; a lost CAS retries at once (the
+            // gate moved, so re-check it).
+            if admissible.is_none() {
+                backoff(&mut spins);
+            }
         }
     }
 
@@ -347,22 +304,8 @@ impl ShardedAfRwLock {
 
     /// Bounded reader entry on the calling thread's shard (see
     /// [`Self::try_read_lock_shard`]).
-    pub fn try_read_lock(&self, spins: u64) -> bool {
-        self.try_read_lock_shard(self.shard_of_current_thread(), spins)
-    }
-
-    /// Deadline reader entry on the calling thread's shard: retry bounded
-    /// attempts until `deadline` passes.
-    pub fn read_lock_deadline(&self, deadline: std::time::Instant) -> bool {
-        let shard = self.shard_of_current_thread();
-        loop {
-            if self.try_read_lock_shard(shard, DEADLINE_SPIN_SLICE) {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-        }
+    pub fn try_read_lock(&self, patience: Patience) -> bool {
+        self.try_read_lock_shard(self.shard_of_current_thread(), patience)
     }
 
     /// Reader exit on the calling thread's shard.
@@ -370,22 +313,13 @@ impl ShardedAfRwLock {
         self.read_unlock_shard(self.shard_of_current_thread());
     }
 
-    /// Writer entry: serialize on the outer gate, flag every shard, then
-    /// acquire each shard's write lock in ascending shard order.
+    /// Writer entry: [`Self::try_write_lock`] with [`Patience::Forever`].
     ///
     /// # Panics
     /// Panics if `writer_id` is out of range.
     pub fn write_lock(&self, writer_id: usize) {
-        self.wl.lock(writer_id);
-        for sh in &self.shards {
-            sh.wp.store(1, Ordering::SeqCst);
-        }
-        // Fixed ascending order. Readers hold at most one shard and
-        // never block while holding it, and writers are serialized
-        // above, so no cycle in the wait-for graph is possible.
-        for sh in &self.shards {
-            sh.inner.writer_lock(0);
-        }
+        let entered = self.try_write_lock(writer_id, Patience::Forever);
+        debug_assert!(entered, "Patience::Forever never runs out");
     }
 
     /// Writer exit: release every shard, clear the flags, release the
@@ -403,27 +337,32 @@ impl ShardedAfRwLock {
         self.wl.unlock(writer_id);
     }
 
-    /// Bounded writer entry: spend at most `spins` rounds on the outer
-    /// gate and then on each shard's write lock. On any timeout the
-    /// attempt rolls itself back completely — shards already won are
-    /// released in reverse order, every writer-pending flag is cleared,
-    /// and the outer gate is dropped — so a `false` return leaves the
-    /// lock exactly as acquirable as before the call. Pair a `true` with
-    /// [`Self::write_unlock`].
+    /// Writer entry with bounded waits: serialize on the outer gate,
+    /// flag every shard, then acquire each shard's write lock in
+    /// ascending shard order, every wait spending its own copy of
+    /// `patience`. When one runs out the attempt rolls itself back
+    /// completely — the timed-out shard burns its epoch, shards already
+    /// won are released in reverse order, every writer-pending flag is
+    /// cleared, and the outer gate is dropped — so a `false` return
+    /// leaves the lock exactly as acquirable as before the call. Pair a
+    /// `true` with [`Self::write_unlock`].
     ///
     /// # Panics
     /// Panics if `writer_id` is out of range.
-    pub fn try_write_lock(&self, writer_id: usize, spins: u64) -> bool {
-        if !self.wl.try_lock(writer_id, spins) {
+    #[inline]
+    pub fn try_write_lock(&self, writer_id: usize, patience: Patience) -> bool {
+        if !self.wl.try_lock(writer_id, patience) {
             return false;
         }
         for sh in &self.shards {
             sh.wp.store(1, Ordering::SeqCst);
         }
+        // Fixed ascending order. Readers hold at most one shard and
+        // never block while holding it, and writers are serialized
+        // above, so no cycle in the wait-for graph is possible.
         for (k, sh) in self.shards.iter().enumerate() {
-            if !sh.inner.try_writer_lock(0, spins) {
-                // Shard `k` timed out and already unwound itself (its
-                // `try_writer_lock` burns the epoch on the way out); the
+            if !sh.inner.try_writer_lock(0, patience) {
+                // Shard `k` timed out and already unwound itself; the
                 // shards below it are fully held and need a real release.
                 for held in self.shards[..k].iter().rev() {
                     held.inner.writer_unlock(0);
@@ -436,22 +375,6 @@ impl ShardedAfRwLock {
             }
         }
         true
-    }
-
-    /// Deadline writer entry: retry bounded attempts until `deadline`
-    /// passes.
-    ///
-    /// # Panics
-    /// Panics if `writer_id` is out of range.
-    pub fn write_lock_deadline(&self, writer_id: usize, deadline: std::time::Instant) -> bool {
-        loop {
-            if self.try_write_lock(writer_id, DEADLINE_SPIN_SLICE) {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-        }
     }
 }
 
@@ -481,7 +404,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn uncontended_read_passages() {
@@ -616,11 +539,11 @@ mod tests {
     #[test]
     fn try_paths_uncontended() {
         let lock = ShardedAfRwLock::new(2, 2);
-        assert!(lock.try_read_lock_shard(0, 64));
+        assert!(lock.try_read_lock_shard(0, Patience::Spins(64)));
         lock.read_unlock_shard(0);
-        assert!(lock.try_write_lock(1, 64));
+        assert!(lock.try_write_lock(1, Patience::Spins(64)));
         lock.write_unlock(1);
-        assert!(lock.try_read_lock(64));
+        assert!(lock.try_read_lock(Patience::Spins(64)));
         lock.read_unlock();
     }
 
@@ -631,7 +554,7 @@ mod tests {
 
         // The writer wins the outer gate and shards 0 and 1, then times
         // out on shard 2 and must unwind everything.
-        assert!(!lock.try_write_lock(0, 256));
+        assert!(!lock.try_write_lock(0, Patience::Spins(256)));
         for s in 0..3 {
             assert_eq!(
                 lock.shards[s].wp.load(Ordering::SeqCst),
@@ -641,12 +564,12 @@ mod tests {
         }
         // No residue: another reader batch can open on shard 0, and the
         // parked batch is untouched.
-        assert!(lock.try_read_lock_shard(0, 1 << 16));
+        assert!(lock.try_read_lock_shard(0, Patience::Spins(1 << 16)));
         lock.read_unlock_shard(0);
         lock.read_unlock_shard(2);
 
         // With the reader gone, both a bounded and a plain writer pass.
-        assert!(lock.try_write_lock(0, 1 << 16));
+        assert!(lock.try_write_lock(0, Patience::Spins(1 << 16)));
         lock.write_unlock(0);
         lock.write_lock(1);
         lock.write_unlock(1);
@@ -656,13 +579,60 @@ mod tests {
     fn try_read_times_out_while_a_writer_holds() {
         let lock = ShardedAfRwLock::new(2, 1);
         lock.write_lock(0);
-        assert!(!lock.try_read_lock_shard(0, 256));
-        assert!(!lock.try_read_lock_shard(1, 256));
-        assert!(!lock.read_lock_deadline(std::time::Instant::now()));
+        assert!(!lock.try_read_lock_shard(0, Patience::Spins(256)));
+        assert!(!lock.try_read_lock_shard(1, Patience::Spins(256)));
+        assert!(!lock.try_read_lock(Patience::Until(Instant::now())));
         lock.write_unlock(0);
         // A failed attempt left no trace on the gates.
         lock.read_lock_shard(0);
         lock.read_unlock_shard(0);
+    }
+
+    /// A timed-out writer rolls back with one epoch per shard it
+    /// reached: the held shard below the reader's is released, the
+    /// reader's shard burns the epoch it timed out in, and the shard
+    /// above is never touched.
+    #[test]
+    fn deadline_write_spends_at_most_one_epoch_per_shard() {
+        let lock = ShardedAfRwLock::new(3, 1);
+        lock.read_lock_shard(1);
+        let epochs = |lock: &ShardedAfRwLock| -> Vec<u64> {
+            lock.shards.iter().map(|sh| sh.inner.wseq()).collect()
+        };
+        let before = epochs(&lock);
+        let deadline = Instant::now() + Duration::from_millis(5);
+        assert!(!lock.try_write_lock(0, Patience::Until(deadline)));
+        let advanced: Vec<u64> = epochs(&lock)
+            .iter()
+            .zip(&before)
+            .map(|(after, before)| after - before)
+            .collect();
+        assert_eq!(advanced, [1, 1, 0], "epochs advanced per shard");
+        lock.read_unlock_shard(1);
+        lock.write_lock(0);
+        lock.write_unlock(0);
+    }
+
+    /// The sharded reader gives up only before its gate CAS, so a
+    /// timed-out attempt never withdraws from inside a shard's `A_f`
+    /// instance (the withdrawal race of ROADMAP item 1 cannot reach it):
+    /// the inner `C[0]` and `W[0]` stay 0 and the gate word is unchanged.
+    #[test]
+    fn timed_out_reader_leaves_the_shard_instance_untouched() {
+        let lock = ShardedAfRwLock::new(2, 1);
+        lock.write_lock(0);
+        for patience in [
+            Patience::Spins(256),
+            Patience::Until(Instant::now() + Duration::from_millis(5)),
+        ] {
+            for (s, sh) in lock.shards.iter().enumerate() {
+                let gate = sh.gate.load(Ordering::SeqCst);
+                assert!(!lock.try_read_lock_shard(s, patience));
+                assert_eq!(sh.inner.group_counts(0), (0, 0), "shard {s}: C[0], W[0]");
+                assert_eq!(sh.gate.load(Ordering::SeqCst), gate, "shard {s}: gate");
+            }
+        }
+        lock.write_unlock(0);
     }
 
     #[test]
@@ -672,8 +642,8 @@ mod tests {
         let writer = {
             let lock = Arc::clone(&lock);
             std::thread::spawn(move || {
-                let deadline = std::time::Instant::now() + Duration::from_secs(30);
-                let ok = lock.write_lock_deadline(0, deadline);
+                let deadline = Instant::now() + Duration::from_secs(30);
+                let ok = lock.try_write_lock(0, Patience::Until(deadline));
                 if ok {
                     lock.write_unlock(0);
                 }

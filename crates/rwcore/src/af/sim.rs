@@ -442,10 +442,13 @@ impl Program for AfReaderSim {
         // group-counter handles keep their leaf mirrors: the leaf is
         // single-writer, so recovery could restore the mirror by reading
         // it back, and a mirror that ran ahead of an interrupted add only
-        // over-counts — conservative for Mutual Exclusion (an abandoned
-        // C/W increment can block writers, never admit one). The next
-        // passage is a *recovery* passage that drains those stale
-        // contributions so no writer blocks on them forever.
+        // over-counts. The next passage is a *recovery* passage that
+        // drains those stale contributions so no writer blocks on them
+        // forever. That drain is not harmless: it retracts `W[i]` while
+        // `RSIG` may still say `WAIT`, and beside two other readers of
+        // the group a concurrent `HelpWCS` can then read `C = W` and
+        // admit the writer beside a reader in the CS — the withdrawal
+        // race of ROADMAP item 1 (witnesses under `results/`).
         self.pc = RPc::Remainder;
         self.recover = true;
     }

@@ -7,6 +7,7 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
+use wmutex::Patience;
 
 /// A reader-writer lock protecting a `T`, backed by the paper's `A_f`
 /// algorithm.
@@ -154,11 +155,6 @@ impl<T: fmt::Debug> fmt::Debug for AfRwLock<T> {
     }
 }
 
-/// Spins per bounded attempt inside the deadline loops: long enough that
-/// an uncontended pass never retries, short enough that the deadline is
-/// checked with useful granularity.
-pub(crate) const DEADLINE_SPIN_SLICE: u64 = 1 << 12;
-
 /// A claimed reader process id. `read` requires `&mut self`, so one handle
 /// cannot start overlapping passages.
 #[derive(Debug)]
@@ -178,34 +174,19 @@ impl<'a, T> ReaderHandle<'a, T> {
     }
 
     /// Bounded acquisition: like [`ReaderHandle::read`], but withdraw and
-    /// return `None` after `spins` failed re-reads of the admission word
-    /// (see [`RawAfLock::try_reader_lock`]). A `None` leaves no residue —
-    /// the attempt looks like a passage that never reached the CS.
-    pub fn try_read(&mut self, spins: u64) -> Option<ReadGuard<'_, T>> {
+    /// return `None` once `patience` runs out in the wait for the
+    /// admission word (see [`RawAfLock::try_reader_lock`]). The
+    /// withdrawal is not yet harmless: beside two other readers of its
+    /// group it can let a writer into the CS with one of them (the
+    /// withdrawal race, ROADMAP item 1).
+    pub fn try_read(&mut self, patience: Patience) -> Option<ReadGuard<'_, T>> {
         self.lock
             .raw
-            .try_reader_lock(self.id, spins)
+            .try_reader_lock(self.id, patience)
             .then(|| ReadGuard {
                 lock: self.lock,
                 id: self.id,
             })
-    }
-
-    /// Deadline acquisition: retry [`ReaderHandle::try_read`]-style
-    /// bounded attempts until `deadline`. Returns `None` once the
-    /// deadline has passed without an acquisition.
-    pub fn read_deadline(&mut self, deadline: std::time::Instant) -> Option<ReadGuard<'_, T>> {
-        loop {
-            if self.lock.raw.try_reader_lock(self.id, DEADLINE_SPIN_SLICE) {
-                return Some(ReadGuard {
-                    lock: self.lock,
-                    id: self.id,
-                });
-            }
-            if std::time::Instant::now() >= deadline {
-                return None;
-            }
-        }
     }
 
     /// This handle's reader process id.
@@ -237,34 +218,18 @@ impl<'a, T> WriterHandle<'a, T> {
         }
     }
 
-    /// Bounded acquisition: like [`WriterHandle::write`], but spend at
-    /// most `spins` re-reads in any one wait loop and withdraw on timeout
-    /// (see [`RawAfLock::try_writer_lock`]).
-    pub fn try_write(&mut self, spins: u64) -> Option<WriteGuard<'_, T>> {
+    /// Bounded acquisition: like [`WriterHandle::write`], but each wait
+    /// loop spends its own copy of `patience`, and the attempt withdraws
+    /// and returns `None` when one runs out (see
+    /// [`RawAfLock::try_writer_lock`]).
+    pub fn try_write(&mut self, patience: Patience) -> Option<WriteGuard<'_, T>> {
         self.lock
             .raw
-            .try_writer_lock(self.id, spins)
+            .try_writer_lock(self.id, patience)
             .then(|| WriteGuard {
                 lock: self.lock,
                 id: self.id,
             })
-    }
-
-    /// Deadline acquisition: retry bounded attempts until `deadline`.
-    /// Returns `None` once the deadline has passed without an
-    /// acquisition.
-    pub fn write_deadline(&mut self, deadline: std::time::Instant) -> Option<WriteGuard<'_, T>> {
-        loop {
-            if self.lock.raw.try_writer_lock(self.id, DEADLINE_SPIN_SLICE) {
-                return Some(WriteGuard {
-                    lock: self.lock,
-                    id: self.id,
-                });
-            }
-            if std::time::Instant::now() >= deadline {
-                return None;
-            }
-        }
     }
 
     /// This handle's writer process id.
@@ -420,11 +385,17 @@ mod tests {
         let lock = AfRwLock::new(AfConfig::new(2, 1), 7u64);
         let mut w = lock.writer(0).unwrap();
         {
-            let mut g = w.try_write(1_000).expect("uncontended try_write");
+            let mut g = w
+                .try_write(Patience::Spins(1_000))
+                .expect("uncontended try_write");
             *g += 1;
         }
         let mut r = lock.reader(0).unwrap();
-        assert_eq!(*r.try_read(1_000).expect("uncontended try_read"), 8);
+        assert_eq!(
+            *r.try_read(Patience::Spins(1_000))
+                .expect("uncontended try_read"),
+            8
+        );
     }
 
     #[test]
@@ -435,9 +406,13 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut w = lock.writer(0).unwrap();
-                assert!(w.try_write(200).is_none(), "reader in CS: must time out");
                 assert!(
-                    w.write_deadline(std::time::Instant::now()).is_none(),
+                    w.try_write(Patience::Spins(200)).is_none(),
+                    "reader in CS: must time out"
+                );
+                assert!(
+                    w.try_write(Patience::Until(std::time::Instant::now()))
+                        .is_none(),
                     "expired deadline: must give up"
                 );
             });
@@ -456,7 +431,10 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut r = lock.reader(0).unwrap();
-                assert!(r.try_read(200).is_none(), "writer in CS: must time out");
+                assert!(
+                    r.try_read(Patience::Spins(200)).is_none(),
+                    "writer in CS: must time out"
+                );
             });
         });
         drop(g);
@@ -473,7 +451,7 @@ mod tests {
             let t = s.spawn(|| {
                 let mut r = lock.reader(0).unwrap();
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-                assert!(r.read_deadline(deadline).is_some());
+                assert!(r.try_read(Patience::Until(deadline)).is_some());
             });
             std::thread::sleep(std::time::Duration::from_millis(20));
             drop(g);

@@ -13,7 +13,9 @@
 //!   model checking.
 //!
 //! [`ClhLock`] and [`TicketLock`] are queue-lock baselines for the
-//! throughput benches.
+//! throughput benches. [`Patience`] is the wait budget every real entry
+//! section takes: [`TournamentLock::try_lock`] here, and the `A_f` entry
+//! sections built on it.
 //!
 //! ```
 //! use wmutex::{IdMutex, TournamentLock};
@@ -29,5 +31,5 @@
 mod real;
 mod sim;
 
-pub use real::{ClhLock, IdMutex, TicketLock, TournamentLock};
+pub use real::{ClhLock, IdMutex, Patience, TicketLock, TournamentLock};
 pub use sim::{mutex_world, EnterMachine, ExitMachine, MutexClient, SimTournament};

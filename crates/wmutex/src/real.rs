@@ -15,6 +15,44 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::time::Instant;
+
+/// How long a bounded entry section may wait before it withdraws.
+///
+/// Every entry wait loop of the real locks takes one: the blocking entry
+/// points pass [`Patience::Forever`], and the `try_*` entry points pass
+/// whatever the caller chose. The budget is `Copy` and each wait loop
+/// spends its own copy, so [`Patience::Spins`] bounds every loop
+/// separately, while [`Patience::Until`] is one deadline for the whole
+/// entry section. The entry sections that take one are `#[inline]`, so
+/// the compiler can fold `Forever` away in a blocking entry's copy.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Patience {
+    /// Wait until admitted; the entry section never withdraws.
+    Forever,
+    /// Withdraw at the first failed re-read after this many failed
+    /// re-reads in one wait loop.
+    Spins(u64),
+    /// Withdraw at the first failed re-read after this instant.
+    Until(Instant),
+}
+
+impl Patience {
+    /// Spend one failed re-read of the awaited word; returns whether the
+    /// wait may continue.
+    #[inline]
+    pub fn spend(&mut self) -> bool {
+        match self {
+            Patience::Forever => true,
+            Patience::Spins(0) => false,
+            Patience::Spins(left) => {
+                *left -= 1;
+                true
+            }
+            Patience::Until(deadline) => Instant::now() < *deadline,
+        }
+    }
+}
 
 /// A mutual-exclusion lock shared by a fixed set of registered processes,
 /// addressed by dense ids `0..processes()`.
@@ -49,33 +87,25 @@ impl Node {
         }
     }
 
-    fn acquire(&self, side: usize) {
+    /// Peterson's entry: raise our flag, yield the tie, and wait while
+    /// the rival wants the node and we wrote `turn` last. Each failed
+    /// re-read of the rival's `(flag, turn)` pair spends `patience`; when
+    /// it runs out our flag is cleared again (so the rival — who re-reads
+    /// it on every spin iteration — proceeds exactly as after a normal
+    /// release) and `false` is returned: the node is not held.
+    #[inline]
+    fn acquire(&self, side: usize, mut patience: Patience) -> bool {
         self.flag[side].store(true, Ordering::SeqCst);
         self.turn.store(side, Ordering::SeqCst);
         while self.flag[1 - side].load(Ordering::SeqCst) && self.turn.load(Ordering::SeqCst) == side
         {
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Like [`Node::acquire`], but give up after `spins` failed re-reads
-    /// of the rival's `(flag, turn)` pair. On timeout our flag is cleared
-    /// again (so the rival — who re-reads it on every spin iteration —
-    /// proceeds exactly as after a normal release) and `false` is
-    /// returned; the caller must not treat the node as held.
-    fn try_acquire(&self, side: usize, spins: u64) -> bool {
-        self.flag[side].store(true, Ordering::SeqCst);
-        self.turn.store(side, Ordering::SeqCst);
-        for _ in 0..spins {
-            if !(self.flag[1 - side].load(Ordering::SeqCst)
-                && self.turn.load(Ordering::SeqCst) == side)
-            {
-                return true;
+            if !patience.spend() {
+                self.flag[side].store(false, Ordering::SeqCst);
+                return false;
             }
             std::hint::spin_loop();
         }
-        self.flag[side].store(false, Ordering::SeqCst);
-        false
+        true
     }
 
     fn release(&self, side: usize) {
@@ -134,20 +164,23 @@ impl TournamentLock {
         (leaf >> (level + 1), (leaf >> level) & 1)
     }
 
-    /// Bounded acquisition: climb the tree as in [`IdMutex::lock`], but
-    /// spend at most `spins` re-reads waiting at any one node. On timeout,
-    /// withdraw — release every node already won, top-down — and return
-    /// `false` with no residue in shared memory. The abort path is bounded:
-    /// one flag-clear write per level won plus the timed-out node's own.
+    /// Climb the tree, winning the Peterson competition at each node on
+    /// the leaf-to-root path; each node's wait gets its own copy of
+    /// `patience`. When one runs out, withdraw — release every node
+    /// already won, top-down — and return `false` with no residue in
+    /// shared memory. The abort path is bounded: one flag-clear write per
+    /// level won plus the timed-out node's own. [`IdMutex::lock`] is this
+    /// climb with [`Patience::Forever`].
     ///
     /// # Panics
     /// Panics if `id >= processes()`.
-    pub fn try_lock(&self, id: usize, spins: u64) -> bool {
+    #[inline]
+    pub fn try_lock(&self, id: usize, patience: Patience) -> bool {
         assert!(id < self.m, "process id {id} out of range");
         for level in 0..self.levels() {
             let (node, side) = self.arena(id, level);
-            if !self.nodes[node].try_acquire(side, spins) {
-                // `try_acquire` already cleared the timed-out node; release
+            if !self.nodes[node].acquire(side, patience) {
+                // `acquire` already cleared the timed-out node; release
                 // the won levels below it in top-down order.
                 for lower in (0..level).rev() {
                     let (n, s) = self.arena(id, lower);
@@ -162,11 +195,8 @@ impl TournamentLock {
 
 impl IdMutex for TournamentLock {
     fn lock(&self, id: usize) {
-        assert!(id < self.m, "process id {id} out of range");
-        for level in 0..self.levels() {
-            let (node, side) = self.arena(id, level);
-            self.nodes[node].acquire(side);
-        }
+        let won = self.try_lock(id, Patience::Forever);
+        debug_assert!(won, "Patience::Forever never runs out");
     }
 
     fn unlock(&self, id: usize) {
@@ -361,11 +391,17 @@ mod tests {
         m.lock(0);
         // p3 sits in the other subtree: it wins its level-0 node and times
         // out at the root, so the withdrawal must unwind a won level too.
-        assert!(!m.try_lock(3, 1_000), "holder present: must time out");
+        assert!(
+            !m.try_lock(3, Patience::Spins(1_000)),
+            "holder present: must time out"
+        );
         m.unlock(0);
         // No stale flag left behind: every process can still pass.
         for id in 0..4 {
-            assert!(m.try_lock(id, 1_000), "uncontended try_lock must win");
+            assert!(
+                m.try_lock(id, Patience::Spins(1_000)),
+                "uncontended try_lock must win"
+            );
             m.unlock(id);
         }
     }
@@ -376,7 +412,7 @@ mod tests {
         // a thread blocked *behind* p0's aborted attempt is not stranded.
         let m = Arc::new(TournamentLock::new(2));
         m.lock(1);
-        assert!(!m.try_lock(0, 100));
+        assert!(!m.try_lock(0, Patience::Spins(100)));
         let contender = {
             let m = Arc::clone(&m);
             std::thread::spawn(move || {
@@ -402,7 +438,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut acquired = 0u64;
                 while acquired < 500 {
-                    if lock.try_lock(id, 50) {
+                    if lock.try_lock(id, Patience::Spins(50)) {
                         unsafe {
                             *counter.0.get() += 1;
                         }
@@ -416,6 +452,19 @@ mod tests {
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(unsafe { *counter.0.get() }, total, "lost updates");
         assert_eq!(total, 4 * 500);
+    }
+
+    #[test]
+    fn patience_spends_per_failed_re_read() {
+        let mut spins = Patience::Spins(2);
+        assert!(
+            spins.spend() && spins.spend(),
+            "two failed re-reads allowed"
+        );
+        assert!(!spins.spend(), "the third runs out");
+        let mut forever = Patience::Forever;
+        assert!((0..1_000).all(|_| forever.spend()));
+        assert!(!Patience::Until(Instant::now()).spend(), "deadline passed");
     }
 
     #[test]

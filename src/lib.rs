@@ -73,4 +73,4 @@ pub use rwcore::{
     Rate, RawAfLock, RawRwLock, ReadGuard, ReaderHandle, RealLock, RealLockFactory, RealShape,
     Scenario, Signal, SimInstance, SimLock, WriteGuard, WriterHandle,
 };
-pub use wmutex::{ClhLock, IdMutex, TicketLock, TournamentLock};
+pub use wmutex::{ClhLock, IdMutex, Patience, TicketLock, TournamentLock};

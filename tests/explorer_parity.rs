@@ -5,9 +5,15 @@
 //! must agree on every order-independent count of two small worlds, and
 //! those counts are pinned. The sequential runs visit in one fixed DFS
 //! order, so their deepest schedule is pinned too; the parallel run's
-//! depends on how work was donated, so it is not compared. The two
-//! committed counterexample traces must still replay onto their
-//! violations and their recorded fingerprints.
+//! depends on how work was donated, so it is not compared. Every
+//! committed counterexample trace must still replay onto its violation
+//! and its recorded fingerprint.
+//!
+//! Three of those traces witness a known defect in the default `A_f`
+//! (ROADMAP item 1, the withdrawal race): with three readers in one
+//! group, a waiting reader that aborts or crashes lets the writer into
+//! the CS beside a reader. They assert the violation on purpose; the fix
+//! for item 1 turns them into traces that no longer violate.
 
 use rwlock_repro::*;
 use std::path::Path;
@@ -99,6 +105,16 @@ fn world_named(name: &str) -> Sim {
         "af-seq-reuse-bug n=1 m=1 writeback" => {
             af_world_seq_reuse_bug(AfConfig::new(1, 1), Protocol::WriteBack).sim
         }
+        "af-casloop n=3 m=1 f=1 writeback" => {
+            af_world_custom(
+                one_writer(3),
+                Protocol::WriteBack,
+                HelpOrder::WaitersFirst,
+                CounterKind::CasLoop,
+            )
+            .sim
+        }
+        "af n=3 m=1 f=1 writeback" => af_world(one_writer(3), Protocol::WriteBack).sim,
         other => panic!("no factory for world {other:?}"),
     }
 }
@@ -106,7 +122,16 @@ fn world_named(name: &str) -> Sim {
 #[test]
 fn committed_traces_replay_onto_their_fingerprints() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
-    for file in ["trace_504fe01e093de092.txt", "trace_976b610279a6cf7c.txt"] {
+    for file in [
+        "trace_504fe01e093de092.txt",
+        "trace_976b610279a6cf7c.txt",
+        // The withdrawal race (ROADMAP item 1): an abort (`a2`) in the
+        // CAS-loop ablation, then a crash (`c2`) and an abort in the
+        // paper's f-array lock on the same schedule.
+        "trace_6c7d428bf9322446.txt",
+        "trace_2bd98c462e7f08a7.txt",
+        "trace_14c871b16711820b.txt",
+    ] {
         let text = std::fs::read_to_string(dir.join(file)).expect("committed trace");
         let trace = TraceArtifact::parse(&text).expect("well-formed trace");
         let sim = replay(|| world_named(&trace.world), &trace.schedule);
