@@ -19,7 +19,7 @@ const NO_OWNER: u32 = u32::MAX;
 /// * the owner of a variable, when present, is also a holder;
 /// * under write-back, an exclusively-owned variable has exactly one
 ///   holder (the owner); write-through never sets an owner.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Directory {
     n_procs: usize,
     n_vars: usize,
@@ -31,6 +31,29 @@ pub(crate) struct Directory {
     holders: Vec<u64>,
     /// Exclusive owner per variable ([`NO_OWNER`] = none).
     owner: Vec<u32>,
+}
+
+/// Manual `Clone` so that `clone_from` reuses the bitset and owner
+/// buffers (no allocation when the shapes match, as they do when the
+/// model checker recycles a popped world).
+impl Clone for Directory {
+    fn clone(&self) -> Self {
+        Directory {
+            n_procs: self.n_procs,
+            n_vars: self.n_vars,
+            words_per_var: self.words_per_var,
+            holders: self.holders.clone(),
+            owner: self.owner.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.n_procs = src.n_procs;
+        self.n_vars = src.n_vars;
+        self.words_per_var = src.words_per_var;
+        self.holders.clone_from(&src.holders);
+        self.owner.clone_from(&src.owner);
+    }
 }
 
 impl Directory {
@@ -48,17 +71,6 @@ impl Directory {
             holders: vec![0; n_vars * words_per_var],
             owner: vec![NO_OWNER; n_vars],
         }
-    }
-
-    /// Overwrite `self` with `src`, reusing the bitset and owner buffers
-    /// (no allocation when the shapes match, as they do when the model
-    /// checker recycles a popped world).
-    pub(crate) fn assign_from(&mut self, src: &Directory) {
-        self.n_procs = src.n_procs;
-        self.n_vars = src.n_vars;
-        self.words_per_var = src.words_per_var;
-        self.holders.clone_from(&src.holders);
-        self.owner.clone_from(&src.owner);
     }
 
     #[inline]

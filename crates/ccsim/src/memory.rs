@@ -71,7 +71,7 @@ pub struct StepOutcome {
 /// per-process view is still available through [`Memory::cache`]. The
 /// pre-rewrite map-based core is preserved in [`crate::reference`] and a
 /// randomized differential test asserts step-for-step equivalence.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Memory {
     protocol: Protocol,
     values: Vec<Value>,
@@ -84,6 +84,32 @@ pub struct Memory {
     /// of the model checker's incremental configuration fingerprint,
     /// patched in O(1) by [`Memory::apply`] whenever a value changes.
     vals_fp: u64,
+}
+
+/// Manual `Clone` so that `clone_from` reuses the value and directory
+/// buffers instead of allocating fresh ones (the home segments are
+/// shared, not copied). [`crate::Sim::clone_world_into`] relies on it
+/// when the model checker recycles a popped configuration.
+impl Clone for Memory {
+    fn clone(&self) -> Self {
+        Memory {
+            protocol: self.protocol,
+            values: self.values.clone(),
+            dir: self.dir.clone(),
+            homes: Arc::clone(&self.homes),
+            vals_fp: self.vals_fp,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.protocol = src.protocol;
+        self.values.clone_from(&src.values);
+        self.dir.clone_from(&src.dir);
+        if !Arc::ptr_eq(&self.homes, &src.homes) {
+            self.homes = Arc::clone(&src.homes);
+        }
+        self.vals_fp = src.vals_fp;
+    }
 }
 
 impl Memory {
@@ -102,21 +128,6 @@ impl Memory {
             homes: layout.home_assignments().into(),
             vals_fp,
         }
-    }
-
-    /// Overwrite `self` with `src`, reusing the value and directory
-    /// buffers instead of allocating fresh ones (the home segments are
-    /// shared, not copied). Used by
-    /// [`crate::Sim::clone_world_into`] when the model checker recycles a
-    /// popped configuration.
-    pub fn assign_from(&mut self, src: &Memory) {
-        self.protocol = src.protocol;
-        self.values.clone_from(&src.values);
-        self.dir.assign_from(&src.dir);
-        if !Arc::ptr_eq(&self.homes, &src.homes) {
-            self.homes = Arc::clone(&src.homes);
-        }
-        self.vals_fp = src.vals_fp;
     }
 
     /// The coherence protocol in force.

@@ -42,6 +42,7 @@ pub enum Op {
 
 impl Op {
     /// The variable this operation accesses.
+    #[inline]
     pub fn var(&self) -> VarId {
         match *self {
             Op::Read(v) => v,

@@ -164,9 +164,13 @@ pub trait Program: Send {
     /// The default routes [`Program::fingerprint`] through the in-tree
     /// [`FxHasher`], which is already cheap; implementations whose state
     /// packs into a few words may override it with a direct encoding
-    /// (see `wmutex`). Overrides must depend on **exactly** the state
-    /// `fingerprint` hashes — dropping a field aliases distinct
-    /// configurations and silently truncates model checking.
+    /// (see `wmutex`). Those with nested [`SubMachine`]s may instead
+    /// hash one generic body that `fingerprint` also calls, so a
+    /// concrete `FxHasher` reaches every field without a virtual call
+    /// (see the `A_f` machines in `rwcore`). Overrides must depend on
+    /// **exactly** the state `fingerprint` hashes — dropping a field
+    /// aliases distinct configurations and silently truncates model
+    /// checking.
     ///
     /// Contract notes for the two fingerprint modes built on this digest:
     ///
@@ -274,7 +278,16 @@ pub trait SubMachine {
     fn resume(&mut self, response: Value);
 
     /// Hash all local state into `h` (model-checking fingerprints).
-    fn fingerprint(&self, h: &mut dyn Hasher);
+    ///
+    /// Generic over the hasher, so a parent hashing into a concrete
+    /// hasher (such as [`FxHasher`] in an overridden
+    /// [`Program::fingerprint64`]) reaches every nested machine without
+    /// a virtual call; `H = dyn Hasher` serves [`Program::fingerprint`].
+    /// The `Self: Sized` bound keeps `dyn SubMachine` usable for
+    /// [`SubMachine::poll`] and [`SubMachine::resume`].
+    fn fingerprint<H: Hasher + ?Sized>(&self, h: &mut H)
+    where
+        Self: Sized;
 }
 
 /// Helpers for composing [`SubMachine`]s into parent machines.
@@ -297,7 +310,8 @@ pub mod sub {
     /// Parents call this from their own `resume` and, on
     /// [`Drive::Finished`], advance their program counter — guaranteeing a
     /// sub-machine never rests in a `Done` state across a `poll`.
-    pub fn drive(m: &mut dyn SubMachine, response: Value) -> Drive {
+    #[inline]
+    pub fn drive<M: SubMachine + ?Sized>(m: &mut M, response: Value) -> Drive {
         m.resume(response);
         match m.poll() {
             SubStep::Done(v) => Drive::Finished(v),
@@ -310,7 +324,8 @@ pub mod sub {
     /// # Panics
     /// Panics if the sub-machine is already done — parents must fold
     /// completed sub-machines out of their state (see [`drive`]).
-    pub fn poll_op(m: &dyn SubMachine) -> crate::op::Op {
+    #[inline]
+    pub fn poll_op<M: SubMachine + ?Sized>(m: &M) -> crate::op::Op {
         match m.poll() {
             SubStep::Op(op) => op,
             SubStep::Done(v) => {
@@ -346,7 +361,7 @@ mod tests {
             self.remaining -= 1;
             self.last = response;
         }
-        fn fingerprint(&self, h: &mut dyn Hasher) {
+        fn fingerprint<H: Hasher + ?Sized>(&self, h: &mut H) {
             h.write_u32(self.remaining);
         }
     }

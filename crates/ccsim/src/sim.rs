@@ -464,8 +464,12 @@ impl Sim {
     /// exit section; stepping one in [`Step::Remainder`] starts a new
     /// passage.
     ///
+    /// Inlined so that a caller which drops the record (the model
+    /// checker) never builds it.
+    ///
     /// # Panics
     /// Panics if `p` is out of range.
+    #[inline]
     pub fn step(&mut self, p: ProcId) -> StepRecord {
         let phase_before = self.phase(p);
         let role = self.role(p);
@@ -949,7 +953,7 @@ impl Sim {
     /// its capacity. Mismatched slots fall back to a fresh
     /// [`Program::clone_box`], so the copy is correct for any `dst`.
     pub fn clone_world_into(&self, dst: &mut Sim) {
-        dst.mem.assign_from(&self.mem);
+        dst.mem.clone_from(&self.mem);
         if dst.procs.len() != self.procs.len() {
             dst.procs = self.procs.iter().map(|p| p.clone_box()).collect();
         } else {

@@ -77,6 +77,7 @@ impl Value {
     ///
     /// # Panics
     /// Panics if the value is not [`Value::Int`].
+    #[inline]
     pub fn expect_int(self) -> i64 {
         match self {
             Value::Int(i) => i,
@@ -88,6 +89,7 @@ impl Value {
     ///
     /// # Panics
     /// Panics if the value is not [`Value::Pair`].
+    #[inline]
     pub fn expect_pair(self) -> (i64, i64) {
         match self {
             Value::Pair(a, b) => (a, b),

@@ -306,7 +306,7 @@ impl SubMachine for AddMachine {
         };
     }
 
-    fn fingerprint(&self, mut h: &mut dyn Hasher) {
+    fn fingerprint<H: Hasher + ?Sized>(&self, mut h: &mut H) {
         // Deliberately index-free: `leaf_heap` is a per-process constant
         // (the handle's leaf), so under the per-process fingerprint salt
         // it carries no information, and hashing it would make sibling
@@ -337,7 +337,7 @@ impl SubMachine for ReadMachine {
         self.done = Some(sum_of(response));
     }
 
-    fn fingerprint(&self, mut h: &mut dyn Hasher) {
+    fn fingerprint<H: Hasher + ?Sized>(&self, mut h: &mut H) {
         self.done.hash(&mut h);
     }
 }

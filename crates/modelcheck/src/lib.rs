@@ -412,7 +412,7 @@ pub struct CheckReport {
     /// Whether the whole state space was exhausted (no cap was hit).
     pub complete: bool,
     /// End-of-run visited-set occupancy ([`VisitedStats`]): distinct
-    /// keys stored and approximate resident bytes of the backing tables.
+    /// keys stored and the exact bytes of the backing tables' slots.
     /// The set only grows, so these are also the peak. **Not** part of
     /// [`CheckReport::counts`]: under [`Symmetry::Quotient`] the entry
     /// count is the number of *orbits*, deliberately smaller than the
@@ -592,8 +592,101 @@ fn state_key_full(sim: &Sim, quota: u64, budgets: Budgets) -> u64 {
     h.finish()
 }
 
+/// The spare worlds an explorer branches into. Popped and deduplicated
+/// worlds come back here, and `clone_world_into` overwrites a spare in
+/// place, so steady-state branching allocates nothing (see
+/// [`Sim::clone_world_into`]). Worlds are boxed, so every move between a
+/// frame, the pool and a child is a pointer move, not a copy of the
+/// `Sim`. Under [`Symmetry::FullRehash`] nothing is kept: that baseline
+/// allocates a fresh world per transition, as the explorer did before
+/// recycling landed, so the speedup measured against it covers the whole
+/// optimization and not just the key function.
+pub(crate) struct WorldPool {
+    // The boxes are the point: `vec_box` assumes the elements stay put,
+    // but spares move to and from frames, and a box moves as a pointer.
+    #[allow(clippy::vec_box)]
+    spares: Vec<Box<Sim>>,
+    recycle: bool,
+}
+
+impl WorldPool {
+    /// An empty pool for an exploration keyed by `symmetry`.
+    pub(crate) fn new(symmetry: Symmetry) -> Self {
+        WorldPool {
+            spares: Vec::new(),
+            recycle: symmetry != Symmetry::FullRehash,
+        }
+    }
+
+    /// A copy of `src`, in a spare world when there is one.
+    #[inline]
+    pub(crate) fn copy_of(&mut self, src: &Sim) -> Box<Sim> {
+        match self.spares.pop() {
+            Some(mut spare) => {
+                src.clone_world_into(&mut spare);
+                spare
+            }
+            None => Box::new(src.clone_world()),
+        }
+    }
+
+    /// The world to apply a frame's next entry to: a copy of the frame's
+    /// world, or for its `last` entry the frame's world itself, with a
+    /// spare left in its place. An exhausted frame's world is never read
+    /// again (schedules come from the frames' entries), so that last
+    /// branch copies nothing.
+    #[inline]
+    pub(crate) fn branch(&mut self, frame: &mut Box<Sim>, last: bool) -> Box<Sim> {
+        if last {
+            if let Some(spare) = self.spares.pop() {
+                return std::mem::replace(frame, spare);
+            }
+        }
+        self.copy_of(frame)
+    }
+
+    /// Take back a world that no frame holds any more.
+    #[inline]
+    pub(crate) fn recycle(&mut self, sim: Box<Sim>) {
+        if self.recycle {
+            self.spares.push(sim);
+        }
+    }
+}
+
+/// Probe one configuration for [`explore_with`] and the parallel
+/// explorer's counterexample search: Mutual Exclusion first, then
+/// `invariant`. On a failure, `schedule` rebuilds the entries that reach
+/// `sim` from the root (empty for the root itself).
+#[inline]
+pub(crate) fn check_config<I>(
+    sim: &Sim,
+    invariant: &I,
+    schedule: impl FnOnce() -> Vec<SchedEntry>,
+) -> Result<(), CheckError>
+where
+    I: Fn(&Sim) -> Result<(), String> + ?Sized,
+{
+    if let Err(violation) = sim.check_mutual_exclusion() {
+        return Err(CheckError::MutualExclusion {
+            schedule: schedule(),
+            violation,
+            fingerprint: sim.fingerprint(),
+        });
+    }
+    if let Err(message) = invariant(sim) {
+        return Err(CheckError::Invariant {
+            schedule: schedule(),
+            message,
+            fingerprint: sim.fingerprint(),
+        });
+    }
+    Ok(())
+}
+
 /// Exhaustively explore every interleaving of the world produced by
-/// `factory`, checking Mutual Exclusion in every reachable configuration.
+/// `factory`, checking Mutual Exclusion in every reachable configuration
+/// (the initial one included).
 /// With [`CheckConfig::crash_budget`] > 0 the explored interleavings
 /// include crash events.
 ///
@@ -605,7 +698,7 @@ pub fn explore(factory: impl Fn() -> Sim, cfg: &CheckConfig) -> Result<CheckRepo
 }
 
 /// Like [`explore`], additionally checking `invariant` in every reachable
-/// configuration.
+/// configuration (the initial one included).
 ///
 /// # Errors
 /// Returns the violating schedule on a Mutual Exclusion or invariant
@@ -618,9 +711,11 @@ pub fn explore_with(
     /// A suspended configuration. Its candidate entries live in the
     /// shared arena at `[next, eend)` (`estart` marks where they began,
     /// for truncation on pop) — frames own index ranges, not `Vec`s, so
-    /// expanding a state allocates nothing once the arena is warm.
+    /// expanding a state allocates nothing once the arena is warm. The
+    /// world is held by handle, so pushing, popping and recycling a
+    /// frame moves a pointer, not the `Sim`.
     struct Frame {
-        sim: Sim,
+        sim: Box<Sim>,
         estart: usize,
         next: usize,
         eend: usize,
@@ -638,9 +733,9 @@ pub fn explore_with(
         sched
     }
 
-    let root = factory();
+    let root = Box::new(factory());
+    check_config(&root, &invariant, Vec::new)?;
     let quota = cfg.passages_per_proc;
-    let full = cfg.symmetry == Symmetry::FullRehash;
     let root_budgets = Budgets::of(cfg);
     let mut visited = visited::Visited::new(cfg.symmetry);
     let mut vscratch: Vec<u64> = Vec::new();
@@ -672,24 +767,13 @@ pub fn explore_with(
         budgets: root_budgets,
     }];
 
-    // Popped and deduplicated worlds are recycled through this pool:
-    // `clone_world_into` overwrites a spare world in place, so steady-state
-    // branching allocates nothing (see `Sim::clone_world_into`). A frame's
-    // last entry copies nothing at all: it steps the frame's own world and
-    // leaves a spare in its place, since an exhausted frame's world is
-    // never read again (schedules come from `chosen`). The
-    // `Symmetry::FullRehash` baseline keeps the pre-optimization
-    // discipline — a fresh allocation per transition — so the measured
-    // speedup reflects the whole optimization, not just the key function.
-    let mut pool: Vec<Sim> = Vec::new();
+    let mut pool = WorldPool::new(cfg.symmetry);
 
     while let Some(top) = stack.last_mut() {
         if top.next >= top.eend {
             arena.truncate(top.estart);
             if let Some(frame) = stack.pop() {
-                if !full {
-                    pool.push(frame.sim);
-                }
+                pool.recycle(frame.sim);
             }
             continue;
         }
@@ -697,37 +781,15 @@ pub fn explore_with(
         top.next += 1;
         let budgets = top.budgets.after(entry);
 
-        let mut child = match pool.pop() {
-            Some(spare) if top.next == top.eend => std::mem::replace(&mut top.sim, spare),
-            Some(mut spare) => {
-                top.sim.clone_world_into(&mut spare);
-                spare
-            }
-            None => top.sim.clone_world(),
-        };
+        let mut child = pool.branch(&mut top.sim, top.next == top.eend);
         entry.apply(&mut child);
         report.transitions += 1;
         report.crash_transitions += entry.is_crash() as u64;
 
-        if let Err(violation) = child.check_mutual_exclusion() {
-            return Err(CheckError::MutualExclusion {
-                schedule: schedule_of(&stack, entry),
-                violation,
-                fingerprint: child.fingerprint(),
-            });
-        }
-        if let Err(message) = invariant(&child) {
-            return Err(CheckError::Invariant {
-                schedule: schedule_of(&stack, entry),
-                message,
-                fingerprint: child.fingerprint(),
-            });
-        }
+        check_config(&child, &invariant, || schedule_of(&stack, entry))?;
 
         if !visited.insert_mut(&child, quota, budgets, &mut vscratch) {
-            if !full {
-                pool.push(child);
-            }
+            pool.recycle(child);
             continue; // rejoined a known configuration
         }
         report.states_explored += 1;
@@ -735,9 +797,7 @@ pub fn explore_with(
 
         if report.states_explored >= cfg.max_states || stack.len() >= cfg.max_depth {
             report.complete = false;
-            if !full {
-                pool.push(child);
-            }
+            pool.recycle(child);
             continue; // stop deepening; keep scanning siblings
         }
 
@@ -745,9 +805,7 @@ pub fn explore_with(
         push_entries(&child, quota, budgets, cfg.crash_in_cs, &mut arena);
         if arena.len() == estart {
             report.terminal_states += 1;
-            if !full {
-                pool.push(child);
-            }
+            pool.recycle(child);
             continue;
         }
         stack.push(Frame {
@@ -986,6 +1044,38 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, CheckError::Invariant { .. }));
         assert!(!err.schedule().is_empty());
+    }
+
+    #[test]
+    fn both_explorers_check_the_root_configuration() {
+        // An invariant that rejects every configuration fails at the
+        // root, before any entry is taken — whether the root has no
+        // successors (quota 0) or some (quota 1).
+        let factory = || wmutex::mutex_world(2, Protocol::WriteBack);
+        let reject = |_: &Sim| -> Result<(), String> { Err("rejected".into()) };
+        for quota in [0u64, 1] {
+            let cfg = CheckConfig {
+                passages_per_proc: quota,
+                ..Default::default()
+            };
+            let errs = [
+                explore_with(factory, &cfg, reject).unwrap_err(),
+                explore_par_with(factory, &cfg, 1, reject).unwrap_err(),
+                explore_par_with(factory, &cfg, 2, reject).unwrap_err(),
+            ];
+            for err in errs {
+                assert!(
+                    matches!(err, CheckError::Invariant { .. }),
+                    "quota {quota}: {err}"
+                );
+                assert_eq!(err.schedule(), &[], "quota {quota}: {err}");
+                assert_eq!(
+                    replay(factory, &[]).fingerprint(),
+                    err.fingerprint(),
+                    "quota {quota}: the reported fingerprint is the root's"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! ## Architecture
 //!
 //! The unit of work is a **batched frame** ([`Job`]): a configuration
-//! (an owned [`Sim`]), the schedule prefix that reaches it, and a batch
+//! (an owned, boxed [`Sim`]), the schedule prefix that reaches it, and a batch
 //! of candidate entries still to branch on from there. Workers run the
 //! same arena-based DFS as the sequential explorer over their job; when
 //! the shared queue runs low, a worker *donates* the bottom-most
@@ -39,7 +39,10 @@
 //! Shrink/replay artifacts built from it are therefore reproducible.
 
 use crate::visited::{KeySet, Visited};
-use crate::{push_entries, Budgets, CheckConfig, CheckError, CheckReport, SchedEntry, Symmetry};
+use crate::{
+    check_config, push_entries, Budgets, CheckConfig, CheckError, CheckReport, SchedEntry,
+    WorldPool,
+};
 use ccsim::Sim;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -53,7 +56,7 @@ const DONATE_COOLDOWN: u32 = 32;
 /// A batched frame: one configuration plus the branch entries a worker
 /// should explore from it.
 struct Job {
-    sim: Sim,
+    sim: Box<Sim>,
     /// Schedule from the root to `sim` (for depth accounting and for
     /// labelling donations; violations never use it — see module docs).
     prefix: Vec<SchedEntry>,
@@ -78,9 +81,6 @@ struct Shared<'a> {
     workers: usize,
     /// The visited set, keyed by [`CheckConfig::symmetry`].
     visited: &'a Visited,
-    /// `cfg.symmetry == Symmetry::FullRehash`, cached: the baseline also
-    /// disables the world-recycling pool.
-    full: bool,
     queue: Mutex<VecDeque<Job>>,
     ready: Condvar,
     /// Jobs queued or currently being processed. Strictly positive while
@@ -151,9 +151,10 @@ impl Shared<'_> {
 }
 
 /// A worker-local DFS frame; identical discipline to the sequential
-/// explorer (entries live in a shared arena, truncated on pop).
+/// explorer (entries live in a shared arena, truncated on pop, and the
+/// world is held by handle).
 struct WFrame {
-    sim: Sim,
+    sim: Box<Sim>,
     estart: usize,
     next: usize,
     eend: usize,
@@ -164,12 +165,15 @@ struct WFrame {
 /// Donate the bottom-most unexplored slice of the stack as a job, if
 /// any. Bottom frames hold the largest subtrees, so one donation moves a
 /// big chunk of work; the donor keeps one entry when the only spare work
-/// is on its top frame. Returns false if nothing was donatable.
+/// is on its top frame. The donated world is copied into a spare from the
+/// donor's pool when it has one; the receiver recycles it into its own
+/// pool when the job ends. Returns false if nothing was donatable.
 fn donate(
     sh: &Shared<'_>,
     prefix: &[SchedEntry],
     stack: &mut [WFrame],
     arena: &[SchedEntry],
+    pool: &mut WorldPool,
 ) -> bool {
     let Some(i) = stack.iter().position(|f| f.next < f.eend) else {
         return false;
@@ -191,7 +195,7 @@ fn donate(
             .expect("non-root frames always record their producing entry")
     }));
     let job = Job {
-        sim: stack[i].sim.clone_world(),
+        sim: pool.copy_of(&stack[i].sim),
         prefix: jp,
         entries: arena[dstart..dend].to_vec(),
         budgets: stack[i].budgets,
@@ -208,7 +212,7 @@ fn run_job(
     sh: &Shared<'_>,
     job: Job,
     arena: &mut Vec<SchedEntry>,
-    pool: &mut Vec<Sim>,
+    pool: &mut WorldPool,
     vscratch: &mut Vec<u64>,
     invariant: &(dyn Fn(&Sim) -> Result<(), String> + Sync),
     part: &mut Partial,
@@ -238,7 +242,7 @@ fn run_job(
         if cooldown > 0 {
             cooldown -= 1;
         } else if sh.qlen.load(Ordering::Relaxed) < sh.workers
-            && !donate(sh, &prefix, &mut stack, arena)
+            && !donate(sh, &prefix, &mut stack, arena, pool)
         {
             cooldown = DONATE_COOLDOWN;
         }
@@ -247,9 +251,7 @@ fn run_job(
         if top.next >= top.eend {
             arena.truncate(top.estart);
             if let Some(frame) = stack.pop() {
-                if !sh.full {
-                    pool.push(frame.sim);
-                }
+                pool.recycle(frame.sim);
             }
             continue;
         }
@@ -257,23 +259,10 @@ fn run_job(
         top.next += 1;
         let budgets = top.budgets.after(entry);
 
-        // Recycle worlds through the worker-local pool: in steady state
-        // branching a configuration is an in-place copy, not a fresh
-        // allocation (see `Sim::clone_world_into`), and a frame's last
-        // entry steps the frame's own world, leaving a spare in its place
-        // (`donate` only hands out frames with entries left, so nothing
-        // reads an exhausted frame's world). In the
-        // `Symmetry::FullRehash` baseline the pool stays empty (nothing
-        // is ever recycled into it), preserving the pre-optimization
-        // allocation-per-transition behaviour the bench measures against.
-        let mut child = match pool.pop() {
-            Some(spare) if top.next == top.eend => std::mem::replace(&mut top.sim, spare),
-            Some(mut spare) => {
-                top.sim.clone_world_into(&mut spare);
-                spare
-            }
-            None => top.sim.clone_world(),
-        };
+        // Branch through the worker-local pool (see `WorldPool`);
+        // `donate` only hands out frames with entries left, so nothing
+        // reads the exhausted frame whose world a last branch takes.
+        let mut child = pool.branch(&mut top.sim, top.next == top.eend);
         entry.apply(&mut child);
         part.transitions += 1;
         part.crash_transitions += entry.is_crash() as u64;
@@ -286,9 +275,7 @@ fn run_job(
         }
 
         if !sh.visited.insert(&child, sh.quota, budgets, vscratch) {
-            if !sh.full {
-                pool.push(child);
-            }
+            pool.recycle(child);
             continue; // rejoined a known configuration
         }
         part.states += 1;
@@ -298,9 +285,7 @@ fn run_job(
         let total = sh.states.fetch_add(1, Ordering::Relaxed) + 1;
         if total >= sh.cfg.max_states || depth >= sh.cfg.max_depth {
             sh.capped.store(true, Ordering::Relaxed);
-            if !sh.full {
-                pool.push(child);
-            }
+            pool.recycle(child);
             continue; // stop deepening; keep scanning siblings
         }
 
@@ -308,9 +293,7 @@ fn run_job(
         push_entries(&child, sh.quota, budgets, sh.cfg.crash_in_cs, arena);
         if arena.len() == estart {
             part.terminal += 1;
-            if !sh.full {
-                pool.push(child);
-            }
+            pool.recycle(child);
             continue;
         }
         stack.push(WFrame {
@@ -328,7 +311,7 @@ fn run_job(
 fn worker(sh: &Shared<'_>, invariant: &(dyn Fn(&Sim) -> Result<(), String> + Sync)) -> Partial {
     let mut part = Partial::default();
     let mut arena: Vec<SchedEntry> = Vec::new();
-    let mut pool: Vec<Sim> = Vec::new();
+    let mut pool = WorldPool::new(sh.cfg.symmetry);
     let mut vscratch: Vec<u64> = Vec::new();
     while let Some(job) = sh.next_job() {
         run_job(
@@ -357,7 +340,8 @@ fn worker(sh: &Shared<'_>, invariant: &(dyn Fn(&Sim) -> Result<(), String> + Syn
 /// Called only after a worker has actually observed a violation, so the
 /// search is guaranteed to find one (any violating transition's source
 /// is reachable, and breadth-first dedup never closes the frontier
-/// before exhausting reachable depths).
+/// before exhausting reachable depths). The root is probed first, so a
+/// violating initial configuration comes back with the empty schedule.
 fn min_violation(
     factory: &impl Fn() -> Sim,
     cfg: &CheckConfig,
@@ -365,6 +349,9 @@ fn min_violation(
 ) -> CheckError {
     let quota = cfg.passages_per_proc;
     let root = factory();
+    if let Err(e) = check_config(&root, invariant, Vec::new) {
+        return e;
+    }
     let root_budgets = Budgets::of(cfg);
     // BFS-local dedup, but through the *configured* key function: under
     // Symmetry::Quotient each orbit is expanded once here too, and the
@@ -391,19 +378,8 @@ fn min_violation(
                 let mut sched = Vec::with_capacity(prefix.len() + 1);
                 sched.extend_from_slice(prefix);
                 sched.push(entry);
-                if let Err(violation) = child.check_mutual_exclusion() {
-                    return CheckError::MutualExclusion {
-                        schedule: sched,
-                        violation,
-                        fingerprint: child.fingerprint(),
-                    };
-                }
-                if let Err(message) = invariant(&child) {
-                    return CheckError::Invariant {
-                        schedule: sched,
-                        message,
-                        fingerprint: child.fingerprint(),
-                    };
+                if let Err(e) = check_config(&child, invariant, || sched.clone()) {
+                    return e;
                 }
                 if visited.insert(keys.key(&child, quota, nb, &mut vscratch))
                     && sched.len() < cfg.max_depth
@@ -422,7 +398,7 @@ fn min_violation(
 
 /// Parallel [`crate::explore`]: explore every interleaving with `workers`
 /// threads (0 = one per available core), checking Mutual Exclusion in
-/// every reachable configuration.
+/// every reachable configuration (the initial one included).
 ///
 /// On a complete run the report's [`CheckReport::counts`] are identical
 /// to the sequential explorer's for any worker count. A violation is
@@ -462,7 +438,8 @@ pub fn explore_par_with(
         workers
     };
 
-    let root = factory();
+    let root = Box::new(factory());
+    check_config(&root, &invariant, Vec::new)?;
     let quota = cfg.passages_per_proc;
     let root_budgets = Budgets::of(cfg);
     let visited = Visited::new(cfg.symmetry);
@@ -471,7 +448,6 @@ pub fn explore_par_with(
         quota,
         workers,
         visited: &visited,
-        full: cfg.symmetry == Symmetry::FullRehash,
         queue: Mutex::new(VecDeque::new()),
         ready: Condvar::new(),
         pending: AtomicUsize::new(0),

@@ -207,7 +207,7 @@ impl SubMachine for GroupAddMachine {
         }
     }
 
-    fn fingerprint(&self, mut h: &mut dyn Hasher) {
+    fn fingerprint<H: Hasher + ?Sized>(&self, mut h: &mut H) {
         match self {
             GroupAddMachine::FArray(m) => {
                 0u8.hash(&mut h);
@@ -257,7 +257,7 @@ impl SubMachine for GroupReadMachine {
         }
     }
 
-    fn fingerprint(&self, mut h: &mut dyn Hasher) {
+    fn fingerprint<H: Hasher + ?Sized>(&self, mut h: &mut H) {
         match self {
             GroupReadMachine::FArray(m) => {
                 0u8.hash(&mut h);

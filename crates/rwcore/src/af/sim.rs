@@ -7,7 +7,7 @@ use crate::af::counters::{GroupAddMachine, GroupHandle, GroupReadMachine};
 use crate::af::shared::{AfShared, HelpOrder};
 use crate::config::GroupSlot;
 use crate::sig::{Opcode, Signal};
-use ccsim::{sub, Op, Phase, Program, Role, Step, SubMachine, SubStep, Value, VarId};
+use ccsim::{sub, FxHasher, Op, Phase, Program, Role, Step, SubMachine, SubStep, Value, VarId};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -19,14 +19,14 @@ fn signal_of(v: Value) -> Signal {
 /// counters and, if they are equal, CAS `WSIG[i]` from `<seq, WAIT>` to
 /// `<seq, CS>`. The counter read order is configured by
 /// [`HelpOrder`] — see the reproduction note there.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct HelpWcsMachine {
     wsig: VarId,
     seq: i64,
     pc: HelpPc,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 enum HelpPc {
     /// Reading the first counter; the second counter's read machine is
     /// held ready.
@@ -96,7 +96,7 @@ impl SubMachine for HelpWcsMachine {
         };
     }
 
-    fn fingerprint(&self, mut h: &mut dyn Hasher) {
+    fn fingerprint<H: Hasher + ?Sized>(&self, mut h: &mut H) {
         match &self.pc {
             HelpPc::First { m, .. } => {
                 0u8.hash(&mut h);
@@ -115,7 +115,7 @@ impl SubMachine for HelpWcsMachine {
 }
 
 /// Program counter of a simulated reader (the paper's line numbers).
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 enum RPc {
     /// Line 29/30: in the remainder section.
     Remainder,
@@ -193,7 +193,8 @@ pub struct AfReaderSim {
 /// Manual `Clone` so `clone_from` (the model checker's recycling-pool hot
 /// path, see [`ccsim::Sim::clone_world_into`]) skips the `Arc` refcount
 /// round-trip when source and destination already share the same world —
-/// which the pool guarantees — leaving a plain field copy.
+/// which the pool guarantees — leaving a plain field copy (the pc is
+/// `Copy`, nested machines included).
 impl Clone for AfReaderSim {
     fn clone(&self) -> Self {
         AfReaderSim {
@@ -202,7 +203,7 @@ impl Clone for AfReaderSim {
             slot: self.slot,
             c_handle: self.c_handle,
             w_handle: self.w_handle,
-            pc: self.pc.clone(),
+            pc: self.pc,
             recover: self.recover,
         }
     }
@@ -215,7 +216,7 @@ impl Clone for AfReaderSim {
         self.slot = src.slot;
         self.c_handle = src.c_handle;
         self.w_handle = src.w_handle;
-        self.pc = src.pc.clone();
+        self.pc = src.pc;
         self.recover = src.recover;
     }
 }
@@ -482,7 +483,22 @@ impl Program for AfReaderSim {
         Box::new(self.clone())
     }
 
-    fn fingerprint(&self, mut h: &mut dyn Hasher) {
+    fn fingerprint(&self, h: &mut dyn Hasher) {
+        self.hash_state(h);
+    }
+
+    fn fingerprint64(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.hash_state(&mut h);
+        h.finish()
+    }
+}
+
+impl AfReaderSim {
+    /// All local state, hashed into `h`: the one body behind both
+    /// [`Program::fingerprint`] and the statically dispatched
+    /// [`Program::fingerprint64`], so the two cannot drift apart.
+    fn hash_state<H: Hasher + ?Sized>(&self, mut h: &mut H) {
         self.pc.discriminant().hash(&mut h);
         self.recover.hash(&mut h);
         self.c_handle.mirror().hash(&mut h);
@@ -514,7 +530,7 @@ impl Program for AfReaderSim {
 }
 
 /// Program counter of a simulated writer (the paper's line numbers).
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 enum WPc {
     Remainder,
     /// Line 6: `WL.Enter()`.
@@ -650,7 +666,7 @@ impl Clone for AfWriterSim {
         AfWriterSim {
             shared: Arc::clone(&self.shared),
             id: self.id,
-            pc: self.pc.clone(),
+            pc: self.pc,
             recover: self.recover,
             burn_epoch: self.burn_epoch,
         }
@@ -661,7 +677,7 @@ impl Clone for AfWriterSim {
             self.shared = Arc::clone(&src.shared);
         }
         self.id = src.id;
-        self.pc = src.pc.clone();
+        self.pc = src.pc;
         self.recover = src.recover;
         self.burn_epoch = src.burn_epoch;
     }
@@ -950,7 +966,21 @@ impl Program for AfWriterSim {
         Box::new(self.clone())
     }
 
-    fn fingerprint(&self, mut h: &mut dyn Hasher) {
+    fn fingerprint(&self, h: &mut dyn Hasher) {
+        self.hash_state(h);
+    }
+
+    fn fingerprint64(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.hash_state(&mut h);
+        h.finish()
+    }
+}
+
+impl AfWriterSim {
+    /// All local state, hashed into `h`; see [`AfReaderSim`]'s
+    /// `hash_state`.
+    fn hash_state<H: Hasher + ?Sized>(&self, mut h: &mut H) {
         self.pc.discriminant().hash(&mut h);
         self.recover.hash(&mut h);
         match &self.pc {

@@ -213,7 +213,7 @@ impl SubMachine for EnterMachine {
         };
     }
 
-    fn fingerprint(&self, mut h: &mut dyn Hasher) {
+    fn fingerprint<H: Hasher + ?Sized>(&self, mut h: &mut H) {
         self.pc.hash(&mut h);
     }
 }
@@ -275,7 +275,7 @@ impl SubMachine for ExitMachine {
         };
     }
 
-    fn fingerprint(&self, mut h: &mut dyn Hasher) {
+    fn fingerprint<H: Hasher + ?Sized>(&self, mut h: &mut H) {
         self.pc.hash(&mut h);
     }
 }

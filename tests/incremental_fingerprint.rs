@@ -7,6 +7,8 @@
 //! release, where those debug asserts compile out).
 
 use rwlock_repro::*;
+use std::collections::HashMap;
+use std::hash::Hasher;
 
 fn seed_offset() -> u64 {
     ccsim::env::read_strict_uint("RANDOMIZED_SEED", true).unwrap_or(0)
@@ -101,17 +103,18 @@ fn fingerprint_is_deterministic_across_replays() {
     assert_eq!(replayed.fingerprint(), replayed.fingerprint_full());
 }
 
-/// The phase and role [`Sim`] caches per process must match the program
-/// after every event. Every registered sim twin is walked through a
-/// seeded mix of steps and the fault events its world model supports
-/// (crashes, system-wide crashes, abort requests), and every process is
-/// checked after each one.
-#[test]
-fn registry_walks_keep_cached_phase_and_role_exact() {
-    let mut gen = Prng::new(0x0f19_ca5e + seed_offset());
+/// Walk every registered sim twin through a seeded mix of steps and the
+/// fault events its world model supports (crashes, system-wide crashes,
+/// abort requests), calling `check(walk, at, sim)` after every event,
+/// where `walk` numbers the walks (one per lock instance) and `at()`
+/// names the lock, the instance and the event.
+fn walk_registry(seed: u64, mut check: impl FnMut(usize, &dyn Fn() -> String, &Sim)) {
+    let mut gen = Prng::new(seed + seed_offset());
+    let mut walk = 0;
     for (id, lock) in LockRegistry::builtin().sim_entries() {
         let faults = lock.fault_support();
         for inst in lock.instances() {
+            walk += 1;
             let mut sim = lock.build(&inst, Protocol::WriteBack);
             let mut rng = Prng::new(gen.next_u64());
             for i in 0..400 {
@@ -123,13 +126,69 @@ fn registry_walks_keep_cached_phase_and_role_exact() {
                     _ => SchedEntry::Step(p),
                 };
                 event.apply(&mut sim);
-                for q in sim.proc_ids() {
-                    let program = sim.program(q);
-                    let at = || format!("{id} {}: {q} after event {i} ({event})", inst.label);
-                    assert_eq!(sim.phase(q), program.phase(), "{}: phase", at());
-                    assert_eq!(sim.role(q), program.role(), "{}: role", at());
-                }
+                check(
+                    walk,
+                    &|| format!("{id} {}: event {i} ({event})", inst.label),
+                    &sim,
+                );
             }
         }
     }
+}
+
+/// The phase and role [`Sim`] caches per process must match the program
+/// after every event of the registry walk, for every process.
+#[test]
+fn registry_walks_keep_cached_phase_and_role_exact() {
+    walk_registry(0x0f19_ca5e, |_, at, sim| {
+        for q in sim.proc_ids() {
+            let program = sim.program(q);
+            assert_eq!(sim.phase(q), program.phase(), "{}, {q}: phase", at());
+            assert_eq!(sim.role(q), program.role(), "{}, {q}: role", at());
+        }
+    });
+}
+
+/// [`Program::fingerprint64`] must depend on exactly the state
+/// [`Program::fingerprint`] hashes. Along the registry walk, each
+/// process's `fingerprint64` values and the FxHash digests of its
+/// `fingerprint` must pair up one to one: a `fingerprint64` value seen
+/// with two `fingerprint` digests means `fingerprint64` dropped a field
+/// (it aliases distinct states and would truncate model checking), and
+/// the converse means it hashes state `fingerprint` leaves out. This
+/// covers the default digest, the shared `hash_state` body of the `A_f`
+/// machines and `wmutex`'s hand-packed encoding alike.
+#[test]
+fn registry_walks_keep_both_digests_in_bijection() {
+    // Per walk and process: fingerprint64 -> fingerprint digest, and back.
+    let mut forward: HashMap<(usize, ProcId, u64), u64> = HashMap::new();
+    let mut backward: HashMap<(usize, ProcId, u64), u64> = HashMap::new();
+    walk_registry(0x0f19_d16e, |walk, at, sim| {
+        for q in sim.proc_ids() {
+            let program = sim.program(q);
+            let fast = program.fingerprint64();
+            let mut h = ccsim::FxHasher::default();
+            program.fingerprint(&mut h);
+            let full = h.finish();
+            let seen = *forward.entry((walk, q, fast)).or_insert(full);
+            assert_eq!(
+                seen,
+                full,
+                "{}, {q}: fingerprint64 {fast:#x} merges two states fingerprint tells apart",
+                at()
+            );
+            let seen = *backward.entry((walk, q, full)).or_insert(fast);
+            assert_eq!(
+                seen,
+                fast,
+                "{}, {q}: fingerprint64 splits one state fingerprint hashes as {full:#x}",
+                at()
+            );
+        }
+    });
+    assert!(
+        forward.len() > 500,
+        "the walks visited only {} process states",
+        forward.len()
+    );
 }
