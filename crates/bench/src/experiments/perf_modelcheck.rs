@@ -49,13 +49,13 @@ const N3_TWO_CRASH_ORBITS: u64 = 1_588_408;
 /// orbits).
 const NEWLY_FEASIBLE_STATE_FLOOR: u64 = 10_000_000;
 
-/// Wall-clock ceiling for the n=4 lane (measured ~116s on a single
-/// core; the ceiling leaves headroom for slower hosts, not for
-/// regressions of kind).
+/// Wall-clock ceiling for the n=4 lane (measured 48.9 s with one
+/// worker and 30–31 s with two on a 2-CPU host; the ceiling leaves
+/// headroom for slower hosts, not for regressions of kind).
 const NEWLY_FEASIBLE_WALL_CEILING_SECS: f64 = 600.0;
 
 /// Resident-byte ceiling for the n=4 lane's visited store (measured
-/// 264,241,152 B = 13.5 B/orbit under quotient × hash).
+/// 268,435,456 B = 13.7 B/orbit: 64 flat tables of 2^19 8-byte slots).
 const NEWLY_FEASIBLE_RESIDENT_CEILING: u64 = 384 * 1024 * 1024;
 
 fn af_factory(crash_budget: u32) -> (impl Fn() -> ccsim::Sim + Sync, CheckConfig) {

@@ -287,6 +287,13 @@ impl Memory {
         self.vals_fp
     }
 
+    /// Variable `v`'s current term of [`Memory::values_fingerprint`].
+    /// XOR-ing it out of the maintained hash removes `v` from it, which
+    /// is how the symmetry-quotient key drops class-owned slots.
+    pub(crate) fn slot_signature(&self, v: VarId) -> u64 {
+        slot_sig(v.0, &self.values[v.0])
+    }
+
     /// Recompute [`Memory::values_fingerprint`] from scratch. Used as the
     /// debug-assert oracle for the maintained hash (and by tests).
     pub fn values_fingerprint_full(&self) -> u64 {

@@ -177,13 +177,14 @@ pub trait Program: Send {
     /// * **Concrete** ([`crate::Sim::fingerprint`]) — the digest is fed
     ///   through a process-index-seeded hash, so it may freely encode
     ///   process ids or absolute variable ids.
-    /// * **Canonical** ([`crate::Sim::canonical_vec`]) — for processes
-    ///   declared interchangeable in a [`crate::SymmetryClass`], the
-    ///   digest enters **index-free** into a member bundle that is sorted
-    ///   against the other members' bundles; it must then be identical
-    ///   for any two members in swapped local states (no process ids, no
-    ///   member-distinguishing variable ids — member-owned values are
-    ///   instead canonicalized via the class's owned slices).
+    /// * **Canonical** ([`crate::Sim::fingerprint_canonical_annotated`])
+    ///   — for processes declared interchangeable in a
+    ///   [`crate::SymmetryClass`], the digest enters **index-free** into
+    ///   a member word that is sorted against the other members' words;
+    ///   it must then be identical for any two members in swapped local
+    ///   states (no process ids, no member-distinguishing variable ids —
+    ///   member-owned values are instead canonicalized via the class's
+    ///   owned slices).
     /// * In the concrete mode the digest is only ever mixed through a
     ///   hasher's multiply, never bare-XORed with index or slot terms:
     ///   digests of the `mix64` family would otherwise cancel pairwise

@@ -37,36 +37,42 @@ fn proc_sig(i: usize, digest: u64) -> u64 {
     h.finish()
 }
 
-/// Append the tag-prefixed prefix-code encoding of `v` to `out` (the
-/// unit of [`Sim::canonical_vec`]'s serialization). The tag determines
-/// how many words follow, so concatenations parse unambiguously. When
-/// the value sits in a class member's owned slot, a [`Value::Proc`]
-/// reference to the owner itself is canonicalized to a dedicated tag:
-/// "this slot names its own owner" is the index-free fact, whichever
-/// concrete process that is.
-fn encode_value(v: Value, owner: Option<ProcId>, out: &mut Vec<u64>) {
+/// Emit the tag-prefixed prefix-code encoding of `v` one word at a time
+/// (the unit of [`Sim::canonical_vec`]'s serialization and of the
+/// member words [`Sim::fingerprint_canonical_annotated`] hashes). The
+/// tag determines how many words follow, so concatenations parse
+/// unambiguously. When the value sits in a class member's owned slot, a
+/// [`Value::Proc`] reference to the owner itself is canonicalized to a
+/// dedicated tag: "this slot names its own owner" is the index-free
+/// fact, whichever concrete process that is.
+fn encode_value(v: Value, owner: Option<ProcId>, mut emit: impl FnMut(u64)) {
     match v {
-        Value::Nil => out.push(0),
+        Value::Nil => emit(0),
         Value::Int(i) => {
-            out.push(1);
-            out.push(i as u64);
+            emit(1);
+            emit(i as u64);
         }
         Value::Pair(a, b) => {
-            out.push(2);
-            out.push(a as u64);
-            out.push(b as u64);
+            emit(2);
+            emit(a as u64);
+            emit(b as u64);
         }
-        Value::Proc(q) if owner == Some(q) => out.push(3),
+        Value::Proc(q) if owner == Some(q) => emit(3),
         Value::Proc(q) => {
-            out.push(4);
-            out.push(q.0 as u64);
+            emit(4);
+            emit(q.0 as u64);
         }
         Value::Bool(b) => {
-            out.push(5);
-            out.push(b as u64);
+            emit(5);
+            emit(b as u64);
         }
     }
 }
+
+/// Classes up to this size sort their member words in a stack array in
+/// [`Sim::fingerprint_canonical_annotated`]; larger ones (far beyond
+/// what exhaustive exploration reaches) sort in a heap buffer.
+const INLINE_CLASS: usize = 16;
 
 /// A set of processes declared interchangeable for the symmetry-quotient
 /// canonical fingerprint: permuting the *local states* of the members
@@ -146,8 +152,8 @@ impl SymmetryClass {
 struct SymmetryDecl {
     classes: Vec<SymmetryClass>,
     /// `owned_mask[v]` — variable `v` appears in some class member's
-    /// owned slice (lets the canonical serialization skip owned slots in
-    /// O(1) per variable).
+    /// owned slice (lets the canonical vector skip owned slots in O(1)
+    /// per variable).
     owned_mask: Vec<bool>,
     /// `class_member[p]` — process `p` belongs to some declared class.
     class_member: Vec<bool>,
@@ -297,9 +303,10 @@ pub struct Sim {
     /// The XOR of every slot's [`proc_sig`].
     procs_fp: u64,
     /// Interchangeable-process classes declared by the world builder via
-    /// [`Sim::declare_symmetry`]; consulted only by the canonical
-    /// vector ([`Sim::canonical_vec`]), never by stepping. Shared by
-    /// every world branched from this one.
+    /// [`Sim::declare_symmetry`]; consulted only by the canonical key
+    /// ([`Sim::fingerprint_canonical_annotated`]) and its oracle
+    /// ([`Sim::canonical_vec`]), never by stepping. Shared by every
+    /// world branched from this one.
     symmetry: Arc<SymmetryDecl>,
     trace: Option<Trace>,
     steps: u64,
@@ -749,10 +756,10 @@ impl Sim {
 
     /// Declare the interchangeable-process classes of this world.
     /// Replaces any previous declaration. Stepping and the concrete
-    /// [`Sim::fingerprint`] are unaffected; only [`Sim::canonical_vec`]
-    /// (and the model checker's quotient state key and
-    /// [`Sim::fingerprint_canonical`], both built on it) consult the
-    /// classes.
+    /// [`Sim::fingerprint`] are unaffected; only the canonical key
+    /// ([`Sim::fingerprint_canonical_annotated`], which the model
+    /// checker's quotient state key is built on) and its oracle
+    /// [`Sim::canonical_vec`] consult the classes.
     ///
     /// # Panics
     /// Panics loudly on a malformed declaration: a class with fewer than
@@ -812,33 +819,102 @@ impl Sim {
         &self.symmetry.classes
     }
 
-    /// The symmetry-quotient canonical fingerprint: a 64-bit hash of
-    /// [`Sim::canonical_vec`], so it is equal for any two configurations
-    /// that differ only by permuting the members of a declared
-    /// [`SymmetryClass`] (local states and owned variable values swapped
-    /// together). With no classes declared the vector is positional and
-    /// the partition is the concrete one.
+    /// The symmetry-quotient canonical fingerprint:
+    /// [`Sim::fingerprint_canonical_annotated`] with every annotation
+    /// word zero. Equal for any two configurations that differ only by
+    /// permuting the members of a declared [`SymmetryClass`] (local
+    /// states and owned variable values swapped together). With no
+    /// classes declared the partition is the concrete one.
     ///
     /// This is intentionally *coarser* than [`Sim::fingerprint`] and must
     /// only be used for visited-set deduplication in worlds whose
     /// declared classes are genuine automorphisms; it is never an
     /// identity oracle.
     pub fn fingerprint_canonical(&self) -> u64 {
+        self.fingerprint_canonical_annotated(|_| 0)
+    }
+
+    /// The symmetry-quotient state key: a 64-bit hash that partitions
+    /// configurations exactly as [`Sim::canonical_vec_annotated`] does
+    /// (up to 64-bit collisions), computed without building the vector
+    /// and without allocating for classes of up to 16 members. Three
+    /// parts, in order:
+    ///
+    /// 1. the shared values outside the class-owned slots: the maintained
+    ///    [`Memory::values_fingerprint`] with each owned slot's Zobrist
+    ///    term XOR-ed out (O(owned variables), nothing for classes that
+    ///    own none);
+    /// 2. every process outside the declared classes, in slot order: its
+    ///    cached digest and its annotation word;
+    /// 3. per declared class, in declaration order: the member count,
+    ///    then one full-avalanche word per member — digest, annotation,
+    ///    owned values by slice position with [`Value::Proc`]
+    ///    self-references canonicalized — in sorted order. Sorting, not
+    ///    an XOR fold, erases which member holds which state: XOR
+    ///    cancels equal members, so `{a, a, b}` and `{c, c, b}` would
+    ///    collide.
+    ///
+    /// Each part is a function of the matching section of the canonical
+    /// vector, so permuting class members never changes the key; two
+    /// configurations with different vectors share a key only on a
+    /// 64-bit collision.
+    pub fn fingerprint_canonical_annotated(&self, annot: impl Fn(ProcId) -> u64) -> u64 {
         use std::hash::Hasher;
-        // At most three words per value and per process (a bundle's
-        // length, digest and annotation), so the vector never regrows.
-        let mut words = Vec::with_capacity(3 * (self.mem.n_vars() + self.procs.len()));
-        self.canonical_vec(&mut words);
+        let decl = &*self.symmetry;
+        // 1. Shared memory minus class-owned slots.
+        let mut vals = self.mem.values_fingerprint();
+        for class in &decl.classes {
+            for &v in class.owned.iter().flatten() {
+                vals ^= self.mem.slot_signature(v);
+            }
+        }
         let mut h = FxHasher::default();
-        for w in words {
-            h.write_u64(w);
+        h.write_u64(vals);
+        // 2. Non-class processes, positionally.
+        for (i, slot) in self.slots.iter().enumerate() {
+            if !decl.class_member[i] {
+                h.write_u64(slot.digest);
+                h.write_u64(annot(ProcId(i)));
+            }
+        }
+        // 3. Per class: the sorted member words.
+        let member_word = |class: &SymmetryClass, j: usize| {
+            let p = class.members[j];
+            let mut m = FxHasher::default();
+            m.write_u64(self.slots[p.0].digest);
+            m.write_u64(annot(p));
+            for &v in &class.owned[j] {
+                encode_value(self.mem.peek(v), Some(p), |w| m.write_u64(w));
+            }
+            m.finish()
+        };
+        let mut inline = [0u64; INLINE_CLASS];
+        let mut spilled = Vec::new();
+        for class in &decl.classes {
+            let k = class.members.len();
+            let words = if k <= INLINE_CLASS {
+                &mut inline[..k]
+            } else {
+                spilled.resize(k, 0);
+                &mut spilled[..]
+            };
+            for (j, w) in words.iter_mut().enumerate() {
+                *w = member_word(class, j);
+            }
+            words.sort_unstable();
+            h.write_u64(k as u64);
+            for &w in words.iter() {
+                h.write_u64(w);
+            }
         }
         h.finish()
     }
 
     /// Append the **canonical state vector** of this configuration to
-    /// `out`: the full, losslessly parseable serialization the
-    /// symmetry-quotient state key hashes. Layout, in order:
+    /// `out`: the full, losslessly parseable serialization of its orbit.
+    /// It is the oracle [`Sim::fingerprint_canonical_annotated`] is
+    /// tested against (as [`Sim::fingerprint_full`] is for
+    /// [`Sim::fingerprint`]); no explorer builds it. Layout, in order:
     ///
     /// 1. every shared variable **not** owned by a symmetry-class member,
     ///    in `VarId` order, as a tag-prefixed value encoding;
@@ -869,15 +945,17 @@ impl Sim {
     /// [`Sim::canonical_vec`] with a caller-chosen annotation word mixed
     /// into each process's serialization — *inside* the sorted member
     /// bundle for class members, positionally for everyone else. The
-    /// model checker uses this to key exploration semantics (remaining
-    /// passage quota, in-flight abort flag) that must travel with a
-    /// member's local state under a permutation; keying them by process
-    /// index would merge states whose permuted members disagree.
+    /// model checker's quotient key annotates the same way (through
+    /// [`Sim::fingerprint_canonical_annotated`]) with exploration
+    /// semantics (remaining passage quota, in-flight abort flag) that
+    /// must travel with a member's local state under a permutation;
+    /// keying them by process index would merge states whose permuted
+    /// members disagree.
     pub fn canonical_vec_annotated(&self, annot: impl Fn(ProcId) -> u64, out: &mut Vec<u64>) {
         // 1. Shared memory minus class-owned slots, in VarId order.
         for v in 0..self.mem.n_vars() {
             if !self.symmetry.owned_mask[v] {
-                encode_value(self.mem.peek(VarId(v)), None, out);
+                encode_value(self.mem.peek(VarId(v)), None, |w| out.push(w));
             }
         }
         // 2. Non-class processes, positionally.
@@ -896,7 +974,7 @@ impl Sim {
                 out.push(self.slots[p.0].digest);
                 out.push(annot(p));
                 for &v in &class.owned()[j] {
-                    encode_value(self.mem.peek(v), Some(p), out);
+                    encode_value(self.mem.peek(v), Some(p), |w| out.push(w));
                 }
                 out[start] = (out.len() - start) as u64;
             }
@@ -1451,6 +1529,77 @@ mod tests {
         dst.step(ProcId(0));
         a.clone_world_into(&mut dst);
         assert_eq!(dst.fingerprint_canonical(), a.fingerprint_canonical());
+    }
+
+    #[test]
+    fn canonical_fingerprint_does_not_cancel_equal_members() {
+        // {a, a, b} against {c, c, b}: two members share a state in each
+        // world, so a commutative XOR fold of the member words would
+        // cancel the pair and leave `b` alone on both sides.
+        let mut aab = per_slot_world(3);
+        let mut ccb = per_slot_world(3);
+        aab.step(ProcId(2));
+        for p in [ProcId(0), ProcId(1)] {
+            ccb.step(p);
+            ccb.step(p);
+        }
+        ccb.step(ProcId(2));
+        assert_ne!(canon_vec(&aab), canon_vec(&ccb));
+        assert_ne!(aab.fingerprint_canonical(), ccb.fingerprint_canonical());
+    }
+
+    #[test]
+    fn canonical_fingerprint_merges_permutations_of_a_65_member_class() {
+        // The twin of the 65-member canonical-vector test: the class is
+        // too large for the inline sort buffer.
+        let steps = |i: usize| if i.is_multiple_of(3) { 0 } else { i % 4 };
+        let mut a = per_slot_world(65);
+        let mut b = per_slot_world(65);
+        for i in 0..65 {
+            for _ in 0..steps(i) {
+                a.step(ProcId(i));
+                b.step(ProcId(64 - i));
+            }
+        }
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.fingerprint_canonical(), b.fingerprint_canonical());
+        b.step(ProcId(0));
+        assert_ne!(a.fingerprint_canonical(), b.fingerprint_canonical());
+    }
+
+    #[test]
+    fn canonical_fingerprint_without_classes_partitions_like_fingerprint() {
+        // Every combination of 0..6 steps per process (the program
+        // wraps after 4, so some combinations reach the same state by
+        // different histories), with and without a crash of process 0.
+        let mut worlds = Vec::new();
+        for n in 0..6 * 6 * 6 {
+            for crash in [false, true] {
+                let mut sim = per_slot_world(3);
+                sim.declare_symmetry(Vec::new());
+                for (p, k) in [n % 6, n / 6 % 6, n / 36].into_iter().enumerate() {
+                    for _ in 0..k {
+                        sim.step(ProcId(p));
+                    }
+                }
+                if crash {
+                    sim.crash(ProcId(0));
+                }
+                worlds.push(sim);
+            }
+        }
+        let mut merges = 0;
+        for a in &worlds {
+            for b in &worlds {
+                let concrete = a.fingerprint() == b.fingerprint();
+                assert_eq!(
+                    concrete,
+                    a.fingerprint_canonical() == b.fingerprint_canonical()
+                );
+                merges += usize::from(concrete);
+            }
+        }
+        assert!(merges > worlds.len(), "no two histories met in one state");
     }
 
     fn canon_vec(sim: &Sim) -> Vec<u64> {

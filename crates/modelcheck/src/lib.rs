@@ -176,8 +176,8 @@ pub enum Symmetry {
     /// [`Sim::fingerprint`].
     #[default]
     Off,
-    /// Symmetry-quotient deduplication: configurations are keyed by a
-    /// hash of their canonical vector ([`Sim::canonical_vec_annotated`]),
+    /// Symmetry-quotient deduplication: configurations are keyed by
+    /// their canonical key ([`Sim::fingerprint_canonical_annotated`]),
     /// so states differing only by a permutation of a declared
     /// [`ccsim::SymmetryClass`] share one
     /// entry and each orbit is expanded once, from whichever concrete
@@ -528,27 +528,22 @@ fn state_key_concrete(sim: &Sim, quota: u64, budgets: Budgets) -> u64 {
     h.finish()
 }
 
-/// The symmetry-quotient state key: the FxHash of the configuration's
-/// canonical vector ([`Sim::canonical_vec_annotated`]) followed by the
-/// three remaining adversary budgets. `scratch` is cleared and reused.
+/// The symmetry-quotient state key: the configuration's canonical key
+/// ([`Sim::fingerprint_canonical_annotated`]) followed by the three
+/// remaining adversary budgets.
 ///
 /// Each process's annotation word carries its exploration semantics —
 /// capped passage count and in-flight abort flag. For class members the
-/// annotation sits *inside* the sorted member bundle: the semantics of a
+/// annotation sits *inside* the sorted member word: the semantics of a
 /// member (is it enabled? does completing count as abort or passage?)
 /// travel with its local state under a permutation, so keying them by
 /// index would merge states whose permuted members disagree on quota or
 /// abort status.
-fn state_key_quotient(sim: &Sim, quota: u64, budgets: Budgets, scratch: &mut Vec<u64>) -> u64 {
-    scratch.clear();
-    sim.canonical_vec_annotated(
-        |p| (sim.stats(p).passages.min(quota) << 1) | sim.is_aborting(p) as u64,
-        scratch,
-    );
+fn state_key_quotient(sim: &Sim, quota: u64, budgets: Budgets) -> u64 {
     let mut h = FxHasher::default();
-    for &w in scratch.iter() {
-        h.write_u64(w);
-    }
+    h.write_u64(sim.fingerprint_canonical_annotated(|p| {
+        (sim.stats(p).passages.min(quota) << 1) | sim.is_aborting(p) as u64
+    }));
     h.write_u32(budgets.crashes);
     h.write_u32(budgets.crash_alls);
     h.write_u32(budgets.aborts);
@@ -738,8 +733,7 @@ pub fn explore_with(
     let quota = cfg.passages_per_proc;
     let root_budgets = Budgets::of(cfg);
     let mut visited = visited::Visited::new(cfg.symmetry);
-    let mut vscratch: Vec<u64> = Vec::new();
-    visited.insert_mut(&root, quota, root_budgets, &mut vscratch);
+    visited.insert_mut(&root, quota, root_budgets);
 
     let mut report = CheckReport {
         states_explored: 1,
@@ -788,7 +782,7 @@ pub fn explore_with(
 
         check_config(&child, &invariant, || schedule_of(&stack, entry))?;
 
-        if !visited.insert_mut(&child, quota, budgets, &mut vscratch) {
+        if !visited.insert_mut(&child, quota, budgets) {
             pool.recycle(child);
             continue; // rejoined a known configuration
         }

@@ -213,7 +213,6 @@ fn run_job(
     job: Job,
     arena: &mut Vec<SchedEntry>,
     pool: &mut WorldPool,
-    vscratch: &mut Vec<u64>,
     invariant: &(dyn Fn(&Sim) -> Result<(), String> + Sync),
     part: &mut Partial,
 ) {
@@ -274,7 +273,7 @@ fn run_job(
             return;
         }
 
-        if !sh.visited.insert(&child, sh.quota, budgets, vscratch) {
+        if !sh.visited.insert(&child, sh.quota, budgets) {
             pool.recycle(child);
             continue; // rejoined a known configuration
         }
@@ -312,17 +311,8 @@ fn worker(sh: &Shared<'_>, invariant: &(dyn Fn(&Sim) -> Result<(), String> + Syn
     let mut part = Partial::default();
     let mut arena: Vec<SchedEntry> = Vec::new();
     let mut pool = WorldPool::new(sh.cfg.symmetry);
-    let mut vscratch: Vec<u64> = Vec::new();
     while let Some(job) = sh.next_job() {
-        run_job(
-            sh,
-            job,
-            &mut arena,
-            &mut pool,
-            &mut vscratch,
-            invariant,
-            &mut part,
-        );
+        run_job(sh, job, &mut arena, &mut pool, invariant, &mut part);
         sh.job_done();
     }
     part
@@ -360,9 +350,8 @@ fn min_violation(
     // its orbit reached at quotient depth <= d, because class
     // permutations map offered entries to offered entries).
     let keys = Visited::new(cfg.symmetry);
-    let mut vscratch: Vec<u64> = Vec::new();
     let mut visited = KeySet::new();
-    visited.insert(keys.key(&root, quota, root_budgets, &mut vscratch));
+    visited.insert(keys.key(&root, quota, root_budgets));
     let mut level: Vec<(Sim, Vec<SchedEntry>, Budgets)> = vec![(root, Vec::new(), root_budgets)];
     let mut entries: Vec<SchedEntry> = Vec::new();
 
@@ -381,9 +370,7 @@ fn min_violation(
                 if let Err(e) = check_config(&child, invariant, || sched.clone()) {
                     return e;
                 }
-                if visited.insert(keys.key(&child, quota, nb, &mut vscratch))
-                    && sched.len() < cfg.max_depth
-                {
+                if visited.insert(keys.key(&child, quota, nb)) && sched.len() < cfg.max_depth {
                     next_level.push((child, sched, nb));
                 }
             }
@@ -457,9 +444,7 @@ pub fn explore_par_with(
         violated: AtomicBool::new(false),
         capped: AtomicBool::new(false),
     };
-    let mut root_scratch: Vec<u64> = Vec::new();
-    sh.visited
-        .insert(&root, quota, root_budgets, &mut root_scratch);
+    sh.visited.insert(&root, quota, root_budgets);
 
     let mut root_entries = Vec::new();
     push_entries(

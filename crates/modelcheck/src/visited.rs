@@ -133,9 +133,7 @@ impl VisitedStats {
 /// uses the low bits). Exactly-once expansion in the parallel explorer
 /// rests on [`Visited::insert`] being atomic per key, which the striped
 /// mutexes provide; the sequential explorer owns its set and inserts
-/// through [`Visited::insert_mut`] without locking. `scratch` is a
-/// caller-owned buffer (one per explorer / worker) the quotient key
-/// serializes into, keeping the hot path allocation-free.
+/// through [`Visited::insert_mut`] without locking.
 pub(crate) struct Visited {
     symmetry: Symmetry,
     shards: Vec<Mutex<KeySet>>,
@@ -157,43 +155,25 @@ impl Visited {
     /// The configuration's state key under this set's [`Symmetry`]; also
     /// the digest the deterministic counterexample re-search
     /// deduplicates by.
-    pub(crate) fn key(
-        &self,
-        sim: &Sim,
-        quota: u64,
-        budgets: Budgets,
-        scratch: &mut Vec<u64>,
-    ) -> u64 {
+    pub(crate) fn key(&self, sim: &Sim, quota: u64, budgets: Budgets) -> u64 {
         match self.symmetry {
             Symmetry::Off => state_key_concrete(sim, quota, budgets),
-            Symmetry::Quotient => state_key_quotient(sim, quota, budgets, scratch),
+            Symmetry::Quotient => state_key_quotient(sim, quota, budgets),
             Symmetry::FullRehash => state_key_full(sim, quota, budgets),
         }
     }
 
     /// Record a configuration, returning true if it was new. The
     /// per-shard lock is held only for the probe itself.
-    pub(crate) fn insert(
-        &self,
-        sim: &Sim,
-        quota: u64,
-        budgets: Budgets,
-        scratch: &mut Vec<u64>,
-    ) -> bool {
-        let key = self.key(sim, quota, budgets, scratch);
+    pub(crate) fn insert(&self, sim: &Sim, quota: u64, budgets: Budgets) -> bool {
+        let key = self.key(sim, quota, budgets);
         self.shards[shard_of(key)].lock().unwrap().insert(key)
     }
 
     /// [`Visited::insert`] for a set the caller owns outright: no lock
     /// is taken.
-    pub(crate) fn insert_mut(
-        &mut self,
-        sim: &Sim,
-        quota: u64,
-        budgets: Budgets,
-        scratch: &mut Vec<u64>,
-    ) -> bool {
-        let key = self.key(sim, quota, budgets, scratch);
+    pub(crate) fn insert_mut(&mut self, sim: &Sim, quota: u64, budgets: Budgets) -> bool {
+        let key = self.key(sim, quota, budgets);
         self.shards[shard_of(key)].get_mut().unwrap().insert(key)
     }
 

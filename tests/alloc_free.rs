@@ -88,7 +88,6 @@ struct Explorer {
     pool: Vec<Sim>,
     stack: Vec<Frame>,
     entries: Vec<SchedEntry>,
-    words: Vec<u64>,
 }
 
 /// The schedule entries enabled in `sim`: a step for every process that
@@ -109,17 +108,13 @@ fn push_entries(sim: &Sim, crashes: u32, out: &mut Vec<SchedEntry>) {
     }
 }
 
-/// The state key: the concrete fingerprint, or the hash of the symmetry
-/// quotient's canonical vector (built in the reused `words`), plus the
-/// capped passage counts and the crashes left.
-fn state_key(sim: &Sim, quotient: bool, crashes: u32, words: &mut Vec<u64>) -> u64 {
+/// The state key: the concrete fingerprint plus the capped passage
+/// counts, or the symmetry quotient's canonical key with the capped
+/// counts as annotations; then the crashes left.
+fn state_key(sim: &Sim, quotient: bool, crashes: u32) -> u64 {
     let mut h = ccsim::FxHasher::default();
     if quotient {
-        words.clear();
-        sim.canonical_vec_annotated(|p| sim.stats(p).passages.min(QUOTA), words);
-        for &w in words.iter() {
-            h.write_u64(w);
-        }
+        h.write_u64(sim.fingerprint_canonical_annotated(|p| sim.stats(p).passages.min(QUOTA)));
     } else {
         h.write_u64(sim.fingerprint());
         for p in sim.proc_ids() {
@@ -139,7 +134,6 @@ impl Explorer {
             pool: Vec::new(),
             stack: Vec::new(),
             entries: Vec::new(),
-            words: Vec::new(),
         }
     }
 
@@ -161,7 +155,7 @@ impl Explorer {
         let mut transitions = 0u64;
         self.visited.clear();
         let crashes = self.crash_budget;
-        let key = state_key(root, self.quotient, crashes, &mut self.words);
+        let key = state_key(root, self.quotient, crashes);
         self.visited.insert(key);
         push_entries(root, crashes, &mut self.entries);
         let sim = Self::branch(&mut self.pool, root);
@@ -188,7 +182,7 @@ impl Explorer {
             if let Err(v) = child.check_mutual_exclusion() {
                 panic!("Mutual Exclusion violated: {v}");
             }
-            let key = state_key(&child, self.quotient, crashes, &mut self.words);
+            let key = state_key(&child, self.quotient, crashes);
             if !self.visited.insert(key) || self.visited.len() >= MAX_STATES {
                 self.pool.push(child);
                 continue;

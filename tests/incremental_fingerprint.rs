@@ -1,10 +1,13 @@
 //! Oracle tests for the incrementally-maintained configuration
-//! fingerprint (PR 3): after *every* transition — steps, failed steps,
-//! and crashes, under all three coherence protocols — the O(1) Zobrist
+//! fingerprint: after *every* transition — steps, failed steps, and
+//! crashes, under all three coherence protocols — the O(1) Zobrist
 //! fingerprint must equal the from-scratch [`Sim::fingerprint_full`]
 //! recompute. Debug builds assert this inside `fingerprint()` itself;
 //! this suite makes the contract explicit (and keeps it checked in
-//! release, where those debug asserts compile out).
+//! release, where those debug asserts compile out). The symmetry
+//! quotient's direct key is held to its lossless oracle the same way:
+//! [`Sim::fingerprint_canonical_annotated`] must partition states
+//! exactly as [`Sim::canonical_vec_annotated`] does.
 
 use rwlock_repro::*;
 use std::collections::HashMap;
@@ -191,4 +194,121 @@ fn registry_walks_keep_both_digests_in_bijection() {
         "the walks visited only {} process states",
         forward.len()
     );
+}
+
+/// Every state of a seeded walk, recorded as (canonical vector,
+/// canonical key) pairs: equal vectors must mean equal keys and vice
+/// versa, so the direct key may neither split an orbit nor merge two.
+#[derive(Default)]
+struct Partition {
+    key_of: HashMap<Vec<u64>, u64>,
+    vec_of: HashMap<u64, Vec<u64>>,
+}
+
+impl Partition {
+    fn record(&mut self, at: &dyn Fn() -> String, sim: &Sim, annot: &[u64]) -> Vec<u64> {
+        let mut words = Vec::new();
+        sim.canonical_vec_annotated(|q| annot[q.0], &mut words);
+        let key = sim.fingerprint_canonical_annotated(|q| annot[q.0]);
+        let seen_key = *self.key_of.entry(words.clone()).or_insert(key);
+        assert_eq!(seen_key, key, "{}: one canonical vector got two keys", at());
+        let seen_vec = self.vec_of.entry(key).or_insert_with(|| words.clone());
+        assert_eq!(
+            *seen_vec,
+            words,
+            "{}: two canonical vectors share key {key:#x}",
+            at()
+        );
+        words
+    }
+}
+
+/// Walk a world with declared classes through seeded steps and crashes,
+/// and beside it the mirror walk that runs every event on the image of
+/// its process under a rotation of each class's members. Each process
+/// gets a random annotation word at each state (from a small pool, so
+/// recurring states come back with both equal and different
+/// annotations), and the mirror's process carries the same word. Both
+/// walks record into one [`Partition`]. Returns how many mirror states
+/// were concretely distinct from their originals, so callers can
+/// require that the walk actually exercised orbit merging.
+fn check_key_partitions_like_vector(world: &str, sim: &Sim, seed: u64) -> usize {
+    let n = sim.n_procs();
+    let mut image: Vec<usize> = (0..n).collect();
+    for class in sim.symmetry_classes() {
+        let members = class.members();
+        for (j, p) in members.iter().enumerate() {
+            image[p.0] = members[(j + 1) % members.len()].0;
+        }
+    }
+    let (mut a, mut b) = (sim.clone_world(), sim.clone_world());
+    let mut rng = Prng::new(seed + seed_offset());
+    let pool: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
+    let mut partition = Partition::default();
+    let (mut annot_a, mut annot_b) = (vec![0u64; n], vec![0u64; n]);
+    let mut distinct = 0;
+    for i in 0..2_000 {
+        let p = rng.below(n);
+        let crash = rng.below(16) == 0 && a.phase(ProcId(p)) != Phase::Remainder;
+        for (sim, q) in [(&mut a, p), (&mut b, image[p])] {
+            if crash {
+                sim.crash(ProcId(q));
+            } else {
+                sim.step(ProcId(q));
+            }
+        }
+        for q in 0..n {
+            annot_a[q] = pool[rng.below(pool.len())];
+            annot_b[image[q]] = annot_a[q];
+        }
+        let at = || format!("{world}, event {i}");
+        let va = partition.record(&at, &a, &annot_a);
+        let vb = partition.record(&at, &b, &annot_b);
+        assert_eq!(va, vb, "{}: the mirror walk left the orbit", at());
+        distinct += usize::from(a.fingerprint() != b.fingerprint());
+    }
+    distinct
+}
+
+/// The direct quotient key against its oracle, on every world shape
+/// that declares classes: the CAS-loop reader group at n=3 and the
+/// f-array sibling-leaf pairs at n=2 (one pair) and n=4 (two pairs).
+#[test]
+fn canonical_key_partitions_states_like_the_canonical_vector() {
+    let readers = |readers| AfConfig {
+        readers,
+        writers: 1,
+        policy: FPolicy::One,
+    };
+    let casloop = af_world_custom(
+        readers(3),
+        Protocol::WriteBack,
+        HelpOrder::WaitersFirst,
+        CounterKind::CasLoop,
+    )
+    .sim;
+    let worlds = [
+        ("CasLoop n=3", casloop, 1),
+        (
+            "FArray n=2",
+            af_world(readers(2), Protocol::WriteBack).sim,
+            1,
+        ),
+        (
+            "FArray n=4",
+            af_world(readers(4), Protocol::WriteBack).sim,
+            2,
+        ),
+    ];
+    for (k, (world, sim, classes)) in worlds.iter().enumerate() {
+        assert_eq!(sim.symmetry_classes().len(), *classes, "{world}");
+        for walk in 0..4u64 {
+            let seed = 0x0f19_c0de + 16 * k as u64 + walk;
+            let distinct = check_key_partitions_like_vector(world, sim, seed);
+            assert!(
+                distinct > 0,
+                "{world} walk {walk}: the mirror never left its original's state"
+            );
+        }
+    }
 }
