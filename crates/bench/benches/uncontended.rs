@@ -1,77 +1,43 @@
 //! Uncontended passage latency of every lock implementation: the price of
-//! a reader or writer passage when nobody else competes. The `A_f` reader
-//! pays its `Θ(log(n/f))` f-array walk even uncontended; the `f` policy
-//! moves that cost between the two rows. Run with
-//! `cargo bench -p bench --bench uncontended`.
+//! a reader or writer passage when nobody else competes. The rows are the
+//! `A_f` lock under every named `f` policy, then every real-capable lock
+//! of the registry. The `A_f` reader pays its `Θ(log(n/f))` f-array walk
+//! even uncontended; the `f` policy moves that cost between the two
+//! tables. Run with `cargo bench -p bench --bench uncontended`.
 
 use bench::stopwatch::bench_loop;
-use rwcore::{
-    AfConfig, CentralizedRwLock, FPolicy, FaaRwLock, GatedAfLock, MutexRwLock, RawAfLock, RawRwLock,
-};
+use rwcore::{AfConfig, FPolicy, LockRegistry, RawAdapter, RawAfLock, RealLock, RealShape};
+use std::sync::Arc;
 
-fn locks(n: usize) -> Vec<(String, Box<dyn RawRwLock>)> {
-    vec![
-        (
-            "a_f(f=1)".into(),
-            Box::new(RawAfLock::new(AfConfig {
-                readers: n,
-                writers: 2,
-                policy: FPolicy::One,
-            })),
-        ),
-        (
-            "a_f(f=sqrt)".into(),
-            Box::new(RawAfLock::new(AfConfig {
-                readers: n,
-                writers: 2,
-                policy: FPolicy::SqrtN,
-            })),
-        ),
-        (
-            "a_f(f=n)".into(),
-            Box::new(RawAfLock::new(AfConfig {
-                readers: n,
-                writers: 2,
-                policy: FPolicy::Linear,
-            })),
-        ),
-        (
-            "a_f-gated(f=1)".into(),
-            Box::new(GatedAfLock::new(AfConfig {
-                readers: n,
-                writers: 2,
-                policy: FPolicy::One,
-            })),
-        ),
-        ("centralized-cas".into(), Box::new(CentralizedRwLock::new())),
-        ("faa-indicator".into(), Box::new(FaaRwLock::new(2))),
-        ("mutex-only".into(), Box::new(MutexRwLock::new(n, 2))),
-    ]
-}
+/// Reader slots every lock is built for.
+const READERS: usize = 64;
+/// Writer slots every lock is built for.
+const WRITERS: usize = 2;
 
-fn bench_reader_passage() {
-    let n = 64;
-    println!("== uncontended_reader_passage ==");
-    for (name, lock) in locks(n) {
-        bench_loop(&name, || {
-            lock.reader_lock(0);
-            lock.reader_unlock(0);
+fn locks() -> Vec<(String, Arc<dyn RealLock>)> {
+    let policies = FPolicy::NAMED.into_iter().map(|policy| {
+        let lock = RawAfLock::new(AfConfig {
+            readers: READERS,
+            writers: WRITERS,
+            policy,
         });
-    }
-}
-
-fn bench_writer_passage() {
-    let n = 64;
-    println!("== uncontended_writer_passage ==");
-    for (name, lock) in locks(n) {
-        bench_loop(&name, || {
-            lock.writer_lock(0);
-            lock.writer_unlock(0);
-        });
-    }
+        let lock: Arc<dyn RealLock> = Arc::new(RawAdapter::new(lock));
+        (format!("a_f({policy})"), lock)
+    });
+    let registered = LockRegistry::builtin()
+        .real_locks(RealShape::new(READERS, WRITERS))
+        .into_iter()
+        .map(|lock| (lock.label(), lock));
+    policies.chain(registered).collect()
 }
 
 fn main() {
-    bench_reader_passage();
-    bench_writer_passage();
+    println!("== uncontended_reader_passage ==");
+    for (name, lock) in locks() {
+        bench_loop(&name, || lock.read_pass(0, &mut || {}));
+    }
+    println!("== uncontended_writer_passage ==");
+    for (name, lock) in locks() {
+        bench_loop(&name, || lock.write_pass(0, &mut || {}));
+    }
 }

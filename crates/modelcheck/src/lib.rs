@@ -454,11 +454,10 @@ impl CheckReport {
 /// program can withdraw from its current state.
 ///
 /// Appending to a caller-owned scratch buffer instead of returning a
-/// fresh `Vec` is what keeps the explorers allocation-free per state:
-/// the sequential DFS (and each parallel worker) threads one arena
-/// through its whole frame stack, truncating on pop. Enabledness comes
-/// from the sim's cached phase, not a virtual `poll`: the
-/// [`ccsim::Program`] contract makes `Step::Remainder` and
+/// fresh `Vec` is what keeps the search allocation-free per state: each
+/// worker threads one arena through its whole frame stack, truncating on
+/// pop. Enabledness comes from the sim's cached phase, not a virtual
+/// `poll`: the [`ccsim::Program`] contract makes `Step::Remainder` and
 /// `Phase::Remainder` coincide.
 fn push_entries(
     sim: &Sim,
@@ -649,10 +648,10 @@ impl WorldPool {
     }
 }
 
-/// Probe one configuration for [`explore_with`] and the parallel
-/// explorer's counterexample search: Mutual Exclusion first, then
-/// `invariant`. On a failure, `schedule` rebuilds the entries that reach
-/// `sim` from the root (empty for the root itself).
+/// Probe one configuration for the search and the parallel explorer's
+/// counterexample re-search: Mutual Exclusion first, then `invariant`.
+/// On a failure, `schedule` rebuilds the entries that reach `sim` from
+/// the root (empty for the root itself).
 #[inline]
 pub(crate) fn check_config<I>(
     sim: &Sim,
@@ -680,10 +679,10 @@ where
 }
 
 /// Exhaustively explore every interleaving of the world produced by
-/// `factory`, checking Mutual Exclusion in every reachable configuration
-/// (the initial one included).
-/// With [`CheckConfig::crash_budget`] > 0 the explored interleavings
-/// include crash events.
+/// `factory` on the calling thread, checking Mutual Exclusion in every
+/// reachable configuration (the initial one included). With
+/// [`CheckConfig::crash_budget`] > 0 the explored interleavings include
+/// crash events.
 ///
 /// # Errors
 /// Returns the violating schedule if any reachable configuration breaks
@@ -695,125 +694,20 @@ pub fn explore(factory: impl Fn() -> Sim, cfg: &CheckConfig) -> Result<CheckRepo
 /// Like [`explore`], additionally checking `invariant` in every reachable
 /// configuration (the initial one included).
 ///
+/// This is [`explore_par_with`]'s search run with one worker, on the
+/// calling thread: one DFS in a fixed order, which reports the first
+/// violation it meets. Sharing that search is why the invariant must be
+/// `Sync` here too, although it is only ever called from this thread.
+///
 /// # Errors
 /// Returns the violating schedule on a Mutual Exclusion or invariant
 /// failure.
 pub fn explore_with(
     factory: impl Fn() -> Sim,
     cfg: &CheckConfig,
-    invariant: impl Fn(&Sim) -> Result<(), String>,
+    invariant: impl Fn(&Sim) -> Result<(), String> + Sync,
 ) -> Result<CheckReport, CheckError> {
-    /// A suspended configuration. Its candidate entries live in the
-    /// shared arena at `[next, eend)` (`estart` marks where they began,
-    /// for truncation on pop) — frames own index ranges, not `Vec`s, so
-    /// expanding a state allocates nothing once the arena is warm. The
-    /// world is held by handle, so pushing, popping and recycling a
-    /// frame moves a pointer, not the `Sim`.
-    struct Frame {
-        sim: Box<Sim>,
-        estart: usize,
-        next: usize,
-        eend: usize,
-        /// The entry that produced this frame's configuration (`None` for
-        /// the root) — used to reconstruct schedules.
-        chosen: Option<SchedEntry>,
-        budgets: Budgets,
-    }
-
-    fn schedule_of(stack: &[Frame], last: SchedEntry) -> Vec<SchedEntry> {
-        // One exact-size allocation, only ever on the violation path.
-        let mut sched = Vec::with_capacity(stack.len());
-        sched.extend(stack.iter().filter_map(|f| f.chosen));
-        sched.push(last);
-        sched
-    }
-
-    let root = Box::new(factory());
-    check_config(&root, &invariant, Vec::new)?;
-    let quota = cfg.passages_per_proc;
-    let root_budgets = Budgets::of(cfg);
-    let mut visited = visited::Visited::new(cfg.symmetry);
-    visited.insert_mut(&root, quota, root_budgets);
-
-    let mut report = CheckReport {
-        states_explored: 1,
-        transitions: 0,
-        crash_transitions: 0,
-        max_depth_seen: 0,
-        terminal_states: 0,
-        complete: true,
-        visited: VisitedStats::default(),
-    };
-
-    let mut arena: Vec<SchedEntry> = Vec::new();
-    push_entries(&root, quota, root_budgets, cfg.crash_in_cs, &mut arena);
-    if arena.is_empty() {
-        report.terminal_states = 1;
-        report.visited = visited.stats();
-        return Ok(report);
-    }
-    let mut stack = vec![Frame {
-        sim: root,
-        estart: 0,
-        next: 0,
-        eend: arena.len(),
-        chosen: None,
-        budgets: root_budgets,
-    }];
-
-    let mut pool = WorldPool::new(cfg.symmetry);
-
-    while let Some(top) = stack.last_mut() {
-        if top.next >= top.eend {
-            arena.truncate(top.estart);
-            if let Some(frame) = stack.pop() {
-                pool.recycle(frame.sim);
-            }
-            continue;
-        }
-        let entry = arena[top.next];
-        top.next += 1;
-        let budgets = top.budgets.after(entry);
-
-        let mut child = pool.branch(&mut top.sim, top.next == top.eend);
-        entry.apply(&mut child);
-        report.transitions += 1;
-        report.crash_transitions += entry.is_crash() as u64;
-
-        check_config(&child, &invariant, || schedule_of(&stack, entry))?;
-
-        if !visited.insert_mut(&child, quota, budgets) {
-            pool.recycle(child);
-            continue; // rejoined a known configuration
-        }
-        report.states_explored += 1;
-        report.max_depth_seen = report.max_depth_seen.max(stack.len());
-
-        if report.states_explored >= cfg.max_states || stack.len() >= cfg.max_depth {
-            report.complete = false;
-            pool.recycle(child);
-            continue; // stop deepening; keep scanning siblings
-        }
-
-        let estart = arena.len();
-        push_entries(&child, quota, budgets, cfg.crash_in_cs, &mut arena);
-        if arena.len() == estart {
-            report.terminal_states += 1;
-            pool.recycle(child);
-            continue;
-        }
-        stack.push(Frame {
-            sim: child,
-            estart,
-            next: estart,
-            eend: arena.len(),
-            chosen: Some(entry),
-            budgets,
-        });
-    }
-
-    report.visited = visited.stats();
-    Ok(report)
+    par::search(factory, cfg, 1, &invariant)
 }
 
 /// Replay a schedule (e.g. from a [`CheckError`] or a parsed

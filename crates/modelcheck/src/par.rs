@@ -1,16 +1,17 @@
-//! Parallel state-space exploration: a work-sharing frontier of schedule
-//! prefixes feeding N scoped worker threads.
+//! The one search loop behind both explorers: a work-sharing frontier of
+//! schedule prefixes feeding N workers, one of them on the calling
+//! thread. [`crate::explore_with`] is this search with one worker.
 //!
 //! ## Architecture
 //!
 //! The unit of work is a **batched frame** ([`Job`]): a configuration
 //! (an owned, boxed [`Sim`]), the schedule prefix that reaches it, and a batch
-//! of candidate entries still to branch on from there. Workers run the
-//! same arena-based DFS as the sequential explorer over their job; when
-//! the shared queue runs low, a worker *donates* the bottom-most
-//! unexplored slice of its own stack as a fresh job (the stack-slicing
-//! scheme of parallel SPIN) — subtree-sized work units, handed out from
-//! the root end where they are biggest.
+//! of candidate entries still to branch on from there. Each worker runs
+//! an arena-based DFS over its job; when the shared queue runs low, it
+//! *donates* the bottom-most unexplored slice of its own stack as a fresh
+//! job (the stack-slicing scheme of parallel SPIN) — subtree-sized work
+//! units, handed out from the root end where they are biggest. A lone
+//! worker never donates, so one worker is one plain DFS.
 //!
 //! Deduplication goes through one [`crate::visited::Visited`] set —
 //! 64 mutex-striped shards selected by the top bits of the state key,
@@ -24,19 +25,20 @@
 //! On a **complete** run every configuration is inserted into the
 //! visited set exactly once (shard insertion is atomic), hence expanded
 //! exactly once, so `states_explored` / `transitions` /
-//! `crash_transitions` / `terminal_states` are identical to the
-//! sequential explorer's — for any worker count — even though the visit
-//! *order* is scheduler-dependent. (`max_depth_seen` is an
-//! order-dependent diagnostic; see [`crate::CheckReport::counts`].)
+//! `crash_transitions` / `terminal_states` are identical for any worker
+//! count, even though the visit *order* is scheduler-dependent.
+//! (`max_depth_seen` is an order-dependent diagnostic; see
+//! [`crate::CheckReport::counts`].)
 //!
-//! A violation is different: whichever worker trips it first wins the
-//! race, so the *discovering* schedule is nondeterministic. Workers
-//! therefore only raise a cancellation flag; the coordinator then
-//! re-finds the counterexample with a sequential breadth-first,
-//! entry-ordered search from the root, which returns the **lowest**
-//! violating schedule — shortest, and lexicographically least in entry
-//! order among the shortest — independent of worker count or timing.
-//! Shrink/replay artifacts built from it are therefore reproducible.
+//! A violation stops the search, and the worker that tripped it returns
+//! its schedule: with one worker, the first violation on the DFS walk.
+//! With several, the race winner is timing-dependent, so
+//! [`explore_par_with`] discards it and re-finds the counterexample with
+//! a sequential breadth-first, entry-ordered search from the root. That
+//! returns the **lowest** violating schedule — shortest, and
+//! lexicographically least in entry order among the shortest —
+//! independent of worker count or timing, so shrink/replay artifacts
+//! built from it are reproducible.
 
 use crate::visited::{KeySet, Visited};
 use crate::{
@@ -46,7 +48,7 @@ use crate::{
 use ccsim::Sim;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Iterations a worker waits after a failed donation attempt before
 /// rescanning its stack (the scan is O(depth); failure means the stack
@@ -57,14 +59,14 @@ const DONATE_COOLDOWN: u32 = 32;
 /// should explore from it.
 struct Job {
     sim: Box<Sim>,
-    /// Schedule from the root to `sim` (for depth accounting and for
-    /// labelling donations; violations never use it — see module docs).
+    /// Schedule from the root to `sim`, for depth accounting, for
+    /// labelling donations and for the schedule of a violation.
     prefix: Vec<SchedEntry>,
     entries: Vec<SchedEntry>,
     budgets: Budgets,
 }
 
-/// Per-worker counters, summed by the coordinator after the join.
+/// Per-worker counters, summed after the join.
 #[derive(Default)]
 struct Partial {
     states: u64,
@@ -72,15 +74,16 @@ struct Partial {
     crash_transitions: u64,
     terminal: u64,
     max_depth: usize,
+    /// Whether a cap stopped this worker deepening somewhere.
+    capped: bool,
 }
 
-/// State shared by the coordinator and all workers.
+/// State shared by all workers.
 struct Shared<'a> {
     cfg: &'a CheckConfig,
-    quota: u64,
     workers: usize,
     /// The visited set, keyed by [`CheckConfig::symmetry`].
-    visited: &'a Visited,
+    visited: Visited,
     queue: Mutex<VecDeque<Job>>,
     ready: Condvar,
     /// Jobs queued or currently being processed. Strictly positive while
@@ -95,13 +98,11 @@ struct Shared<'a> {
     /// `max_states` cap.
     states: AtomicU64,
     stop: AtomicBool,
-    violated: AtomicBool,
-    capped: AtomicBool,
 }
 
 impl Shared<'_> {
-    /// Enqueue a job. Callers are either the coordinator (before workers
-    /// start) or a worker mid-job, whose own pending count keeps the
+    /// Enqueue a job. Callers are either the search before its workers
+    /// start or a worker mid-job, whose own pending count keeps the
     /// termination invariant safe across the increment-then-push window.
     fn push_job(&self, job: Job) {
         self.pending.fetch_add(1, Ordering::AcqRel);
@@ -112,8 +113,8 @@ impl Shared<'_> {
         self.ready.notify_one();
     }
 
-    /// Blocking pop: returns `None` when exploration is over (violation
-    /// raised, or no queued or in-flight work remains).
+    /// Blocking pop: returns `None` when exploration is over (stopped,
+    /// or no queued or in-flight work remains).
     fn next_job(&self) -> Option<Job> {
         let mut q = self.queue.lock().unwrap();
         loop {
@@ -140,26 +141,53 @@ impl Shared<'_> {
         }
     }
 
-    /// First-violation-wins cancellation: raise the flags and wake every
-    /// parked worker so the whole fleet drains promptly.
-    fn flag_violation(&self) {
-        self.violated.store(true, Ordering::Relaxed);
+    /// Cancel the search: raise `stop` and wake every parked worker so
+    /// the whole fleet drains promptly. Called on a violation and while a
+    /// worker unwinds, so it takes the queue lock even if poisoned.
+    fn halt(&self) {
         self.stop.store(true, Ordering::Relaxed);
-        let _guard = self.queue.lock().unwrap();
+        let _guard = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         self.ready.notify_all();
     }
 }
 
-/// A worker-local DFS frame; identical discipline to the sequential
-/// explorer (entries live in a shared arena, truncated on pop, and the
-/// world is held by handle).
-struct WFrame {
+/// Halts the search if its worker unwinds: the others would otherwise
+/// wait forever for the job a panicking worker never finishes.
+struct HaltOnUnwind<'s, 'a>(&'s Shared<'a>);
+
+impl Drop for HaltOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.halt();
+        }
+    }
+}
+
+/// A suspended configuration. Its candidate entries live in the worker's
+/// arena at `[next, eend)` (`estart` marks where they began, for
+/// truncation on pop) — frames own index ranges, not `Vec`s, so
+/// expanding a state allocates nothing once the arena is warm. The world
+/// is held by handle, so pushing, popping and recycling a frame moves a
+/// pointer, not the `Sim`.
+struct Frame {
     sim: Box<Sim>,
     estart: usize,
     next: usize,
     eend: usize,
+    /// The entry that produced this frame's configuration (`None` for a
+    /// job's first frame) — used to rebuild schedules.
     chosen: Option<SchedEntry>,
     budgets: Budgets,
+}
+
+/// The schedule from the root to the top of `frames`: the job's prefix,
+/// then the entry that produced each frame.
+fn schedule_to(prefix: &[SchedEntry], frames: &[Frame]) -> Vec<SchedEntry> {
+    // Room for one more entry, which a violation appends.
+    let mut sched = Vec::with_capacity(prefix.len() + frames.len());
+    sched.extend_from_slice(prefix);
+    sched.extend(frames.iter().filter_map(|f| f.chosen));
+    sched
 }
 
 /// Donate the bottom-most unexplored slice of the stack as a job, if
@@ -171,7 +199,7 @@ struct WFrame {
 fn donate(
     sh: &Shared<'_>,
     prefix: &[SchedEntry],
-    stack: &mut [WFrame],
+    stack: &mut [Frame],
     arena: &[SchedEntry],
     pool: &mut WorldPool,
 ) -> bool {
@@ -188,15 +216,9 @@ fn donate(
         stack[i].next
     };
     let dend = stack[i].eend;
-    let mut jp = Vec::with_capacity(prefix.len() + i);
-    jp.extend_from_slice(prefix);
-    jp.extend(stack[1..=i].iter().map(|f| {
-        f.chosen
-            .expect("non-root frames always record their producing entry")
-    }));
     let job = Job {
         sim: pool.copy_of(&stack[i].sim),
-        prefix: jp,
+        prefix: schedule_to(prefix, &stack[..=i]),
         entries: arena[dstart..dend].to_vec(),
         budgets: stack[i].budgets,
     };
@@ -205,17 +227,21 @@ fn donate(
     true
 }
 
-/// Run one job to exhaustion (or cancellation) with the sequential
-/// explorer's arena DFS, donating spare subtrees while the queue is
-/// hungry.
-fn run_job(
+/// Run one job to exhaustion (or cancellation) with an arena DFS,
+/// donating spare subtrees while the queue is hungry and other workers
+/// could take them. A violation halts the search and comes back with
+/// the schedule that reaches it.
+fn run_job<I>(
     sh: &Shared<'_>,
     job: Job,
     arena: &mut Vec<SchedEntry>,
     pool: &mut WorldPool,
-    invariant: &(dyn Fn(&Sim) -> Result<(), String> + Sync),
+    invariant: &I,
     part: &mut Partial,
-) {
+) -> Result<(), CheckError>
+where
+    I: Fn(&Sim) -> Result<(), String> + Sync,
+{
     let Job {
         sim,
         prefix,
@@ -224,7 +250,7 @@ fn run_job(
     } = job;
     arena.clear();
     arena.extend_from_slice(&entries);
-    let mut stack = vec![WFrame {
+    let mut stack = vec![Frame {
         sim,
         estart: 0,
         next: 0,
@@ -232,15 +258,19 @@ fn run_job(
         chosen: None,
         budgets,
     }];
+    let quota = sh.cfg.passages_per_proc;
     let mut cooldown = 0u32;
 
     while !stack.is_empty() {
         if sh.stop.load(Ordering::Relaxed) {
-            return;
+            return Ok(());
         }
+        // A lone worker never donates: nobody else would run the job,
+        // and splitting the stack would reorder its DFS.
         if cooldown > 0 {
             cooldown -= 1;
-        } else if sh.qlen.load(Ordering::Relaxed) < sh.workers
+        } else if sh.workers > 1
+            && sh.qlen.load(Ordering::Relaxed) < sh.workers
             && !donate(sh, &prefix, &mut stack, arena, pool)
         {
             cooldown = DONATE_COOLDOWN;
@@ -266,14 +296,16 @@ fn run_job(
         part.transitions += 1;
         part.crash_transitions += entry.is_crash() as u64;
 
-        if child.check_mutual_exclusion().is_err() || invariant(&child).is_err() {
-            // Don't report from here: the race winner is timing-dependent.
-            // Flag and let the coordinator re-find the lowest schedule.
-            sh.flag_violation();
-            return;
+        if let Err(e) = check_config(&child, invariant, || {
+            let mut sched = schedule_to(&prefix, &stack);
+            sched.push(entry);
+            sched
+        }) {
+            sh.halt();
+            return Err(e);
         }
 
-        if !sh.visited.insert(&child, sh.quota, budgets) {
+        if !sh.visited.insert(&child, quota, budgets) {
             pool.recycle(child);
             continue; // rejoined a known configuration
         }
@@ -283,19 +315,19 @@ fn run_job(
 
         let total = sh.states.fetch_add(1, Ordering::Relaxed) + 1;
         if total >= sh.cfg.max_states || depth >= sh.cfg.max_depth {
-            sh.capped.store(true, Ordering::Relaxed);
+            part.capped = true;
             pool.recycle(child);
             continue; // stop deepening; keep scanning siblings
         }
 
         let estart = arena.len();
-        push_entries(&child, sh.quota, budgets, sh.cfg.crash_in_cs, arena);
+        push_entries(&child, quota, budgets, sh.cfg.crash_in_cs, arena);
         if arena.len() == estart {
             part.terminal += 1;
             pool.recycle(child);
             continue;
         }
-        stack.push(WFrame {
+        stack.push(Frame {
             sim: child,
             estart,
             next: estart,
@@ -304,18 +336,103 @@ fn run_job(
             budgets,
         });
     }
+    Ok(())
 }
 
-/// Worker main loop: drain jobs until global termination.
-fn worker(sh: &Shared<'_>, invariant: &(dyn Fn(&Sim) -> Result<(), String> + Sync)) -> Partial {
+/// Worker main loop: drain jobs until global termination or the first
+/// violation.
+fn worker<I>(sh: &Shared<'_>, invariant: &I) -> Result<Partial, CheckError>
+where
+    I: Fn(&Sim) -> Result<(), String> + Sync,
+{
+    let _halt = HaltOnUnwind(sh);
     let mut part = Partial::default();
     let mut arena: Vec<SchedEntry> = Vec::new();
     let mut pool = WorldPool::new(sh.cfg.symmetry);
     while let Some(job) = sh.next_job() {
-        run_job(sh, job, &mut arena, &mut pool, invariant, &mut part);
+        let outcome = run_job(sh, job, &mut arena, &mut pool, invariant, &mut part);
         sh.job_done();
+        outcome?;
     }
-    part
+    Ok(part)
+}
+
+/// Explore every interleaving of `factory`'s world with `workers` (≥ 1)
+/// workers: one on the calling thread, `workers - 1` spawned. Checks
+/// Mutual Exclusion and `invariant` in every reachable configuration,
+/// the root first, and returns the first violation a worker reports
+/// (with one worker, the first on the DFS walk). A worker's panic
+/// halts the others and comes out of this call.
+pub(crate) fn search<I>(
+    factory: impl Fn() -> Sim,
+    cfg: &CheckConfig,
+    workers: usize,
+    invariant: &I,
+) -> Result<CheckReport, CheckError>
+where
+    I: Fn(&Sim) -> Result<(), String> + Sync,
+{
+    let root = Box::new(factory());
+    check_config(&root, invariant, Vec::new)?;
+    let quota = cfg.passages_per_proc;
+    let budgets = Budgets::of(cfg);
+    let mut entries = Vec::new();
+    push_entries(&root, quota, budgets, cfg.crash_in_cs, &mut entries);
+    let root_is_terminal = entries.is_empty();
+    let sh = Shared {
+        cfg,
+        workers,
+        visited: Visited::new(cfg.symmetry),
+        queue: Mutex::new(VecDeque::new()),
+        ready: Condvar::new(),
+        pending: AtomicUsize::new(0),
+        qlen: AtomicUsize::new(0),
+        states: AtomicU64::new(1), // the root
+        stop: AtomicBool::new(false),
+    };
+    sh.visited.insert(&root, quota, budgets);
+    sh.push_job(Job {
+        sim: root,
+        prefix: Vec::new(),
+        entries,
+        budgets,
+    });
+
+    let partials = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|_| scope.spawn(|| worker(&sh, invariant)))
+            .collect();
+        let mut partials = vec![worker(&sh, invariant)];
+        partials.extend(helpers.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        partials
+    });
+
+    let mut report = CheckReport {
+        states_explored: 1,
+        transitions: 0,
+        crash_transitions: 0,
+        max_depth_seen: 0,
+        terminal_states: u64::from(root_is_terminal),
+        complete: true,
+        visited: sh.visited.stats(),
+    };
+    for p in partials {
+        let p = p?;
+        report.states_explored += p.states;
+        report.transitions += p.transitions;
+        report.crash_transitions += p.crash_transitions;
+        report.terminal_states += p.terminal;
+        report.max_depth_seen = report.max_depth_seen.max(p.max_depth);
+        report.complete &= !p.capped;
+    }
+    debug_assert_eq!(
+        report.states_explored, report.visited.entries,
+        "every visited-set insert must be counted exactly once"
+    );
+    Ok(report)
 }
 
 /// Deterministic counterexample recovery: a sequential breadth-first
@@ -384,8 +501,9 @@ fn min_violation(
 }
 
 /// Parallel [`crate::explore`]: explore every interleaving with `workers`
-/// threads (0 = one per available core), checking Mutual Exclusion in
-/// every reachable configuration (the initial one included).
+/// workers (0 = one per available core), one of them on the calling
+/// thread, checking Mutual Exclusion in every reachable configuration
+/// (the initial one included).
 ///
 /// On a complete run the report's [`CheckReport::counts`] are identical
 /// to the sequential explorer's for any worker count. A violation is
@@ -424,97 +542,19 @@ pub fn explore_par_with(
     } else {
         workers
     };
-
-    let root = Box::new(factory());
-    check_config(&root, &invariant, Vec::new)?;
-    let quota = cfg.passages_per_proc;
-    let root_budgets = Budgets::of(cfg);
-    let visited = Visited::new(cfg.symmetry);
-    let sh = Shared {
-        cfg,
-        quota,
-        workers,
-        visited: &visited,
-        queue: Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
-        pending: AtomicUsize::new(0),
-        qlen: AtomicUsize::new(0),
-        states: AtomicU64::new(1), // the root
-        stop: AtomicBool::new(false),
-        violated: AtomicBool::new(false),
-        capped: AtomicBool::new(false),
-    };
-    sh.visited.insert(&root, quota, root_budgets);
-
-    let mut root_entries = Vec::new();
-    push_entries(
-        &root,
-        quota,
-        root_budgets,
-        cfg.crash_in_cs,
-        &mut root_entries,
-    );
-    if root_entries.is_empty() {
-        return Ok(CheckReport {
-            states_explored: 1,
-            transitions: 0,
-            crash_transitions: 0,
-            max_depth_seen: 0,
-            terminal_states: 1,
-            complete: true,
-            visited: sh.visited.stats(),
-        });
-    }
-    sh.push_job(Job {
-        sim: root,
-        prefix: Vec::new(),
-        entries: root_entries,
-        budgets: root_budgets,
-    });
-
-    let partials: Vec<Partial> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| scope.spawn(|| worker(&sh, &invariant)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    if sh.violated.load(Ordering::Relaxed) {
-        return Err(min_violation(&factory, cfg, &invariant));
-    }
-
-    let mut report = CheckReport {
-        states_explored: 1,
-        transitions: 0,
-        crash_transitions: 0,
-        max_depth_seen: 0,
-        terminal_states: 0,
-        complete: !sh.capped.load(Ordering::Relaxed),
-        visited: sh.visited.stats(),
-    };
-    for p in &partials {
-        report.states_explored += p.states;
-        report.transitions += p.transitions;
-        report.crash_transitions += p.crash_transitions;
-        report.terminal_states += p.terminal;
-        report.max_depth_seen = report.max_depth_seen.max(p.max_depth);
-    }
-    debug_assert_eq!(
-        report.states_explored,
-        sh.visited.len(),
-        "every visited-set insert must be counted exactly once"
-    );
-    Ok(report)
+    search(&factory, cfg, workers, &invariant).map_err(|_| min_violation(&factory, cfg, &invariant))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore;
+    use crate::{explore, explore_with};
     use ccsim::Protocol;
+    use std::collections::HashSet;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::mpsc;
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     fn cfg(passages: u64, crash_budget: u32) -> CheckConfig {
         CheckConfig {
@@ -613,6 +653,71 @@ mod tests {
                 sim.procs_in_cs().is_empty(),
                 "a shorter prefix already violates — not minimal"
             );
+        }
+    }
+
+    /// The threads `run` calls its probe invariant on.
+    fn probe_threads(
+        run: impl FnOnce(&(dyn Fn(&Sim) -> Result<(), String> + Sync)),
+    ) -> HashSet<ThreadId> {
+        let seen = Mutex::new(HashSet::new());
+        run(&|_: &Sim| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            Ok(())
+        });
+        seen.into_inner().unwrap()
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        let world = || wmutex::mutex_world(2, Protocol::WriteBack);
+        let c = cfg(1, 1);
+        let caller = HashSet::from([std::thread::current().id()]);
+        let seq = probe_threads(|probe| {
+            explore_with(world, &c, probe).unwrap();
+        });
+        assert_eq!(seq, caller, "explore_with");
+        let one = probe_threads(|probe| {
+            explore_par_with(world, &c, 1, probe).unwrap();
+        });
+        assert_eq!(one, caller, "explore_par_with, 1 worker");
+        let two = probe_threads(|probe| {
+            explore_par_with(world, &c, 2, probe).unwrap();
+        });
+        assert!(
+            two.is_superset(&caller) && two.len() <= 2,
+            "explore_par_with, 2 workers: probed on {} threads",
+            two.len()
+        );
+    }
+
+    #[test]
+    fn a_panicking_worker_stops_the_search() {
+        // The probe panics once, deep enough into the search that every
+        // worker is running. The panic must come out of the call at any
+        // worker count, not leave the other workers waiting on the job
+        // the panicking one will never finish.
+        for workers in [1usize, 2, 4] {
+            let (tx, rx) = mpsc::channel();
+            let run = std::thread::spawn(move || {
+                let calls = AtomicU64::new(0);
+                let probe = |_: &Sim| -> Result<(), String> {
+                    if calls.fetch_add(1, Ordering::Relaxed) == 1_000 {
+                        panic!("probe panics once");
+                    }
+                    Ok(())
+                };
+                let world = || wmutex::mutex_world(3, Protocol::WriteBack);
+                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    explore_par_with(world, &cfg(2, 0), workers, probe)
+                }));
+                tx.send(outcome.is_err()).unwrap();
+            });
+            let panicked = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("{workers} workers: the search hangs"));
+            run.join().expect("the panic was caught inside the thread");
+            assert!(panicked, "{workers} workers: the panic was swallowed");
         }
     }
 }

@@ -6,9 +6,9 @@
 //! [`ccsim::SymmetryClass`]es ([`Symmetry::Quotient`]), or the
 //! pre-optimization SipHash walk kept as an independent-hash-family
 //! oracle ([`Symmetry::FullRehash`]). The storage is always one 64-bit
-//! key per state in 64 [`KeySet`] shards, so the sequential explorer
-//! (which owns its set and takes no lock) and the parallel one (which
-//! locks one shard per insert) report comparable occupancy numbers.
+//! key per state in 64 mutex-striped [`KeySet`] shards, and every insert
+//! locks its shard: the search runs the same code at any worker count,
+//! and a lone worker's locks are never contended.
 
 use crate::{state_key_concrete, state_key_full, state_key_quotient, Budgets, Symmetry};
 use ccsim::Sim;
@@ -130,10 +130,9 @@ impl VisitedStats {
 /// The visited set: 64 mutex-protected [`KeySet`] shards of 64-bit state
 /// keys, selected by the key's top bits (the keys are full-avalanche
 /// hashes, so any fixed bit range balances, and the shard's own index
-/// uses the low bits). Exactly-once expansion in the parallel explorer
-/// rests on [`Visited::insert`] being atomic per key, which the striped
-/// mutexes provide; the sequential explorer owns its set and inserts
-/// through [`Visited::insert_mut`] without locking.
+/// uses the low bits). Exactly-once expansion rests on
+/// [`Visited::insert`] being atomic per key, which the striped mutexes
+/// provide.
 pub(crate) struct Visited {
     symmetry: Symmetry,
     shards: Vec<Mutex<KeySet>>,
@@ -168,21 +167,6 @@ impl Visited {
     pub(crate) fn insert(&self, sim: &Sim, quota: u64, budgets: Budgets) -> bool {
         let key = self.key(sim, quota, budgets);
         self.shards[shard_of(key)].lock().unwrap().insert(key)
-    }
-
-    /// [`Visited::insert`] for a set the caller owns outright: no lock
-    /// is taken.
-    pub(crate) fn insert_mut(&mut self, sim: &Sim, quota: u64, budgets: Budgets) -> bool {
-        let key = self.key(sim, quota, budgets);
-        self.shards[shard_of(key)].get_mut().unwrap().insert(key)
-    }
-
-    /// Distinct configurations stored.
-    pub(crate) fn len(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().len() as u64)
-            .sum()
     }
 
     /// End-of-run occupancy (also the peak — the set only grows).

@@ -142,3 +142,36 @@ fn committed_traces_replay_onto_their_fingerprints() {
         assert_eq!(sim.fingerprint(), trace.fingerprint, "{file}");
     }
 }
+
+/// On a violating run the sequential explorer reports the first
+/// violation its DFS walk meets, so its counterexample pins that walk
+/// the way the depths above pin complete runs. The parallel explorer
+/// reports the breadth-first lowest schedule instead, at any worker
+/// count: the committed `trace_976b610279a6cf7c.txt`.
+#[test]
+fn sequential_counterexample_is_pinned() {
+    let world = || af_world_seq_reuse_bug(AfConfig::new(1, 1), Protocol::WriteBack).sim;
+    let cfg = CheckConfig {
+        passages_per_proc: 2,
+        crash_all_budget: 1,
+        ..CheckConfig::default()
+    };
+    let seq = explore(world, &cfg).expect_err("sequence reuse must violate MX");
+    assert_eq!(
+        (seq.schedule().len(), seq.fingerprint()),
+        (47, 0xd5c2_5330_3da5_4417),
+        "sequential"
+    );
+    let par = explore_par(world, &cfg, 2).expect_err("sequence reuse must violate MX");
+    assert_eq!(
+        (par.schedule().len(), par.fingerprint()),
+        (27, 0x976b_6102_79a6_cf7c),
+        "parallel"
+    );
+    for err in [&seq, &par] {
+        assert_eq!(
+            replay(world, err.schedule()).fingerprint(),
+            err.fingerprint()
+        );
+    }
+}
