@@ -2,15 +2,11 @@
 //! [`ccsim::env`], where the shared implementation lives (the sched
 //! layer needs it too and cannot depend on bench).
 //!
-//! Until this module existed, `BENCH_THREADS`, `BENCH_MODELCHECK_SYMMETRY`,
-//! `CCSIM_STALL_AFTER`, and the report/floor override sites each carried
-//! their own copy of the parse-or-abort logic, and they disagreed on
-//! empty strings: some treated `FOO=` as unset, others aborted. Now every
-//! knob goes through [`parse_strict`]/[`parse_strict_uint`]/
-//! [`read_nonempty`] and the discipline is uniform — unset means
-//! default, anything else parses exactly or the process aborts with a
-//! diagnostic naming the variable, and an empty string is a malformed
-//! value, never an unset one.
+//! Every bench knob (`BENCH_THREADS` and the `*_OUT` report paths) goes
+//! through [`parse_strict`]/[`parse_strict_uint`]/[`read_nonempty`], so
+//! the discipline is uniform — unset means default, anything else parses
+//! exactly or the process aborts with a diagnostic naming the variable,
+//! and an empty string is a malformed value, never an unset one.
 
 pub use ccsim::env::{parse_strict, parse_strict_uint, raw_var, read_nonempty, read_strict_uint};
 
@@ -20,12 +16,13 @@ mod tests {
 
     // The shared implementation carries its own unit tests in
     // `ccsim::env`; these pin the facade's semantics at the bench knobs'
-    // call shapes.
+    // call shapes. `BENCH_ENV_TEST_SYMMETRY` is a sample name for a knob
+    // with a custom token parser; no code reads it.
 
     #[test]
     fn empty_string_is_malformed_not_unset() {
         assert!(parse_strict_uint("BENCH_THREADS", Some(""), false).is_err());
-        assert!(parse_strict("BENCH_MODELCHECK_SYMMETRY", Some(""), |s| {
+        assert!(parse_strict("BENCH_ENV_TEST_SYMMETRY", Some(""), |s| {
             s.parse::<modelcheck::Symmetry>()
         })
         .is_err());
@@ -34,11 +31,11 @@ mod tests {
     #[test]
     fn symmetry_values_parse_through_the_generic_helper() {
         use modelcheck::Symmetry;
-        let parse = |raw| parse_strict("BENCH_MODELCHECK_SYMMETRY", raw, str::parse::<Symmetry>);
+        let parse = |raw| parse_strict("BENCH_ENV_TEST_SYMMETRY", raw, str::parse::<Symmetry>);
         assert_eq!(parse(None), Ok(None));
         assert_eq!(parse(Some("quotient")), Ok(Some(Symmetry::Quotient)));
         let err = parse(Some("Quotient")).unwrap_err();
-        assert!(err.starts_with("BENCH_MODELCHECK_SYMMETRY: "), "{err}");
+        assert!(err.starts_with("BENCH_ENV_TEST_SYMMETRY: "), "{err}");
         assert!(err.contains("bad symmetry mode"), "{err}");
     }
 

@@ -23,17 +23,13 @@
 //! parallel row is labelled `parallel` without the worker count, so the
 //! golden does not depend on the host's CPU count.
 //!
-//! `BENCH_MODELCHECK_SYMMETRY` overrides the symmetry of the n=4
-//! newly-feasible lane (default `quotient`) for manual A/B runs;
-//! malformed values abort loudly, mirroring `BENCH_THREADS`. The
-//! lane's gates assume the default: without the quotient the n=4
-//! space blows the 50M-state cap.
+//! The n=4 newly-feasible lane always runs under `Symmetry::Quotient`:
+//! without the quotient its space blows the 50M-state cap.
 
 use super::prelude::*;
 use crate::par;
 use modelcheck::{explore, explore_par, CheckConfig, CheckReport, Symmetry};
 use rwcore::{af_world, af_world_custom, CounterKind, HelpOrder};
-use std::str::FromStr;
 use std::time::Instant;
 
 const SAMPLES: usize = 5;
@@ -106,35 +102,6 @@ fn casloop_factory(
     )
 }
 
-/// Parse a `BENCH_MODELCHECK_SYMMETRY` setting (the symmetry override
-/// for the newly-feasible instance lane).
-///
-/// `None` (the variable is unset) means "use the default
-/// [`Symmetry::Quotient`]" and returns `Ok(None)`. Anything else must
-/// be an exact [`Symmetry`] token (`off`, `quotient`, `full_rehash`);
-/// malformed values are errors so a typo'd override fails loudly
-/// instead of silently benchmarking the wrong backend — which would
-/// quietly void the A/B comparison the variable exists for.
-pub(crate) fn parse_bench_symmetry(raw: Option<&str>) -> Result<Option<Symmetry>, String> {
-    crate::env::parse_strict("BENCH_MODELCHECK_SYMMETRY", raw, Symmetry::from_str)
-}
-
-/// The symmetry for the newly-feasible lane:
-/// `BENCH_MODELCHECK_SYMMETRY` if set, [`Symmetry::Quotient`]
-/// otherwise.
-///
-/// # Panics
-/// Panics with a clear message on a malformed override (see
-/// [`parse_bench_symmetry`]).
-fn headline_symmetry() -> Symmetry {
-    let raw = crate::env::raw_var("BENCH_MODELCHECK_SYMMETRY");
-    match parse_bench_symmetry(raw.as_deref()) {
-        Ok(Some(s)) => s,
-        Ok(None) => Symmetry::Quotient,
-        Err(msg) => panic!("{msg}"),
-    }
-}
-
 /// One timed run of an exploration mode.
 fn timed(mut run: impl FnMut() -> CheckReport) -> (f64, CheckReport) {
     let start = Instant::now();
@@ -166,11 +133,6 @@ impl Experiment for PerfModelcheck {
 
     fn run(&self, ctx: &Ctx) -> Report {
         let workers = par::worker_count(usize::MAX);
-        // Validate the symmetry override up front: a typo'd
-        // BENCH_MODELCHECK_SYMMETRY must abort before the minutes of
-        // timed runs that precede its only consumer (the full-mode
-        // newly-feasible lane).
-        let new_symmetry = headline_symmetry();
         // Smoke explores the crash-free spaces (a fraction of the
         // crash_budget=1 spaces) once per mode, counts only.
         let crash_budget = if ctx.smoke() { 0 } else { 1 };
@@ -404,11 +366,9 @@ impl Experiment for PerfModelcheck {
             // CAS-loop counters — 19.6M quotient orbits, far past the
             // 50M-concrete-state horizon without symmetry — exhausted
             // under wall-clock and resident-byte ceilings.
-            // `BENCH_MODELCHECK_SYMMETRY` swaps the symmetry for manual
-            // runs (the gates assume the default quotient).
             let (new_factory, new_check) = casloop_factory(4, 2);
             let new_cfg = CheckConfig {
-                symmetry: new_symmetry,
+                symmetry: Symmetry::Quotient,
                 ..new_check
             };
             let start = Instant::now();
@@ -445,7 +405,7 @@ impl Experiment for PerfModelcheck {
             ]);
             big_table.row([
                 new_workload.clone(),
-                new_symmetry.to_string(),
+                Symmetry::Quotient.to_string(),
                 new.states_explored.to_string(),
                 format!("{new_secs:.1}"),
                 format!("{new_sps:.0}"),
@@ -488,7 +448,7 @@ impl Experiment for PerfModelcheck {
                 "the n=4 two-crash CAS-loop space is exhausted (newly feasible)",
                 format!("complete, > {NEWLY_FEASIBLE_STATE_FLOOR} states"),
                 format!(
-                    "{}, {} states under {new_symmetry}",
+                    "{}, {} states under quotient",
                     if new.complete {
                         "complete"
                     } else {
@@ -545,7 +505,7 @@ impl Experiment for PerfModelcheck {
                  \"states_per_sec\": {n3_sps:.0},\n    \"complete\": {}\n  }},\n  \
                  \"newly_feasible_instance\": {{\n    \
                  \"workload\": \"{new_workload}\",\n    \
-                 \"symmetry\": \"{new_symmetry}\",\n    \
+                 \"symmetry\": \"quotient\",\n    \
                  \"states\": {},\n    \"visited_entries\": {},\n    \
                  \"resident_bytes\": {},\n    \
                  \"resident_ceiling_bytes\": {NEWLY_FEASIBLE_RESIDENT_CEILING},\n    \
@@ -572,56 +532,5 @@ impl Experiment for PerfModelcheck {
             };
         }
         report
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_symmetry_unset_uses_default() {
-        assert_eq!(parse_bench_symmetry(None), Ok(None));
-    }
-
-    #[test]
-    fn bench_symmetry_accepts_exact_tokens() {
-        assert_eq!(parse_bench_symmetry(Some("off")), Ok(Some(Symmetry::Off)));
-        assert_eq!(
-            parse_bench_symmetry(Some("quotient")),
-            Ok(Some(Symmetry::Quotient))
-        );
-        assert_eq!(
-            parse_bench_symmetry(Some("full_rehash")),
-            Ok(Some(Symmetry::FullRehash))
-        );
-    }
-
-    #[test]
-    fn bench_symmetry_rejects_malformed_values() {
-        for bad in [
-            "",
-            "Off",
-            "OFF",
-            " off",
-            "off ",
-            "Quotient",
-            "QUOTIENT",
-            "full-rehash",
-            "fullrehash",
-            "FullRehash",
-            "on",
-            "true",
-            "false",
-            "0",
-            "1",
-            "sym",
-            "none",
-        ] {
-            let err =
-                parse_bench_symmetry(Some(bad)).expect_err(&format!("{bad:?} should be rejected"));
-            assert!(err.contains("BENCH_MODELCHECK_SYMMETRY"), "{bad:?}: {err}");
-            assert!(err.contains("bad symmetry mode"), "{bad:?}: {err}");
-        }
     }
 }

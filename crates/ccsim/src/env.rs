@@ -6,7 +6,7 @@
 //! the process aborts with a diagnostic naming the variable. Silently
 //! falling back on a typo'd value would quietly void whatever the knob
 //! exists for (a `BENCH_THREADS=1` determinism comparison, a
-//! `CCSIM_STALL_AFTER` deadlock threshold, a backend A/B selection), so
+//! `RANDOMIZED_SEED` shift of the randomized suites), so
 //! the parsers here reject empty strings, stray whitespace, signs, radix
 //! prefixes, and non-UTF-8 values uniformly.
 //!
@@ -15,7 +15,7 @@
 //! * [`parse_strict`] — the generic core: an optional raw value plus a
 //!   fallible token parser; errors are prefixed with the variable name.
 //! * [`parse_strict_uint`] — the decimal-integer special case used by
-//!   `BENCH_THREADS`, `CCSIM_STALL_AFTER`, and `RANDOMIZED_SEED`.
+//!   `BENCH_THREADS` and `RANDOMIZED_SEED`.
 //! * [`read_strict_uint`] / [`read_nonempty`] — process-environment
 //!   lookups over the above, panicking (loud abort) on malformed values,
 //!   including values that are not valid UTF-8.

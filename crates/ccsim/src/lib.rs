@@ -57,11 +57,11 @@ pub use fxhash::{mix64, FxBuildHasher, FxHasher};
 pub use layout::Layout;
 pub use memory::{CacheView, Memory, StepOutcome};
 pub use op::{Op, OpKind};
-pub use program::{sub, Phase, Program, Role, Step, SubMachine, SubStep};
+pub use program::{sub, Phase, Program, ProgramClone, Role, Step, SubMachine, SubStep};
 pub use rng::Prng;
 pub use sched::{
-    blocked_spinners, parse_stall_after, run_random, run_random_with_faults, run_round_robin,
-    run_round_robin_with_faults, run_solo, RunConfig, RunError, RunReport, STALL_AFTER_ENV,
+    blocked_spinners, run_random, run_random_with_faults, run_round_robin,
+    run_round_robin_with_faults, run_solo, RunConfig, RunError, RunReport,
 };
 pub use sim::{MutualExclusionViolation, ProcStats, Sim, SymmetryClass};
 pub use trace::{StepKind, StepRecord, Trace, TraceSummary};

@@ -11,6 +11,7 @@
 use crate::fxhash::FxHasher;
 use crate::op::Op;
 use crate::value::Value;
+use std::any::Any;
 use std::fmt;
 use std::hash::Hasher;
 
@@ -103,11 +104,14 @@ pub enum Step {
 /// * `phase` reports the current section and must be consistent with `poll`
 ///   (`Step::Cs` ⟺ `Phase::Cs`, `Step::Remainder` ⟺ `Phase::Remainder`).
 ///
-/// Programs must be [`Send`]: the parallel model checker
-/// (`modelcheck::explore_par`) moves cloned worlds between worker threads.
-/// Step machines are plain data (program counters, [`Value`]s, nested
-/// sub-machines), so this bound is vacuous in practice.
-pub trait Program: Send {
+/// Programs must be `Clone + 'static`: the model checker branches a
+/// configuration by copying every process, through the [`ProgramClone`]
+/// impl that every such type gets. They must also be [`Send`]: the
+/// parallel model checker (`modelcheck::explore_par`) moves cloned worlds
+/// between worker threads. Step machines are plain owned data (program
+/// counters, [`Value`]s, nested sub-machines), so a `#[derive(Clone)]`
+/// is all a program writes to meet these bounds.
+pub trait Program: ProgramClone + Send {
     /// The process's pending action. Pure; see the trait-level contract.
     fn poll(&self) -> Step;
 
@@ -194,64 +198,48 @@ pub trait Program: Send {
         self.fingerprint(&mut h);
         h.finish()
     }
+}
 
-    /// Duplicate this process with its full local state. Used by the model
-    /// checker to branch a configuration; the canonical implementation is
-    /// `Box::new(self.clone())`.
+/// Branching support every [`Program`] gets for free: implemented once,
+/// below, for each `Program + Clone` type, so a process is written as an
+/// ordinary `#[derive(Clone)]` struct and never implements this itself.
+///
+/// In-place copies go through the program's `Clone::clone_from`. A
+/// derived `Clone` does not forward `clone_from` to its fields, so a
+/// field that owns heap memory (a `Vec`, say) is reallocated on every
+/// branch; share immutable data through an `Arc` instead, or write
+/// `clone_from` by hand (as `rwcore`'s sharded writer does).
+pub trait ProgramClone: Any {
+    /// Duplicate this process with its full local state.
     fn clone_box(&self) -> Box<dyn Program>;
 
     /// Copy this process's full local state *into* `dst`, reusing `dst`'s
     /// storage, and return `true` — or return `false` if `dst` is a
     /// different concrete type (the caller then falls back to
-    /// [`Program::clone_box`]). The model checker branches millions of
-    /// configurations; recycling each popped world through this method
+    /// [`ProgramClone::clone_box`]). The model checker branches millions
+    /// of configurations; recycling each popped world through this method
     /// turns every per-process `Box` allocation of [`Sim::clone_world`]
-    /// into a plain memcpy.
-    ///
-    /// The default conservatively reports `false`. Implementations that
-    /// are `Clone + 'static` opt in with one line:
-    /// [`crate::impl_program_in_place_clone!()`].
+    /// into a `clone_from`.
     ///
     /// [`Sim::clone_world`]: crate::Sim::clone_world
-    fn clone_into_dyn(&self, dst: &mut dyn Program) -> bool {
-        let _ = dst;
-        false
-    }
-
-    /// Downcast support for [`Program::clone_into_dyn`]. `None` (the
-    /// default) opts out of in-place cloning.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
+    fn clone_into_dyn(&self, dst: &mut dyn Program) -> bool;
 }
 
-/// Implement [`Program::clone_into_dyn`] / [`Program::as_any_mut`] for a
-/// `Clone + 'static` program type. Expand inside the `impl Program for …`
-/// block:
-///
-/// ```ignore
-/// impl Program for MyMachine {
-///     ccsim::impl_program_in_place_clone!();
-///     // ...the rest of the trait...
-/// }
-/// ```
-#[macro_export]
-macro_rules! impl_program_in_place_clone {
-    () => {
-        fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-            Some(self)
-        }
+impl<T: Program + Clone> ProgramClone for T {
+    fn clone_box(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
 
-        fn clone_into_dyn(&self, dst: &mut dyn $crate::Program) -> bool {
-            match dst.as_any_mut().and_then(|a| a.downcast_mut::<Self>()) {
-                Some(slot) => {
-                    slot.clone_from(self);
-                    true
-                }
-                None => false,
+    fn clone_into_dyn(&self, dst: &mut dyn Program) -> bool {
+        let dst: &mut dyn Any = dst;
+        match dst.downcast_mut::<T>() {
+            Some(slot) => {
+                slot.clone_from(self);
+                true
             }
+            None => false,
         }
-    };
+    }
 }
 
 /// What a sub-machine (an operation of a shared object used *inside* an

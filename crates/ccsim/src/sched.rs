@@ -21,36 +21,8 @@ pub struct RunConfig {
     /// Hard cap on total scheduled steps.
     pub max_steps: u64,
     /// If no passage completes for this many consecutive steps, the run is
-    /// declared stalled (deadlock/livelock suspicion). Overridable at run
-    /// time via the strictly-parsed `CCSIM_STALL_AFTER` environment
-    /// variable (see [`parse_stall_after`]).
+    /// declared stalled (deadlock/livelock suspicion).
     pub stall_after: u64,
-}
-
-/// Environment variable overriding [`RunConfig::stall_after`] globally.
-pub const STALL_AFTER_ENV: &str = "CCSIM_STALL_AFTER";
-
-/// Strictly parse a `CCSIM_STALL_AFTER` value: `None` (unset) is fine,
-/// otherwise the value must be a positive decimal integer. Anything else
-/// is an error — the runners abort loudly instead of silently falling
-/// back to the configured threshold, the same discipline as
-/// `BENCH_THREADS`. A thin wrapper over [`crate::env::parse_strict_uint`]
-/// (the shared strict-knob core).
-///
-/// # Errors
-/// Returns a diagnostic naming the variable on a zero, malformed, or
-/// out-of-range value.
-pub fn parse_stall_after(raw: Option<&str>) -> Result<Option<u64>, String> {
-    crate::env::parse_strict_uint(STALL_AFTER_ENV, raw, false)
-}
-
-/// The effective stall threshold: the `CCSIM_STALL_AFTER` override if set,
-/// else `cfg.stall_after`.
-///
-/// # Panics
-/// Panics on a malformed override (see [`parse_stall_after`]).
-fn effective_stall_after(cfg: &RunConfig) -> u64 {
-    crate::env::read_strict_uint(STALL_AFTER_ENV, false).unwrap_or(cfg.stall_after)
 }
 
 impl Default for RunConfig {
@@ -250,7 +222,6 @@ fn run_with(
     let mut crash_alls = 0u64;
     let mut since_progress = 0u64;
     let mut turn = 0u64;
-    let stall_after = effective_stall_after(cfg);
     // Eligibility is absorbing within a run: a process leaves the set only
     // by reaching its remainder section with its quota met, and the runner
     // never steps it again after that. (A crash preserves this: it resets
@@ -273,7 +244,7 @@ fn run_with(
         if steps >= cfg.max_steps {
             return Err(RunError::StepBudgetExhausted { completed: done });
         }
-        if since_progress >= stall_after {
+        if since_progress >= cfg.stall_after {
             return Err(RunError::Stalled {
                 steps,
                 spinners: blocked_spinners(sim),
@@ -377,9 +348,6 @@ mod tests {
         fn fingerprint(&self, h: &mut dyn Hasher) {
             h.write_u8(self.pc);
         }
-        fn clone_box(&self) -> Box<dyn Program> {
-            Box::new(self.clone())
-        }
     }
 
     /// A client that spins forever in its entry section (never enters CS).
@@ -415,9 +383,6 @@ mod tests {
         }
         fn fingerprint(&self, h: &mut dyn Hasher) {
             h.write_u8(self.started as u8);
-        }
-        fn clone_box(&self) -> Box<dyn Program> {
-            Box::new(self.clone())
         }
     }
 
@@ -652,18 +617,6 @@ mod tests {
                 assert!(err.to_string().contains("inside a recovery window"));
             }
             other => panic!("expected stall, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parse_stall_after_is_strict() {
-        assert_eq!(parse_stall_after(None), Ok(None));
-        assert_eq!(parse_stall_after(Some("1")), Ok(Some(1)));
-        assert_eq!(parse_stall_after(Some("200000")), Ok(Some(200_000)));
-        for bad in ["0", "", " 5", "5 ", "+5", "-1", "0x10", "1e3", "five"] {
-            let err = parse_stall_after(Some(bad))
-                .expect_err(&format!("{bad:?} must be rejected, not defaulted"));
-            assert!(err.contains(STALL_AFTER_ENV), "diagnostic names the var");
         }
     }
 

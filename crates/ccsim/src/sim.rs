@@ -277,6 +277,7 @@ impl Error for MutualExclusionViolation {}
 /// ```
 /// use ccsim::{Layout, Memory, Protocol, Sim, Value};
 /// # use ccsim::{Op, Phase, Program, Role, Step};
+/// # #[derive(Clone)]
 /// # struct Noop;
 /// # impl Program for Noop {
 /// #   fn poll(&self) -> Step { Step::Remainder }
@@ -285,7 +286,6 @@ impl Error for MutualExclusionViolation {}
 /// #   fn role(&self) -> Role { Role::Reader }
 /// #   fn on_crash(&mut self) {}
 /// #   fn fingerprint(&self, _: &mut dyn std::hash::Hasher) {}
-/// #   fn clone_box(&self) -> Box<dyn Program> { Box::new(Noop) }
 /// # }
 /// let layout = Layout::new();
 /// let mem = Memory::new(&layout, 1, Protocol::WriteBack);
@@ -1025,11 +1025,14 @@ impl Sim {
     /// [`Sim::clone_world`] into an existing world, reusing `dst`'s
     /// buffers. When `dst` came from the same factory (same process types
     /// in the same slots — the invariant of the model checker's recycling
-    /// pool) and the programs opt into
-    /// [`Program::clone_into_dyn`], no allocation happens at all: each
-    /// per-process `Box` is overwritten in place and every `Vec` reuses
-    /// its capacity. Mismatched slots fall back to a fresh
-    /// [`Program::clone_box`], so the copy is correct for any `dst`.
+    /// pool), each per-process `Box` is overwritten in place through
+    /// [`ProgramClone::clone_into_dyn`] and every `Vec` reuses its
+    /// capacity, so the copy allocates only what the programs' own
+    /// `clone_from` does. Mismatched slots fall back to a fresh
+    /// [`ProgramClone::clone_box`], so the copy is correct for any `dst`.
+    ///
+    /// [`ProgramClone::clone_into_dyn`]: crate::ProgramClone::clone_into_dyn
+    /// [`ProgramClone::clone_box`]: crate::ProgramClone::clone_box
     pub fn clone_world_into(&self, dst: &mut Sim) {
         dst.mem.clone_from(&self.mem);
         if dst.procs.len() != self.procs.len() {
@@ -1070,6 +1073,7 @@ mod tests {
     use crate::cache::Protocol;
     use crate::layout::Layout;
     use crate::memory::Memory;
+    use crate::program::ProgramClone;
     use crate::value::VarId;
     use std::hash::Hasher;
 
@@ -1122,10 +1126,6 @@ mod tests {
         fn fingerprint(&self, h: &mut dyn Hasher) {
             h.write_u8(self.pc);
         }
-        fn clone_box(&self) -> Box<dyn Program> {
-            Box::new(self.clone())
-        }
-        crate::impl_program_in_place_clone!();
     }
 
     fn world(roles: &[Role]) -> Sim {
@@ -1258,10 +1258,6 @@ mod tests {
         }
         fn on_crash(&mut self) {}
         fn fingerprint(&self, _: &mut dyn Hasher) {}
-        fn clone_box(&self) -> Box<dyn Program> {
-            Box::new(NotAFlag)
-        }
-        crate::impl_program_in_place_clone!();
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl FromStr for SchedEntry {
 ///
 /// Parsed strictly from `"off"`, `"quotient"`, or `"full_rehash"`
 /// (exact, lowercase); anything else is a loud [`Err`], matching the
-/// `BENCH_THREADS`/`CCSIM_STALL_AFTER` env-knob discipline.
+/// strict env-knob discipline of `ccsim::env`.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum Symmetry {
     /// Concrete incremental fingerprints (the default): one visited-set
@@ -267,8 +267,11 @@ pub struct CheckConfig {
     /// ([`Symmetry::Off`], the default), the symmetry-quotient canonical
     /// key ([`Symmetry::Quotient`]), or the full-rehash SipHash oracle
     /// ([`Symmetry::FullRehash`]). All three preserve exactly-once
-    /// expansion (per key) and deterministic BFS-minimal counterexamples;
-    /// they differ in which configurations share a key and in cost.
+    /// expansion (per key) and deterministic counterexamples — the first
+    /// violation the depth-first search meets for [`explore`] and
+    /// [`explore_with`], the BFS-minimal one that [`explore_par`] and
+    /// [`explore_par_with`] re-derive; they differ in which
+    /// configurations share a key and in cost.
     pub symmetry: Symmetry,
 }
 
@@ -838,9 +841,6 @@ mod tests {
         }
         fn fingerprint(&self, h: &mut dyn Hasher) {
             h.write_u8(self.pc);
-        }
-        fn clone_box(&self) -> Box<dyn Program> {
-            Box::new(self.clone())
         }
     }
 

@@ -22,7 +22,7 @@
 //! explored failure-free (Mutual Exclusion only).
 
 use crate::{
-    bounded_abort_invariant, bounded_exit_invariant, explore_par_with, explore_with,
+    bounded_abort_invariant, bounded_exit_invariant, explore_par_with,
     post_crash_acquirability_invariant, CheckConfig, CheckError, CheckReport,
 };
 use ccsim::{Protocol, Sim};
@@ -214,23 +214,6 @@ pub fn run_case(
         || sim.build(inst, protocol),
         &case.config,
         workers,
-        move |s| probes.iter().try_for_each(|p| p(s)),
-    )
-}
-
-/// [`run_case`] on the *sequential* explorer — identical checks, single
-/// thread. The backend-parity suite drives every case through both
-/// explorers; reports from the two must agree exactly on a complete run.
-pub fn run_case_seq(
-    sim: &dyn SimLock,
-    inst: &SimInstance,
-    case: &SuiteCase,
-    protocol: Protocol,
-) -> Result<CheckReport, CheckError> {
-    let probes = probes_for(sim, case);
-    explore_with(
-        || sim.build(inst, protocol),
-        &case.config,
         move |s| probes.iter().try_for_each(|p| p(s)),
     )
 }

@@ -11,7 +11,7 @@
 //! `symmetry_quotient.rs`.
 
 use ccsim::Protocol;
-use modelcheck::suite::{planned_cases, run_case, run_case_seq};
+use modelcheck::suite::{planned_cases, run_case};
 use modelcheck::{explore, explore_par, CheckConfig, CheckError, CheckReport, Symmetry};
 use rwcore::{af_world_seq_reuse_bug, AfConfig, LockRegistry, Scenario};
 
@@ -43,7 +43,7 @@ fn suite_cases_agree_between_quotient_and_oracle() {
                 },
                 ..case.clone()
             };
-            let seq = run_case_seq(sim.as_ref(), &inst, &tuned, Protocol::WriteBack)
+            let seq = run_case(sim.as_ref(), &inst, &tuned, Protocol::WriteBack, 1)
                 .unwrap_or_else(|e| panic!("{label} seq {symmetry}: unexpected violation: {e}"));
             assert!(seq.complete, "{label} {symmetry}");
             assert_eq!(

@@ -51,9 +51,6 @@ impl Program for FlagLock {
     fn fingerprint(&self, h: &mut dyn Hasher) {
         h.write_u8(self.pc);
     }
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
 }
 
 fn buggy_world() -> Sim {

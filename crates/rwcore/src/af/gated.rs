@@ -129,8 +129,6 @@ impl GatedReaderSim {
 }
 
 impl Program for GatedReaderSim {
-    ccsim::impl_program_in_place_clone!();
-
     fn poll(&self) -> Step {
         if self.at_gate {
             Step::Op(Op::Read(self.gate))
@@ -177,10 +175,6 @@ impl Program for GatedReaderSim {
         self.at_gate.hash(&mut h);
         self.inner.fingerprint(h);
     }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
 }
 
 /// Simulated gated writer: raise the gate, run [`AfWriterSim`], clear the
@@ -214,8 +208,6 @@ impl GatedWriterSim {
 }
 
 impl Program for GatedWriterSim {
-    ccsim::impl_program_in_place_clone!();
-
     fn poll(&self) -> Step {
         match self.pc {
             GatePc::Raise => Step::Op(Op::write(self.gate, 1)),
@@ -267,10 +259,6 @@ impl Program for GatedWriterSim {
     fn fingerprint(&self, mut h: &mut dyn Hasher) {
         self.pc.hash(&mut h);
         self.inner.fingerprint(h);
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
     }
 }
 

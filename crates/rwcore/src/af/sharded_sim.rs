@@ -225,8 +225,6 @@ impl ShardedReaderSim {
 }
 
 impl Program for ShardedReaderSim {
-    ccsim::impl_program_in_place_clone!();
-
     fn poll(&self) -> Step {
         match &self.pc {
             SrPc::Remainder => Step::Remainder,
@@ -380,10 +378,6 @@ impl Program for ShardedReaderSim {
         self.pc = SrPc::Remainder;
     }
 
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-
     fn fingerprint(&self, mut h: &mut dyn Hasher) {
         self.shard.hash(&mut h);
         self.pc.discriminant().hash(&mut h);
@@ -507,8 +501,6 @@ impl ShardedWriterSim {
 }
 
 impl Program for ShardedWriterSim {
-    ccsim::impl_program_in_place_clone!();
-
     fn poll(&self) -> Step {
         match &self.pc {
             SwPc::Remainder => Step::Remainder,
@@ -615,10 +607,6 @@ impl Program for ShardedWriterSim {
         for inner in &mut self.inners {
             inner.on_crash();
         }
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
     }
 
     fn fingerprint(&self, mut h: &mut dyn Hasher) {

@@ -284,8 +284,6 @@ impl AfReaderSim {
 }
 
 impl Program for AfReaderSim {
-    ccsim::impl_program_in_place_clone!();
-
     fn poll(&self) -> Step {
         match &self.pc {
             RPc::Remainder => Step::Remainder,
@@ -477,10 +475,6 @@ impl Program for AfReaderSim {
         } else {
             RPc::SubC(self.c_handle.add(-1))
         };
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
     }
 
     fn fingerprint(&self, h: &mut dyn Hasher) {
@@ -753,8 +747,6 @@ impl AfWriterSim {
 }
 
 impl Program for AfWriterSim {
-    ccsim::impl_program_in_place_clone!();
-
     fn poll(&self) -> Step {
         match &self.pc {
             WPc::Remainder => Step::Remainder,
@@ -960,10 +952,6 @@ impl Program for AfWriterSim {
         // passage to fire into).
         self.pc = WPc::Remainder;
         self.recover = true;
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
     }
 
     fn fingerprint(&self, h: &mut dyn Hasher) {

@@ -67,8 +67,6 @@ impl CentralReaderSim {
 }
 
 impl Program for CentralReaderSim {
-    ccsim::impl_program_in_place_clone!();
-
     fn poll(&self) -> Step {
         match self.pc {
             CrPc::Remainder => Step::Remainder,
@@ -128,10 +126,6 @@ impl Program for CentralReaderSim {
         self.pc = CrPc::Remainder;
     }
 
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-
     fn fingerprint(&self, mut h: &mut dyn Hasher) {
         match self.pc {
             CrPc::Remainder => 0u8.hash(&mut h),
@@ -178,8 +172,6 @@ impl CentralWriterSim {
 }
 
 impl Program for CentralWriterSim {
-    ccsim::impl_program_in_place_clone!();
-
     fn poll(&self) -> Step {
         match self.pc {
             CwPc::Remainder => Step::Remainder,
@@ -219,10 +211,6 @@ impl Program for CentralWriterSim {
 
     fn on_crash(&mut self) {
         self.pc = CwPc::Remainder;
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
     }
 
     fn fingerprint(&self, mut h: &mut dyn Hasher) {
@@ -287,8 +275,6 @@ impl FaaReaderSim {
 }
 
 impl Program for FaaReaderSim {
-    ccsim::impl_program_in_place_clone!();
-
     fn poll(&self) -> Step {
         match self.pc {
             FrPc::Remainder => Step::Remainder,
@@ -346,10 +332,6 @@ impl Program for FaaReaderSim {
         self.pc = FrPc::Remainder;
     }
 
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-
     fn fingerprint(&self, mut h: &mut dyn Hasher) {
         (match self.pc {
             FrPc::Remainder => 0u8,
@@ -402,8 +384,6 @@ impl FaaWriterSim {
 }
 
 impl Program for FaaWriterSim {
-    ccsim::impl_program_in_place_clone!();
-
     fn poll(&self) -> Step {
         match &self.pc {
             FwPc::Remainder => Step::Remainder,
@@ -469,10 +449,6 @@ impl Program for FaaWriterSim {
 
     fn on_crash(&mut self) {
         self.pc = FwPc::Remainder;
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
     }
 
     fn fingerprint(&self, mut h: &mut dyn Hasher) {

@@ -12,10 +12,9 @@
 //!   [`MutexClient`] — `ccsim` step machines for RMR measurement and
 //!   model checking.
 //!
-//! [`ClhLock`] and [`TicketLock`] are queue-lock baselines for the
-//! throughput benches. [`Patience`] is the wait budget every real entry
-//! section takes: [`TournamentLock::try_lock`] here, and the `A_f` entry
-//! sections built on it.
+//! [`Patience`] is the wait budget every real entry section takes:
+//! [`TournamentLock::try_lock`] here, and the `A_f` entry sections built
+//! on it.
 //!
 //! ```
 //! use wmutex::{IdMutex, TournamentLock};
@@ -31,5 +30,5 @@
 mod real;
 mod sim;
 
-pub use real::{ClhLock, IdMutex, Patience, TicketLock, TournamentLock};
+pub use real::{IdMutex, Patience, TournamentLock};
 pub use sim::{mutex_world, EnterMachine, ExitMachine, MutexClient, SimTournament};

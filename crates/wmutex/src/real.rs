@@ -8,13 +8,8 @@
 //! starvation-freedom/Bounded-Exit properties, which is all `WL` must
 //! provide. Yang–Anderson additionally achieves the bound in the DSM
 //! model, which none of the paper's results measure.)
-//!
-//! [`ClhLock`] and [`TicketLock`] are practical queue locks included as
-//! baselines for the throughput benches (both rely on atomic RMW
-//! operations stronger than the read/write requirement on `WL`).
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// How long a bounded entry section may wait before it withdraws.
@@ -217,120 +212,10 @@ impl IdMutex for TournamentLock {
     }
 }
 
-/// A CLH queue lock: each process spins on its predecessor's node.
-/// `O(1)` RMRs per passage in the CC model, but requires atomic `swap`.
-#[derive(Debug)]
-pub struct ClhLock {
-    m: usize,
-    /// Index (into `flags`) of the current tail node.
-    tail: AtomicUsize,
-    /// `true` while the owning node's holder is in or awaiting the CS.
-    flags: Vec<AtomicBool>,
-    /// Per-process: the node I spun my request on (slot index).
-    mine: Vec<UnsafeCell<usize>>,
-    /// Per-process: my spare node slot for the next acquisition.
-    spare: Vec<UnsafeCell<usize>>,
-}
-
-// SAFETY: `mine`/`spare` slots are only accessed by the thread currently
-// using that process id (the `IdMutex` contract).
-unsafe impl Send for ClhLock {}
-unsafe impl Sync for ClhLock {}
-
-impl ClhLock {
-    /// Create a queue lock for `m` processes.
-    ///
-    /// # Panics
-    /// Panics if `m == 0`.
-    pub fn new(m: usize) -> Self {
-        assert!(m > 0, "a mutex needs at least one process");
-        // m + 1 node slots: one per process plus the initial (released) tail.
-        let flags: Vec<AtomicBool> = (0..m + 1).map(|_| AtomicBool::new(false)).collect();
-        ClhLock {
-            m,
-            tail: AtomicUsize::new(m), // slot m starts as the released sentinel
-            flags,
-            mine: (0..m).map(UnsafeCell::new).collect(),
-            spare: (0..m).map(UnsafeCell::new).collect(),
-        }
-    }
-}
-
-impl IdMutex for ClhLock {
-    fn lock(&self, id: usize) {
-        assert!(id < self.m, "process id {id} out of range");
-        // SAFETY: only the thread using `id` touches these cells.
-        let my_slot = unsafe { *self.spare[id].get() };
-        self.flags[my_slot].store(true, Ordering::SeqCst);
-        let pred = self.tail.swap(my_slot, Ordering::SeqCst);
-        while self.flags[pred].load(Ordering::SeqCst) {
-            std::hint::spin_loop();
-        }
-        unsafe {
-            *self.mine[id].get() = my_slot;
-            // Recycle the predecessor's node as our next spare (classic CLH).
-            *self.spare[id].get() = pred;
-        }
-    }
-
-    fn unlock(&self, id: usize) {
-        let my_slot = unsafe { *self.mine[id].get() };
-        self.flags[my_slot].store(false, Ordering::SeqCst);
-    }
-
-    fn processes(&self) -> usize {
-        self.m
-    }
-
-    fn name(&self) -> &'static str {
-        "clh"
-    }
-}
-
-/// A ticket lock: FAA on a ticket counter, global spin on the grant word.
-/// Simple and fair, but spins on a shared location (not RMR-optimal).
-#[derive(Debug)]
-pub struct TicketLock {
-    m: usize,
-    next: AtomicU64,
-    grant: AtomicU64,
-}
-
-impl TicketLock {
-    /// Create a ticket lock for `m` processes.
-    pub fn new(m: usize) -> Self {
-        TicketLock {
-            m,
-            next: AtomicU64::new(0),
-            grant: AtomicU64::new(0),
-        }
-    }
-}
-
-impl IdMutex for TicketLock {
-    fn lock(&self, _id: usize) {
-        let my = self.next.fetch_add(1, Ordering::SeqCst);
-        while self.grant.load(Ordering::SeqCst) != my {
-            std::hint::spin_loop();
-        }
-    }
-
-    fn unlock(&self, _id: usize) {
-        self.grant.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn processes(&self) -> usize {
-        self.m
-    }
-
-    fn name(&self) -> &'static str {
-        "ticket"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::UnsafeCell;
     use std::sync::Arc;
 
     fn hammer(lock: Arc<dyn IdMutex>, threads: usize, iters: u64) {
@@ -371,18 +256,6 @@ mod tests {
         for threads in [1usize, 2, 3, 4, 7] {
             hammer(Arc::new(TournamentLock::new(threads)), threads, 2_000);
         }
-    }
-
-    #[test]
-    fn clh_mutual_exclusion() {
-        for threads in [1usize, 2, 4, 8] {
-            hammer(Arc::new(ClhLock::new(threads)), threads, 5_000);
-        }
-    }
-
-    #[test]
-    fn ticket_mutual_exclusion() {
-        hammer(Arc::new(TicketLock::new(4)), 4, 5_000);
     }
 
     #[test]

@@ -324,8 +324,6 @@ impl MutexClient {
 }
 
 impl Program for MutexClient {
-    ccsim::impl_program_in_place_clone!();
-
     fn poll(&self) -> Step {
         match &self.state {
             ClientState::Remainder => Step::Remainder,
@@ -408,10 +406,6 @@ impl Program for MutexClient {
         } else {
             ClientState::Aborting(exit)
         };
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
     }
 
     fn fingerprint(&self, mut h: &mut dyn Hasher) {

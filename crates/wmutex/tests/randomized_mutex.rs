@@ -1,12 +1,10 @@
 //! Randomized tests for the mutex substrates: random schedules of the
-//! simulated tournament, and real-thread agreement between all three
-//! real locks. These are the former proptest suites ported to plain
+//! simulated tournament, and real-thread runs of the tournament lock. These are the former proptest suites ported to plain
 //! `#[test]`s driven by the in-tree `ccsim::Prng` (the workspace builds
 //! with zero external dependencies).
 
 use ccsim::{run_random, Prng, Protocol, RunConfig};
-use std::sync::Arc;
-use wmutex::{mutex_world, ClhLock, IdMutex, TicketLock, TournamentLock};
+use wmutex::{mutex_world, IdMutex, TournamentLock};
 
 /// Random schedules of the simulated tournament always complete all
 /// passages with mutual exclusion intact (checked per step by the
@@ -33,44 +31,36 @@ fn sim_tournament_random_schedules() {
     }
 }
 
-/// All real locks serialize a non-atomic counter correctly for any
-/// (threads, iters) shape.
+/// The real tournament lock serializes a non-atomic counter correctly
+/// for any (threads, iters) shape.
 #[test]
 fn real_locks_serialize() {
     let mut gen = Prng::new(0x10c4_b01d);
     for case in 0..12 {
         let threads = 1 + gen.below(4);
         let iters = 1 + gen.next_u64() % 399;
-        let locks: Vec<Arc<dyn IdMutex>> = vec![
-            Arc::new(TournamentLock::new(threads)),
-            Arc::new(ClhLock::new(threads)),
-            Arc::new(TicketLock::new(threads)),
-        ];
-        for lock in locks {
-            struct SendCell(std::cell::UnsafeCell<u64>);
-            unsafe impl Send for SendCell {}
-            unsafe impl Sync for SendCell {}
-            let counter = Arc::new(SendCell(std::cell::UnsafeCell::new(0)));
-            std::thread::scope(|s| {
-                for id in 0..threads {
-                    let lock = Arc::clone(&lock);
-                    let counter = Arc::clone(&counter);
-                    s.spawn(move || {
-                        for _ in 0..iters {
-                            lock.lock(id);
-                            unsafe { *counter.0.get() += 1 };
-                            lock.unlock(id);
-                        }
-                    });
-                }
-            });
-            assert_eq!(
-                unsafe { *counter.0.get() },
-                threads as u64 * iters,
-                "case {case}: {} lost updates",
-                lock.name()
-            );
-        }
+        let lock = TournamentLock::new(threads);
+        struct SendCell(std::cell::UnsafeCell<u64>);
+        unsafe impl Send for SendCell {}
+        unsafe impl Sync for SendCell {}
+        let counter = SendCell(std::cell::UnsafeCell::new(0));
+        std::thread::scope(|s| {
+            for id in 0..threads {
+                let (lock, counter) = (&lock, &counter);
+                s.spawn(move || {
+                    for _ in 0..iters {
+                        lock.lock(id);
+                        unsafe { *counter.0.get() += 1 };
+                        lock.unlock(id);
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            unsafe { *counter.0.get() },
+            threads as u64 * iters,
+            "case {case}: lost updates"
+        );
     }
 }
 

@@ -18,6 +18,7 @@ use rwlock_repro::{
     Role, Sim, Step, Symmetry, TraceArtifact, Value, VarId,
 };
 use std::hash::Hasher;
+use std::sync::Arc;
 
 /// The `world:` tag under which the crash-all counterexample below is
 /// persisted; `--replay` keys the factory choice on it.
@@ -96,16 +97,15 @@ impl Program for DiyReader {
     fn fingerprint(&self, h: &mut dyn Hasher) {
         h.write_u8(self.pc);
     }
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
 }
 
 /// A DIY writer: raises its flag, scans reader flags, enters.
 #[derive(Clone)]
 struct DiyWriter {
     writer_flag: VarId,
-    reader_flags: Vec<VarId>,
+    /// Behind an `Arc`: branching the world then bumps a count, where a
+    /// derived `Clone` of a `Vec` field would allocate a new list.
+    reader_flags: Arc<[VarId]>,
     pc: u8, // 0 remainder, 1 raise, 2.. scan readers, then CS, clear
 }
 
@@ -158,9 +158,6 @@ impl Program for DiyWriter {
     fn fingerprint(&self, h: &mut dyn Hasher) {
         h.write_u8(self.pc);
     }
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
 }
 
 fn diy_world(readers: usize) -> Sim {
@@ -178,7 +175,7 @@ fn diy_world(readers: usize) -> Sim {
     }
     procs.push(Box::new(DiyWriter {
         writer_flag,
-        reader_flags,
+        reader_flags: reader_flags.into(),
         pc: 0,
     }));
     Sim::new(mem, procs)

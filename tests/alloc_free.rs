@@ -17,6 +17,7 @@ use std::alloc::{GlobalAlloc, System};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -264,4 +265,97 @@ fn every_registered_sim_twin_branches_without_allocating() {
         let label = format!("{id} {}", inst.label);
         assert_branching_is_allocation_free(&label, root, crashes, false);
     }
+}
+
+/// A Dekker-style flag lock written the way a user writes a program: it
+/// only derives `Clone`. Each process owns one flag in `flags`, the
+/// single writer's last. A reader raises its flag and backs off while
+/// the writer's is up; the writer raises its flag and waits out each
+/// reader's in turn.
+#[derive(Clone)]
+struct FlagLock {
+    role: Role,
+    me: usize,
+    flags: Arc<[VarId]>,
+    pc: u8,
+    scan: usize,
+}
+
+impl Program for FlagLock {
+    fn poll(&self) -> Step {
+        let own = self.flags[self.me];
+        match (self.pc, self.role) {
+            (0, _) => Step::Remainder,
+            (1, _) => Step::Op(Op::write(own, true)),
+            (2, Role::Reader) => Step::Op(Op::Read(self.flags[self.flags.len() - 1])),
+            (2, Role::Writer) => Step::Op(Op::Read(self.flags[self.scan])),
+            (3, _) => Step::Cs,
+            _ => Step::Op(Op::write(own, false)),
+        }
+    }
+    fn resume(&mut self, response: Value) {
+        self.pc = match (self.pc, self.role) {
+            (0, _) => 1,
+            (1, _) => 2,
+            (2, Role::Reader) if response.expect_bool() => 4,
+            (2, Role::Reader) => 3,
+            (2, Role::Writer) if response.expect_bool() => 2,
+            (2, Role::Writer) => {
+                self.scan = (self.scan + 1) % self.me;
+                if self.scan == 0 {
+                    3
+                } else {
+                    2
+                }
+            }
+            (3, _) => 5,
+            (4, _) => 1,
+            _ => 0,
+        };
+    }
+    fn phase(&self) -> Phase {
+        match self.pc {
+            0 => Phase::Remainder,
+            3 => Phase::Cs,
+            5 => Phase::Exit,
+            _ => Phase::Entry,
+        }
+    }
+    fn role(&self) -> Role {
+        self.role
+    }
+    fn on_crash(&mut self) {
+        self.pc = 0;
+        self.scan = 0;
+    }
+    fn fingerprint(&self, h: &mut dyn Hasher) {
+        h.write_u8(self.pc);
+        h.write_usize(self.scan);
+    }
+}
+
+#[test]
+fn derive_clone_program_world_branches_without_allocating() {
+    let readers = 2;
+    let mut layout = Layout::new();
+    let flags: Arc<[VarId]> = layout.array("flag", readers + 1, Value::Bool(false)).into();
+    let mem = Memory::new(&layout, readers + 1, Protocol::WriteBack);
+    let procs = (0..=readers)
+        .map(|me| {
+            let role = if me < readers {
+                Role::Reader
+            } else {
+                Role::Writer
+            };
+            Box::new(FlagLock {
+                role,
+                me,
+                flags: Arc::clone(&flags),
+                pc: 0,
+                scan: 0,
+            }) as Box<dyn Program>
+        })
+        .collect();
+    let root = Sim::new(mem, procs);
+    assert_branching_is_allocation_free("derive(Clone) flag lock 2r+1w crash 1", root, 1, false);
 }
