@@ -16,27 +16,23 @@ mod tests {
 
     // The shared implementation carries its own unit tests in
     // `ccsim::env`; these pin the facade's semantics at the bench knobs'
-    // call shapes. `BENCH_ENV_TEST_SYMMETRY` is a sample name for a knob
-    // with a custom token parser; no code reads it.
+    // call shapes. `BENCH_ENV_TEST_KNOB` is a sample name for a knob
+    // parsed through `FromStr`; no code reads it.
 
     #[test]
     fn empty_string_is_malformed_not_unset() {
         assert!(parse_strict_uint("BENCH_THREADS", Some(""), false).is_err());
-        assert!(parse_strict("BENCH_ENV_TEST_SYMMETRY", Some(""), |s| {
-            s.parse::<modelcheck::Symmetry>()
-        })
-        .is_err());
+        assert!(parse_strict("BENCH_ENV_TEST_KNOB", Some(""), str::parse::<u32>).is_err());
     }
 
     #[test]
-    fn symmetry_values_parse_through_the_generic_helper() {
-        use modelcheck::Symmetry;
-        let parse = |raw| parse_strict("BENCH_ENV_TEST_SYMMETRY", raw, str::parse::<Symmetry>);
+    fn from_str_values_parse_through_the_generic_helper() {
+        let parse = |raw| parse_strict("BENCH_ENV_TEST_KNOB", raw, str::parse::<u32>);
         assert_eq!(parse(None), Ok(None));
-        assert_eq!(parse(Some("quotient")), Ok(Some(Symmetry::Quotient)));
-        let err = parse(Some("Quotient")).unwrap_err();
-        assert!(err.starts_with("BENCH_ENV_TEST_SYMMETRY: "), "{err}");
-        assert!(err.contains("bad symmetry mode"), "{err}");
+        assert_eq!(parse(Some("42")), Ok(Some(42)));
+        let err = parse(Some("4x")).unwrap_err();
+        assert!(err.starts_with("BENCH_ENV_TEST_KNOB: "), "{err}");
+        assert!(err.contains("invalid digit"), "{err}");
     }
 
     #[test]

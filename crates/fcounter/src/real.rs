@@ -13,7 +13,7 @@
 //! sum.
 
 use crate::tree::TreeShape;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pack a `(version, sum)` node word.
 fn pack(version: u32, sum: i32) -> u64 {
@@ -45,11 +45,11 @@ fn unpack(word: u64) -> (u32, i32) {
 #[derive(Debug)]
 pub struct FArray {
     shape: TreeShape,
-    /// Internal nodes, heap indices `1..width` (slot 0 unused). Empty when
-    /// the tree is a single leaf.
-    nodes: Box<[AtomicU64]>,
-    /// Leaf contributions, one per process; single-writer.
-    leaves: Box<[AtomicI64]>,
+    /// The whole tree in heap order, [`TreeShape::heap_len`] cells (cell 0
+    /// unused). Internal nodes `1..width` hold a packed `(version, sum)`;
+    /// leaf `i` (cell `width + i`) holds its `i64` contribution as a bit
+    /// pattern and is single-writer; padding leaves past `K` stay zero.
+    cells: Box<[AtomicU64]>,
 }
 
 impl FArray {
@@ -61,8 +61,7 @@ impl FArray {
         let shape = TreeShape::new(k);
         FArray {
             shape,
-            nodes: (0..shape.width()).map(|_| AtomicU64::new(0)).collect(),
-            leaves: (0..k).map(|_| AtomicI64::new(0)).collect(),
+            cells: (0..shape.heap_len()).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -71,24 +70,31 @@ impl FArray {
         self.shape.leaves()
     }
 
+    /// Process `id`'s leaf cell. The bound is checked here, not by the
+    /// slice: padding leaves are cells too.
+    fn leaf_cell(&self, id: usize) -> &AtomicU64 {
+        assert!(
+            id < self.shape.leaves(),
+            "process id {id} out of range (k = {})",
+            self.shape.leaves()
+        );
+        &self.cells[self.shape.leaf_base() + id]
+    }
+
     /// The sum stored at heap node `x` (leaf or internal).
     fn node_sum(&self, x: usize) -> i64 {
+        let word = self.cells[x].load(Ordering::SeqCst);
         if self.shape.is_leaf(x) {
-            let i = x - self.shape.leaf_base();
-            if i < self.leaves.len() {
-                self.leaves[i].load(Ordering::SeqCst)
-            } else {
-                0 // padding leaf
-            }
+            word as i64
         } else {
-            unpack(self.nodes[x].load(Ordering::SeqCst)).1 as i64
+            unpack(word).1 as i64
         }
     }
 
     /// One refresh attempt on internal node `x`: recompute the node's sum
     /// from its children and CAS it in. Returns whether the CAS succeeded.
     fn refresh(&self, x: usize) -> bool {
-        let old = self.nodes[x].load(Ordering::SeqCst);
+        let old = self.cells[x].load(Ordering::SeqCst);
         let (ver, _) = unpack(old);
         let (l, r) = self.shape.children(x);
         let sum = self.node_sum(l) + self.node_sum(r);
@@ -96,7 +102,7 @@ impl FArray {
             i32::try_from(sum).is_ok(),
             "f-array node sum overflowed i32: {sum}"
         );
-        self.nodes[x]
+        self.cells[x]
             .compare_exchange(
                 old,
                 pack(ver.wrapping_add(1), sum as i32),
@@ -112,17 +118,23 @@ impl FArray {
     /// Panics if `id` is not a registered process. Each process id must be
     /// used by at most one thread at a time (leaves are single-writer).
     pub fn add(&self, id: usize, delta: i64) {
-        assert!(id < self.leaves.len(), "process id {id} out of range");
+        let leaf = self.leaf_cell(id);
         if delta == 0 {
             return;
         }
         // Single-writer leaf: plain load+store is race-free by contract.
-        let cur = self.leaves[id].load(Ordering::SeqCst);
-        self.leaves[id].store(cur + delta, Ordering::SeqCst);
+        // The load reads shared memory, not a cached copy, so a passage
+        // may be handed between threads mid-flight.
+        let cur = leaf.load(Ordering::SeqCst) as i64;
+        leaf.store((cur + delta) as u64, Ordering::SeqCst);
         // Double-refresh up the tree: if both attempts at a node fail, two
         // complete refreshes by others overlapped our interval, and the
         // second one read our leaf update.
-        for x in self.shape.path_to_root(id) {
+        // The walk is `TreeShape::path_to_root` without its second bound
+        // check, which costs a reader passage measurable time.
+        let mut x = self.shape.leaf_base() + id;
+        while x > self.shape.root() {
+            x = self.shape.parent(x);
             if !self.refresh(x) {
                 self.refresh(x);
             }
@@ -136,8 +148,11 @@ impl FArray {
 
     /// The contribution currently registered for process `id` (test and
     /// debugging aid; reads only `id`'s leaf).
+    ///
+    /// # Panics
+    /// Panics if `id` is not a registered process.
     pub fn leaf(&self, id: usize) -> i64 {
-        self.leaves[id].load(Ordering::SeqCst)
+        self.leaf_cell(id).load(Ordering::SeqCst) as i64
     }
 }
 

@@ -109,6 +109,48 @@ fn real_adds_exact() {
     }
 }
 
+/// The panic message of `f`, which must panic.
+fn panic_message(f: impl FnOnce()) -> String {
+    let err =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("expected a panic");
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// The one-array layout keeps every leaf apart and the root exact, for
+/// padded and unpadded widths alike; the first padding leaf (or, at a
+/// power-of-two `k`, the cell past the end) is not a process.
+#[test]
+fn real_layout_sums_every_leaf_and_bounds_ids() {
+    let mut gen = Prng::new(0xfa11_a7e5);
+    for k in 1..=9 {
+        let counter = FArray::new(k);
+        let mut contributions = vec![0i64; k];
+        for _round in 0..8 {
+            for (id, c) in contributions.iter_mut().enumerate() {
+                let d = gen.int_in(-5, 6);
+                counter.add(id, d);
+                *c += d;
+            }
+        }
+        assert_eq!(counter.read(), contributions.iter().sum::<i64>(), "k={k}");
+        for (id, &c) in contributions.iter().enumerate() {
+            assert_eq!(counter.leaf(id), c, "k={k} id={id}");
+        }
+        for msg in [
+            panic_message(|| {
+                counter.leaf(k);
+            }),
+            panic_message(|| counter.add(k, 1)),
+        ] {
+            assert!(msg.contains("out of range"), "k={k}: {msg}");
+        }
+        assert_eq!(counter.read(), contributions.iter().sum::<i64>(), "k={k}");
+    }
+}
+
 /// Reads during quiescent moments between batches are exact.
 #[test]
 fn sim_sequential_batches() {

@@ -165,10 +165,6 @@ impl FromStr for SchedEntry {
 /// Which state key the visited set deduplicates configurations by — the
 /// fingerprint discipline of an exploration (see
 /// [`CheckConfig::symmetry`]).
-///
-/// Parsed strictly from `"off"`, `"quotient"`, or `"full_rehash"`
-/// (exact, lowercase); anything else is a loud [`Err`], matching the
-/// strict env-knob discipline of `ccsim::env`.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum Symmetry {
     /// Concrete incremental fingerprints (the default): one visited-set
@@ -208,25 +204,6 @@ impl fmt::Display for Symmetry {
             Symmetry::Quotient => "quotient",
             Symmetry::FullRehash => "full_rehash",
         })
-    }
-}
-
-impl FromStr for Symmetry {
-    type Err = String;
-
-    /// Strict parse: exactly `"off"`, `"quotient"`, or `"full_rehash"`.
-    /// No case folding, no trimming, no prefixes — a malformed mode
-    /// selection must abort loudly, never silently fall back to a mode
-    /// that explores a different number of states.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(Symmetry::Off),
-            "quotient" => Ok(Symmetry::Quotient),
-            "full_rehash" => Ok(Symmetry::FullRehash),
-            other => Err(format!(
-                "bad symmetry mode {other:?}: expected \"off\", \"quotient\", or \"full_rehash\""
-            )),
-        }
     }
 }
 
@@ -1152,49 +1129,9 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_mode_tokens_round_trip() {
-        for mode in [Symmetry::Off, Symmetry::Quotient, Symmetry::FullRehash] {
-            assert_eq!(mode.to_string().parse::<Symmetry>().unwrap(), mode);
-        }
+    fn symmetry_defaults_to_off() {
         assert_eq!(Symmetry::default(), Symmetry::Off);
         assert_eq!(CheckConfig::default().symmetry, Symmetry::Off);
-    }
-
-    #[test]
-    fn symmetry_mode_parse_is_strict() {
-        // A malformed mode selection must abort loudly, never fall
-        // back silently: the chosen mode decides how many states a run
-        // explores, so a typo that "defaults to off" would corrupt A/B
-        // measurements without a trace.
-        for bad in [
-            "",
-            "Off",
-            "OFF",
-            " off",
-            "off ",
-            "on",
-            "quotient ",
-            "Quotient",
-            "QUOTIENT",
-            "quot",
-            "sym",
-            "symmetry",
-            "full-rehash",
-            "fullrehash",
-            "full_rehash ",
-            "FullRehash",
-            "full",
-            "rehash",
-            "true",
-            "false",
-            "0",
-            "1",
-        ] {
-            let err = bad
-                .parse::<Symmetry>()
-                .expect_err(&format!("mode {bad:?} must be rejected"));
-            assert!(err.contains("bad symmetry mode"), "unhelpful error: {err}");
-        }
     }
 
     #[test]

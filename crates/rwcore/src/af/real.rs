@@ -7,7 +7,7 @@
 //! with readers through the `(seq, opcode)` signal words `RSIG` and
 //! `WSIG[i]`.
 
-use crate::config::AfConfig;
+use crate::config::{AfConfig, GroupSlot};
 use crate::sig::{Opcode, Signal};
 use fcounter::FArray;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +42,9 @@ pub struct RawAfLock {
     cfg: AfConfig,
     /// Non-empty reader groups (`g ≤ f(n)`, see [`AfConfig::occupied_groups`]).
     groups: usize,
+    /// Reader `r`'s group and leaf, [`AfConfig::group_of`] computed once
+    /// per reader so that a passage does no division.
+    slots: Box<[GroupSlot]>,
     /// `C[i]`: readers of group i currently inside a passage (line 1).
     c: Vec<FArray>,
     /// `W[i]`: readers of group i waiting to be signalled (line 1).
@@ -67,6 +70,7 @@ impl RawAfLock {
         RawAfLock {
             cfg,
             groups,
+            slots: (0..cfg.readers).map(|r| cfg.group_of(r)).collect(),
             c: (0..groups)
                 .map(|g| FArray::new(cfg.group_population(g)))
                 .collect(),
@@ -90,6 +94,21 @@ impl RawAfLock {
     /// Number of non-empty reader groups actually maintained.
     pub fn groups(&self) -> usize {
         self.groups
+    }
+
+    /// Reader `reader_id`'s group and leaf: one table load.
+    ///
+    /// # Panics
+    /// Panics if `reader_id` is out of range.
+    #[inline]
+    fn slot(&self, reader_id: usize) -> GroupSlot {
+        match self.slots.get(reader_id) {
+            Some(&slot) => slot,
+            None => panic!(
+                "reader id {reader_id} out of range (n = {})",
+                self.cfg.readers
+            ),
+        }
     }
 
     fn rsig(&self) -> Signal {
@@ -159,8 +178,7 @@ impl RawAfLock {
     /// Panics if `reader_id` is out of range.
     #[inline]
     pub fn try_reader_lock(&self, reader_id: usize, mut patience: Patience) -> bool {
-        let slot = self.cfg.group_of(reader_id);
-        let (i, leaf) = (slot.group, slot.leaf);
+        let GroupSlot { group: i, leaf } = self.slot(reader_id);
         self.c[i].add(leaf, 1); // line 31
         let sig = self.rsig(); // line 32
         if sig.op == Opcode::Wait {
@@ -189,8 +207,7 @@ impl RawAfLock {
     /// # Panics
     /// Panics if `reader_id` is out of range.
     pub fn reader_unlock(&self, reader_id: usize) {
-        let slot = self.cfg.group_of(reader_id);
-        let (i, leaf) = (slot.group, slot.leaf);
+        let GroupSlot { group: i, leaf } = self.slot(reader_id);
         self.c[i].add(leaf, -1); // line 40
         let sig = self.rsig(); // line 41
         match sig.op {
@@ -318,6 +335,7 @@ impl RawAfLock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FPolicy;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -412,6 +430,31 @@ mod tests {
         lock.writer_lock(0);
         lock.writer_unlock(0);
         assert_eq!(lock.wseq(), before + 2);
+    }
+
+    /// The slot table is `group_of`, and readers that share a group never
+    /// share a leaf.
+    #[test]
+    fn slot_table_matches_group_of() {
+        let policies = FPolicy::NAMED.into_iter().chain([FPolicy::Groups(3)]);
+        for policy in policies {
+            for n in 1..=64 {
+                let cfg = AfConfig::new(n, 1).with_policy(policy);
+                let lock = RawAfLock::new(cfg);
+                let mut leaves: Vec<Vec<usize>> = vec![Vec::new(); lock.groups()];
+                for r in 0..n {
+                    let slot = lock.slot(r);
+                    assert_eq!(slot, cfg.group_of(r), "{policy} n={n} r={r}");
+                    leaves[slot.group].push(slot.leaf);
+                }
+                for (g, group) in leaves.iter_mut().enumerate() {
+                    let population = group.len();
+                    group.sort_unstable();
+                    group.dedup();
+                    assert_eq!(group.len(), population, "{policy} n={n} group {g}");
+                }
+            }
+        }
     }
 
     #[test]

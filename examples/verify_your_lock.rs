@@ -20,6 +20,11 @@ use rwlock_repro::{
 use std::hash::Hasher;
 use std::sync::Arc;
 
+/// Where the demo writes its replayable trace artifacts. A build
+/// directory, not `results/`: the committed traces there are pinned by
+/// tests, and a demo run must leave the tree clean.
+const ARTIFACT_DIR: &str = "target/verify_your_lock";
+
 /// The `world:` tag under which the crash-all counterexample below is
 /// persisted; `--replay` keys the factory choice on it.
 const SEQ_REUSE_WORLD: &str = "af-seq-reuse-bug n=1 m=1 writeback";
@@ -263,7 +268,7 @@ fn main() {
                 fingerprint: out.fingerprint,
                 schedule: out.schedule,
             };
-            match artifact.write_to("results") {
+            match artifact.write_to(ARTIFACT_DIR) {
                 Ok(path) => {
                     println!("\nreplayable trace written to {}", path.display());
                     println!(
@@ -310,7 +315,7 @@ fn main() {
                 fingerprint: out.fingerprint,
                 schedule: out.schedule,
             };
-            match artifact.write_to("results") {
+            match artifact.write_to(ARTIFACT_DIR) {
                 Ok(path) => println!(
                     "replayable trace written to {}; replay with:\n  cargo run --release \
                      --example verify_your_lock -- --replay {}\n",
@@ -362,7 +367,7 @@ fn main() {
                 fingerprint: out.fingerprint,
                 schedule: out.schedule,
             };
-            match artifact.write_to("results") {
+            match artifact.write_to(ARTIFACT_DIR) {
                 Ok(path) => println!(
                     "replayable trace written to {}; replay with:\n  cargo run --release \
                      --example verify_your_lock -- --replay {}\n",
