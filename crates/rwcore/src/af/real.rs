@@ -21,6 +21,15 @@ use wmutex::{IdMutex, Patience, TournamentLock};
 /// starvation, with writer passages in `Θ(f(n))` RMRs and reader passages
 /// in `Θ(log(n/f(n)))` RMRs (CC model).
 ///
+/// # Memory orderings
+/// Every reader-side access and every f-array access is SeqCst. On the
+/// writer side only the two Dekker stores to `RSIG` (lines 11 and 18)
+/// and the `WL` tournament's entry are SeqCst; the `WSIG[i]` and `WSEQ`
+/// stores are Relaxed and the exit store to `RSIG` (line 26) is Release.
+/// An uncontended writer passage therefore makes `2·⌈log2 m⌉ + 2`
+/// full-fence stores whatever `f(n)` is. DESIGN.md, "Memory orderings of
+/// the real writer passage", gives the argument for each weaker access.
+///
 /// # Contract
 /// Each reader id in `0..cfg.readers` and writer id in `0..cfg.writers`
 /// must be used by at most one thread at a time, and lock/unlock calls
@@ -253,12 +262,17 @@ impl RawAfLock {
         if !self.wl.try_lock(writer_id, patience) {
             return false; // line 6 timed out: no signal state touched yet
         }
-        let seq = self.wseq.load(Ordering::SeqCst);
-        // Lines 7–9: arm WSIG[i] for this passage.
+        // Relaxed: only the `WL` holder touches `WSEQ`, and `WL`'s handoff
+        // orders the previous holder's line-25 store before this load.
+        let seq = self.wseq.load(Ordering::Relaxed);
+        // Lines 7–9: arm WSIG[i] for this passage. Relaxed: a reader CASes
+        // WSIG[i] only with a `seq` it read from the line-11 store below,
+        // which publishes these stores.
         for i in 0..self.groups {
-            self.wsig[i].store(Signal::new(seq, Opcode::Bot).pack(), Ordering::SeqCst);
+            self.wsig[i].store(Signal::new(seq, Opcode::Bot).pack(), Ordering::Relaxed);
         }
-        // Line 11: ask exiting readers to report empty groups.
+        // Line 11: ask exiting readers to report empty groups. SeqCst: a
+        // Dekker store, ordered before the line-14 `C[i]` reads.
         self.rsig
             .store(Signal::new(seq, Opcode::Preentry).pack(), Ordering::SeqCst);
         // Lines 12–17: verify no readers are still waiting on a previous
@@ -268,10 +282,11 @@ impl RawAfLock {
             if !self.await_group(writer_id, i, Signal::new(seq, Opcode::Proceed), patience) {
                 return false;
             }
-            // line 16
-            self.wsig[i].store(Signal::new(seq, Opcode::Wait).pack(), Ordering::SeqCst);
+            // Line 16. Relaxed, like lines 7–9: the line-18 store publishes it.
+            self.wsig[i].store(Signal::new(seq, Opcode::Wait).pack(), Ordering::Relaxed);
         }
-        // Line 18: from now on, arriving readers wait for us.
+        // Line 18: from now on, arriving readers wait for us. SeqCst: a
+        // Dekker store, ordered before the line-21 `C[i]` reads.
         self.rsig
             .store(Signal::new(seq, Opcode::Wait).pack(), Ordering::SeqCst);
         // Lines 19–23: wait for in-flight readers to clear the CS.
@@ -309,11 +324,15 @@ impl RawAfLock {
     /// # Panics
     /// Panics if `writer_id` is out of range.
     pub fn writer_unlock(&self, writer_id: usize) {
-        let seq = self.wseq.load(Ordering::SeqCst);
-        self.wseq.store(seq + 1, Ordering::SeqCst); // line 25
-                                                    // Line 26: release waiting readers and reset for the next passage.
+        // Line 25. Relaxed, as in the entry section: `WL` orders `WSEQ`.
+        let seq = self.wseq.load(Ordering::Relaxed);
+        self.wseq.store(seq + 1, Ordering::Relaxed);
+        // Line 26: release waiting readers and reset for the next passage.
+        // Release: parked readers acquire it. A reader load that returns
+        // it is coherence-ordered before the next writer's SeqCst line-11
+        // and line-18 stores, so it still precedes them in the SC order.
         self.rsig
-            .store(Signal::new(seq + 1, Opcode::Nop).pack(), Ordering::SeqCst);
+            .store(Signal::new(seq + 1, Opcode::Nop).pack(), Ordering::Release);
         self.wl.unlock(writer_id); // line 27
     }
 }
@@ -430,6 +449,58 @@ mod tests {
         lock.writer_lock(0);
         lock.writer_unlock(0);
         assert_eq!(lock.wseq(), before + 2);
+    }
+
+    /// `WSEQ` counts every writer passage while `WL` passes among three
+    /// writers and two readers run beside them. Its load and store are
+    /// Relaxed and rely on `WL`'s handoff alone: a writer that read a
+    /// stale `WSEQ` would reuse a sequence number and lose an increment.
+    /// The five threads oversubscribe a small host, and the readers yield
+    /// after every passage, so writers are often preempted at arbitrary
+    /// points: a line-25 store moved after the `WL` release then loses
+    /// increments within one run.
+    #[test]
+    fn wseq_counts_every_passage_across_wl_handoffs() {
+        const WRITERS: usize = 3;
+        let lock = RawAfLock::new(AfConfig::new(2, WRITERS));
+        let writers_done = std::sync::atomic::AtomicUsize::new(0);
+        let spin = |rng: &mut ccsim::Prng| {
+            for _ in 0..rng.below(16) {
+                std::hint::spin_loop();
+            }
+        };
+        let passages: usize = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (lock, writers_done) = (&lock, &writers_done);
+                    s.spawn(move || {
+                        let mut rng = ccsim::Prng::new(0x5E9_0000 + w as u64);
+                        let passes = 300_000 + rng.below(1_000);
+                        for _ in 0..passes {
+                            lock.writer_lock(w);
+                            lock.writer_unlock(w);
+                            spin(&mut rng);
+                        }
+                        writers_done.fetch_add(1, Ordering::SeqCst);
+                        passes
+                    })
+                })
+                .collect();
+            for r in 0..2 {
+                let (lock, writers_done) = (&lock, &writers_done);
+                s.spawn(move || {
+                    let mut rng = ccsim::Prng::new(0x5E9_0100 + r as u64);
+                    while writers_done.load(Ordering::SeqCst) < WRITERS {
+                        lock.reader_lock(r);
+                        lock.reader_unlock(r);
+                        spin(&mut rng);
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            writers.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(lock.wseq(), passages as u64, "one epoch per passage");
     }
 
     /// The slot table is `group_of`, and readers that share a group never

@@ -85,9 +85,12 @@ impl Node {
     /// Peterson's entry: raise our flag, yield the tie, and wait while
     /// the rival wants the node and we wrote `turn` last. Each failed
     /// re-read of the rival's `(flag, turn)` pair spends `patience`; when
-    /// it runs out our flag is cleared again (so the rival — who re-reads
-    /// it on every spin iteration — proceeds exactly as after a normal
-    /// release) and `false` is returned: the node is not held.
+    /// it runs out our flag is cleared again by the same Release store as
+    /// [`Node::release`] (so the rival — who re-reads it on every spin
+    /// iteration — proceeds exactly as after a normal release) and `false`
+    /// is returned: the node is not held. The entry's stores and loads are
+    /// SeqCst: each flag and turn store must be ordered before the loads
+    /// that follow it.
     #[inline]
     fn acquire(&self, side: usize, mut patience: Patience) -> bool {
         self.flag[side].store(true, Ordering::SeqCst);
@@ -95,7 +98,7 @@ impl Node {
         while self.flag[1 - side].load(Ordering::SeqCst) && self.turn.load(Ordering::SeqCst) == side
         {
             if !patience.spend() {
-                self.flag[side].store(false, Ordering::SeqCst);
+                self.flag[side].store(false, Ordering::Release);
                 return false;
             }
             std::hint::spin_loop();
@@ -103,8 +106,11 @@ impl Node {
         true
     }
 
+    /// Peterson's exit. Release: the rival's SeqCst load that sees the
+    /// cleared flag synchronizes with it, so our critical section happens
+    /// before the rival's. No later load of ours must be ordered after it.
     fn release(&self, side: usize) {
-        self.flag[side].store(false, Ordering::SeqCst);
+        self.flag[side].store(false, Ordering::Release);
     }
 }
 
@@ -116,6 +122,11 @@ impl Node {
 /// leaf-to-root path bottom-up; release is top-down, so a successor from
 /// the same subtree can never reach a node before its current holder has
 /// released it.
+///
+/// Only Peterson's entry is SeqCst: one `flag` and one `turn` store per
+/// level, each a full fence on x86. `unlock` and the abort path's flag
+/// clears are Release stores, which on x86 are plain stores, so an
+/// uncontended passage makes `2·⌈log2 m⌉` full-fence stores.
 ///
 /// # Examples
 /// ```

@@ -44,8 +44,11 @@ fn raw_af_conforms_under_every_named_policy() {
 }
 
 #[test]
-fn gated_af_conforms_under_log_n() {
-    let cfg = AfConfig::new(4, 2).with_policy(FPolicy::LogN);
-    let lock = RawAdapter::new(GatedAfLock::new(cfg));
-    conformance(&lock, RealShape::new(4, 2), 0x6A7E + seed_offset()).unwrap();
+fn gated_af_conforms_under_every_named_policy() {
+    for policy in FPolicy::NAMED {
+        let cfg = AfConfig::new(4, 2).with_policy(policy);
+        let lock = RawAdapter::new(GatedAfLock::new(cfg));
+        conformance(&lock, RealShape::new(4, 2), 0x6A7E + seed_offset())
+            .unwrap_or_else(|e| panic!("policy {policy}: {e}"));
+    }
 }
