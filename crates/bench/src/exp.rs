@@ -38,7 +38,7 @@ use rwcore::{AfConfig, FPolicy};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Which configuration an experiment runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -720,6 +720,31 @@ pub fn scenario_matrix(reg: &rwcore::LockRegistry) -> Vec<(String, String)> {
                 .map(move |s| (e.id.to_string(), s.name.to_string()))
         })
         .collect()
+}
+
+/// The locks whose uncontended passages the `perf_locks` lab times for
+/// `reg`, each with its row label: `A_f` at 64 readers and 2 writers
+/// under every [`FPolicy::NAMED`] policy (the paper's `f` tradeoff,
+/// writer `Θ(f(n))` against reader `Θ(log(n/f(n)))`), then every
+/// real-capable lock of `reg` at the same shape, in registry order.
+/// Like [`scenario_matrix`], a lock registered once appears here with no
+/// further wiring.
+pub fn uncontended_locks(reg: &rwcore::LockRegistry) -> Vec<(String, Arc<dyn rwcore::RealLock>)> {
+    let shape = rwcore::RealShape::new(64, 2);
+    let policies = FPolicy::NAMED.into_iter().map(move |policy| {
+        let lock = rwcore::RawAfLock::new(AfConfig {
+            readers: shape.readers,
+            writers: shape.writers,
+            policy,
+        });
+        let lock: Arc<dyn rwcore::RealLock> = Arc::new(rwcore::RawAdapter::new(lock));
+        (format!("a_f({policy})"), lock)
+    });
+    let registered = reg
+        .real_locks(shape)
+        .into_iter()
+        .map(|lock| (lock.label(), lock));
+    policies.chain(registered).collect()
 }
 
 /// Render the `--list` catalog: the experiment registry, the lock

@@ -17,6 +17,15 @@
 //! `BENCH_LOCKS_OUT`). Wall-clock content makes the full report
 //! non-byte-stable, so [`Experiment::deterministic`] is false there.
 //!
+//! Full mode then times single-threaded passages, with no contention at
+//! all: a reader and a writer passage of every lock in
+//! [`crate::exp::uncontended_locks`] (`A_f` under every named `f`
+//! policy, then the registry's locks at 64 readers and 2 writers), and
+//! the f-array counter's `add` and `read` against the CAS-loop and
+//! fetch-and-add counters, alone and with a few threads adding at once.
+//! Every such row is the median of five calibrated samples with their
+//! min–max range, so a run shows its own noise.
+//!
 //! Smoke mode is byte-stable: 4 threads, 2 shards requested, the first
 //! two scenarios of the matrix, fixed per-thread op quotas with seeded
 //! coin flips (so the read/write split is exactly reproducible), and no
@@ -25,13 +34,14 @@
 //! string so goldens blessed on small hosts byte-match CI runners.
 
 use super::prelude::*;
-use crate::exp::bench_scenarios;
+use crate::exp::{bench_scenarios, uncontended_locks};
 use crate::hist::format_ns;
 use crate::throughput::{run_contended, ContendedSample, MixedWorkload, OpBudget, RealLock};
 use crate::{par, pin};
+use fcounter::{CasCounter, FArray, FaaCounter, SharedCounter};
 use rwcore::{LockRegistry, NamedScenario, RealShape};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Wall-clock budget per full-mode cell.
 const FULL_CELL: Duration = Duration::from_millis(150);
@@ -41,6 +51,12 @@ const SEED: u64 = 0x10C5;
 /// Hard cap on OS threads per cell (oversubscribed scenarios multiply
 /// the base count).
 const MAX_THREADS: usize = 64;
+/// Samples per timed uncontended or counter row.
+const SAMPLES: usize = 5;
+/// Calibration target: one sample runs at least this long.
+const SAMPLE_TARGET: Duration = Duration::from_millis(20);
+/// Adds per thread in the contended counter row.
+const CONTENDED_ADDS: u64 = 2_000;
 
 /// A measured cell: one lock under one scenario.
 struct Cell {
@@ -126,7 +142,7 @@ impl Experiment for PerfLocks {
         let mut notes: Vec<String> = Vec::new();
 
         if ctx.smoke() {
-            run_smoke(&mut report, &mut notes, ncpu);
+            run_smoke(&mut report, ncpu);
         } else {
             run_full(&mut report, &mut notes, ncpu);
         }
@@ -138,7 +154,7 @@ impl Experiment for PerfLocks {
 }
 
 /// Byte-stable smoke sweep: fixed threads/quotas/seeds, no timing.
-fn run_smoke(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
+fn run_smoke(report: &mut Report, ncpu: usize) {
     const THREADS: usize = 4;
     const SHARDS: usize = 2;
     let scenarios = bench_scenarios();
@@ -215,7 +231,6 @@ fn run_smoke(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
         )
     };
     report.check(floor);
-    let _ = notes;
 }
 
 /// Timed full sweep with latency tables and the JSON side artifact.
@@ -384,4 +399,118 @@ fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
         Ok(()) => notes.push(format!("Side artifact: {path}")),
         Err(e) => notes.push(format!("Side artifact write failed ({path}): {e}")),
     }
+
+    run_uncontended(report);
+    run_counters(report);
+}
+
+/// Time `f` per call: grow the inner loop 4x until one sample takes at
+/// least [`SAMPLE_TARGET`], take [`SAMPLES`] samples, and render the
+/// median with the samples' min-max range.
+fn time_per_call(mut f: impl FnMut()) -> String {
+    let mut sample = |iters: u64| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        start.elapsed()
+    };
+    let mut iters: u64 = 1;
+    while sample(iters) < SAMPLE_TARGET && iters < 1 << 30 {
+        iters *= 4;
+    }
+    let mut ns: Vec<f64> = (0..SAMPLES)
+        .map(|_| sample(iters).as_secs_f64() * 1e9 / iters as f64)
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    // Three significant digits of the median, in its own unit.
+    let median = ns[SAMPLES / 2];
+    let (scale, unit) = match median {
+        m if m < 1e3 => (1.0, "ns"),
+        m if m < 1e6 => (1e3, "us"),
+        _ => (1e6, "ms"),
+    };
+    let digits = match median / scale {
+        m if m < 10.0 => 2,
+        m if m < 100.0 => 1,
+        _ => 0,
+    };
+    let v = |ns: f64| format!("{:.digits$}", ns / scale);
+    format!("{}{unit} ({}-{})", v(median), v(ns[0]), v(ns[SAMPLES - 1]))
+}
+
+/// One reader and one writer passage of every uncontended lock, timed
+/// on the calling thread alone.
+fn run_uncontended(report: &mut Report) {
+    let mut table = Table::new(["lock", "reader passage", "writer passage"]);
+    for (label, lock) in uncontended_locks(&LockRegistry::builtin()) {
+        let reader = time_per_call(|| lock.read_pass(0, &mut || {}));
+        let writer = time_per_call(|| lock.write_pass(0, &mut || {}));
+        table.row([label, reader, writer]);
+    }
+    report.section(
+        format!("uncontended passages — one thread, median ({SAMPLES} samples) and min-max range"),
+        table,
+    );
+}
+
+/// One row of the counter table: `add` always, `read` if `time_read`.
+fn counter_row(label: &str, counter: impl SharedCounter, time_read: bool) -> [String; 3] {
+    let add = time_per_call(|| counter.add(0, 1));
+    let read = if time_read {
+        time_per_call(|| {
+            std::hint::black_box(counter.read());
+        })
+    } else {
+        "-".to_string()
+    };
+    [label.to_string(), add, read]
+}
+
+/// The f-array counter against the CAS-loop and fetch-and-add counters:
+/// `add` pays `Θ(log K)` uncontended to stay wait-free under contention,
+/// `read` is one load. Then whole runs of a few threads adding at once.
+fn run_counters(report: &mut Report) {
+    let mut table = Table::new(["counter", "add", "read"]);
+    for k in [8, 64, 512] {
+        table.row(counter_row(
+            &format!("f-array/{k}"),
+            FArray::new(k),
+            k != 64,
+        ));
+    }
+    table.row(counter_row("cas-loop", CasCounter::new(), false));
+    table.row(counter_row("fetch-add", FaaCounter::new(), true));
+    report.section(
+        format!("counter operations — one thread, median ({SAMPLES} samples) and min-max range"),
+        table,
+    );
+
+    let threads = par::worker_count(usize::MAX).clamp(2, 8);
+    let counters: [Box<dyn SharedCounter>; 3] = [
+        Box::new(FArray::new(threads)),
+        Box::new(CasCounter::new()),
+        Box::new(FaaCounter::new()),
+    ];
+    let mut table = Table::new(["counter", "run"]);
+    for counter in &counters {
+        let run = time_per_call(|| {
+            std::thread::scope(|s| {
+                for id in 0..threads {
+                    s.spawn(move || {
+                        for _ in 0..CONTENDED_ADDS {
+                            counter.add(id, 1);
+                        }
+                    });
+                }
+            })
+        });
+        table.row([counter.name().to_string(), run]);
+    }
+    report.section(
+        format!(
+            "contended adds — {threads} threads x {CONTENDED_ADDS} adds each, time per run, median ({SAMPLES} samples) and min-max range"
+        ),
+        table,
+    );
 }

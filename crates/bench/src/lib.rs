@@ -4,9 +4,8 @@
 //! module per paper claim, all implementing [`exp::Experiment`]) and is
 //! driven by the unified `experiments` binary — `--list`, `--filter`,
 //! `--smoke`, `--json`, `--check`, `--bless`; see [`exp`]. One
-//! experiment runs standalone with `experiments --filter <id>`.
-//! Dependency-free micro-benchmarks live under `benches/` (plain
-//! `harness = false` mains timed with [`stopwatch`]).
+//! experiment runs standalone with `experiments --filter <id>`, and
+//! it is the only program that times a real lock or counter.
 //!
 //! The experiment index (tested against the registry — see
 //! `experiments::tests`):
@@ -33,9 +32,10 @@
 //! | `perf_modelcheck` | explorer states/sec: full-rehash vs incremental vs parallel |
 //! | `perf_locks` | contended lock lab: sharded `A_f` vs the field, throughput + latency tails |
 //!
-//! (`e8`, real-hardware throughput, lives in `perf_locks` for contended
-//! runs and in `cargo bench -p bench --bench uncontended` for
-//! single-thread passages.)
+//! (`e8`, real-hardware throughput and latency, lives in `perf_locks`:
+//! contended runs under every scenario, then single-thread passages of
+//! `A_f` under every `f` policy and of every registered lock; the real
+//! counter timings of `e9` follow them there.)
 //!
 //! Sweep-shaped experiments fan their independent configs across cores
 //! with [`par::par_map`]; results come back in input order, so rendered
@@ -52,7 +52,6 @@ pub mod hist;
 pub mod par;
 pub mod pin;
 mod rmr;
-pub mod stopwatch;
 mod table;
 pub mod throughput;
 

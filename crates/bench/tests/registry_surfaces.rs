@@ -5,7 +5,8 @@
 //!
 //! 1. the `experiments --list` catalog ([`bench::exp::render_list`]),
 //! 2. the `perf_locks` lock × scenario matrix
-//!    ([`bench::exp::scenario_matrix`]),
+//!    ([`bench::exp::scenario_matrix`]) and its uncontended passage rows
+//!    ([`bench::exp::uncontended_locks`]),
 //! 3. the auto-generated model-check suite
 //!    ([`modelcheck::suite::plan`]), and
 //! 4. the real-atomics conformance suite ([`rwcore::conformance`] over
@@ -15,13 +16,13 @@
 //! workload parameters from the *same* [`rwcore::Scenario`] accessors,
 //! so one scenario string means one workload on both sides.
 
-use bench::exp::{bench_scenarios, render_list, scenario_matrix};
+use bench::exp::{bench_scenarios, render_list, scenario_matrix, uncontended_locks};
 use bench::throughput::{run_contended, MixedWorkload, OpBudget};
 use ccsim::{Prng, Protocol, Sim};
 use modelcheck::suite;
 use modelcheck::CheckConfig;
 use rwcore::{
-    centralized_world, conformance, FaultSupport, LockEntry, LockRegistry, RealLock,
+    centralized_world, conformance, FPolicy, FaultSupport, LockEntry, LockRegistry, RealLock,
     RealLockFactory, RealShape, Scenario, SimInstance, SimLock,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,6 +152,29 @@ fn one_registration_reaches_all_three_surfaces() {
     assert_eq!(
         toy_cells, expected,
         "toy-ticket gets exactly one matrix cell per bench scenario"
+    );
+
+    // Surface 2, uncontended half: the passage rows start with one A_f
+    // row per named f policy, and the toy follows among the registry's
+    // locks. Building the rows times nothing.
+    let labels: Vec<String> = uncontended_locks(&reg)
+        .into_iter()
+        .map(|(label, _)| label)
+        .collect();
+    let policy_rows: Vec<String> = FPolicy::NAMED
+        .iter()
+        .map(|policy| format!("a_f({policy})"))
+        .collect();
+    assert_eq!(
+        labels[..policy_rows.len()],
+        policy_rows[..],
+        "the uncontended rows begin with one A_f row per named policy"
+    );
+    assert!(
+        labels[policy_rows.len()..]
+            .iter()
+            .any(|l| l == "toy-ticket"),
+        "toy-ticket appears among the uncontended registry rows: {labels:?}"
     );
 
     // Surface 3: the generated model-check suite plans a Mutual

@@ -22,28 +22,13 @@ pub trait SharedCounter: Send + Sync {
 
 impl SharedCounter for crate::FArray {
     fn add(&self, id: usize, delta: i64) {
-        FArrayExt::add(self, id, delta);
-    }
-    fn read(&self) -> i64 {
-        FArrayExt::read(self)
-    }
-    fn name(&self) -> &'static str {
-        "f-array"
-    }
-}
-
-/// Disambiguation shim: calls the inherent methods of [`crate::FArray`].
-trait FArrayExt {
-    fn add(&self, id: usize, delta: i64);
-    fn read(&self) -> i64;
-}
-
-impl FArrayExt for crate::FArray {
-    fn add(&self, id: usize, delta: i64) {
-        crate::FArray::add(self, id, delta)
+        crate::FArray::add(self, id, delta);
     }
     fn read(&self) -> i64 {
         crate::FArray::read(self)
+    }
+    fn name(&self) -> &'static str {
+        "f-array"
     }
 }
 
