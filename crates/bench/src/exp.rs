@@ -182,16 +182,6 @@ impl Check {
         )
     }
 
-    /// `measured >= floor` on a `u64`.
-    pub fn ge_u64(claim: impl Into<String>, measured: u64, floor: u64) -> Self {
-        Check::new(
-            claim,
-            format!(">= {floor}"),
-            measured.to_string(),
-            measured >= floor,
-        )
-    }
-
     /// All of `ok` out of `total` cases must hold.
     pub fn all(claim: impl Into<String>, ok: usize, total: usize) -> Self {
         Check::new(
@@ -880,7 +870,7 @@ pub fn cli_main(opts: &CliOptions) -> i32 {
     // Persist the diff for CI artifact upload.
     if opts.check {
         let diff_path =
-            crate::env::read_nonempty("EXPERIMENTS_DIFF_OUT", "target/experiments-diff.txt");
+            ccsim::env::read_nonempty("EXPERIMENTS_DIFF_OUT", "target/experiments-diff.txt");
         let diff_path = PathBuf::from(diff_path);
         if let Some(parent) = diff_path.parent() {
             let _ = std::fs::create_dir_all(parent);

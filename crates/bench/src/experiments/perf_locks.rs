@@ -40,7 +40,7 @@ use crate::throughput::{run_contended, ContendedSample, MixedWorkload, OpBudget,
 use crate::{par, pin};
 use fcounter::{CasCounter, FArray, FaaCounter, SharedCounter};
 use rwcore::{LockRegistry, NamedScenario, RealShape};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// Wall-clock budget per full-mode cell.
@@ -55,8 +55,8 @@ const MAX_THREADS: usize = 64;
 const SAMPLES: usize = 5;
 /// Calibration target: one sample runs at least this long.
 const SAMPLE_TARGET: Duration = Duration::from_millis(20);
-/// Adds per thread in the contended counter row.
-const CONTENDED_ADDS: u64 = 2_000;
+/// Adds per thread per sample in the contended counter rows.
+const CONTENDED_ADDS: u64 = 20_000;
 
 /// A measured cell: one lock under one scenario.
 struct Cell {
@@ -394,7 +394,7 @@ fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
         FULL_CELL.as_millis(),
         cell_json.join(",\n"),
     );
-    let path = crate::env::read_nonempty("BENCH_LOCKS_OUT", "BENCH_locks.json");
+    let path = ccsim::env::read_nonempty("BENCH_LOCKS_OUT", "BENCH_locks.json");
     match std::fs::write(&path, &json) {
         Ok(()) => notes.push(format!("Side artifact: {path}")),
         Err(e) => notes.push(format!("Side artifact write failed ({path}): {e}")),
@@ -405,8 +405,8 @@ fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
 }
 
 /// Time `f` per call: grow the inner loop 4x until one sample takes at
-/// least [`SAMPLE_TARGET`], take [`SAMPLES`] samples, and render the
-/// median with the samples' min-max range.
+/// least [`SAMPLE_TARGET`], take [`SAMPLES`] samples, and render them
+/// with [`median_and_range`].
 fn time_per_call(mut f: impl FnMut()) -> String {
     let mut sample = |iters: u64| {
         let start = Instant::now();
@@ -419,9 +419,15 @@ fn time_per_call(mut f: impl FnMut()) -> String {
     while sample(iters) < SAMPLE_TARGET && iters < 1 << 30 {
         iters *= 4;
     }
-    let mut ns: Vec<f64> = (0..SAMPLES)
-        .map(|_| sample(iters).as_secs_f64() * 1e9 / iters as f64)
-        .collect();
+    median_and_range(
+        (0..SAMPLES)
+            .map(|_| sample(iters).as_secs_f64() * 1e9 / iters as f64)
+            .collect(),
+    )
+}
+
+/// Render [`SAMPLES`] timings in ns as the median with the min-max range.
+fn median_and_range(mut ns: Vec<f64>) -> String {
     ns.sort_by(f64::total_cmp);
     // Three significant digits of the median, in its own unit.
     let median = ns[SAMPLES / 2];
@@ -469,7 +475,8 @@ fn counter_row(label: &str, counter: impl SharedCounter, time_read: bool) -> [St
 
 /// The f-array counter against the CAS-loop and fetch-and-add counters:
 /// `add` pays `Θ(log K)` uncontended to stay wait-free under contention,
-/// `read` is one load. Then whole runs of a few threads adding at once.
+/// `read` is one load. Then the time per add of a few threads adding
+/// at once.
 fn run_counters(report: &mut Report) {
     let mut table = Table::new(["counter", "add", "read"]);
     for k in [8, 64, 512] {
@@ -492,25 +499,52 @@ fn run_counters(report: &mut Report) {
         Box::new(CasCounter::new()),
         Box::new(FaaCounter::new()),
     ];
-    let mut table = Table::new(["counter", "run"]);
+    let mut table = Table::new(["counter", "add"]);
     for counter in &counters {
-        let run = time_per_call(|| {
-            std::thread::scope(|s| {
-                for id in 0..threads {
-                    s.spawn(move || {
-                        for _ in 0..CONTENDED_ADDS {
-                            counter.add(id, 1);
-                        }
-                    });
-                }
-            })
-        });
-        table.row([counter.name().to_string(), run]);
+        let ns = contended_ns_per_add(&**counter, threads);
+        table.row([counter.name().to_string(), median_and_range(ns)]);
     }
     report.section(
         format!(
-            "contended adds — {threads} threads x {CONTENDED_ADDS} adds each, time per run, median ({SAMPLES} samples) and min-max range"
+            "contended adds — {threads} threads x {CONTENDED_ADDS} adds each per sample, time per add, median ({SAMPLES} samples) and min-max range"
         ),
         table,
     );
+}
+
+/// [`SAMPLES`] timings in ns per add of `threads` threads adding to
+/// `counter` at once. The adders are spawned once and a barrier releases
+/// each sample, so no sample times a spawn or a join. Each adder clocks
+/// its own adds, and a sample spans the first start to the last end, so
+/// no other thread's wake-up is timed.
+fn contended_ns_per_add(counter: &dyn SharedCounter, threads: usize) -> Vec<f64> {
+    let barrier = Barrier::new(threads);
+    let clocks: Vec<Vec<(Instant, Instant)>> = std::thread::scope(|s| {
+        let adders: Vec<_> = (0..threads)
+            .map(|id| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    (0..SAMPLES)
+                        .map(|_| {
+                            barrier.wait();
+                            let start = Instant::now();
+                            for _ in 0..CONTENDED_ADDS {
+                                counter.add(id, 1);
+                            }
+                            (start, Instant::now())
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        adders.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let adds = threads as u64 * CONTENDED_ADDS;
+    (0..SAMPLES)
+        .map(|i| {
+            let start = clocks.iter().map(|c| c[i].0).min().unwrap();
+            let end = clocks.iter().map(|c| c[i].1).max().unwrap();
+            (end - start).as_secs_f64() * 1e9 / adds as f64
+        })
+        .collect()
 }

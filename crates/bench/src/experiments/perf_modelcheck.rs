@@ -525,7 +525,7 @@ impl Experiment for PerfModelcheck {
                 new.visited.resident_bytes,
                 new.complete
             );
-            let path = crate::env::read_nonempty("BENCH_MODELCHECK_OUT", "BENCH_modelcheck.json");
+            let path = ccsim::env::read_nonempty("BENCH_MODELCHECK_OUT", "BENCH_modelcheck.json");
             match std::fs::write(&path, &json) {
                 Ok(()) => report.notes(format!("Side artifact: {path}")),
                 Err(e) => report.notes(format!("Side artifact write failed ({path}): {e}")),

@@ -212,7 +212,7 @@ impl Experiment for PerfSmoke {
                 ));
             }
             json.push_str("  ]\n}\n");
-            let path = crate::env::read_nonempty("BENCH_CCSIM_OUT", "BENCH_ccsim.json");
+            let path = ccsim::env::read_nonempty("BENCH_CCSIM_OUT", "BENCH_ccsim.json");
             match std::fs::write(&path, &json) {
                 Ok(()) => report.notes(format!("Side artifact: {path}")),
                 Err(e) => report.notes(format!("Side artifact write failed ({path}): {e}")),

@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod env;
 pub mod exp;
 pub mod experiments;
 pub mod hist;

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// parallelism — which would quietly void a `BENCH_THREADS=1` determinism
 /// comparison.
 pub fn parse_bench_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
-    let parsed = crate::env::parse_strict_uint("BENCH_THREADS", raw, false)?;
+    let parsed = ccsim::env::parse_strict_uint("BENCH_THREADS", raw, false)?;
     Ok(parsed.map(|n| n as usize))
 }
 
@@ -37,7 +37,7 @@ pub fn worker_count(n_items: usize) -> usize {
     let hw = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    let raw = crate::env::raw_var("BENCH_THREADS");
+    let raw = ccsim::env::raw_var("BENCH_THREADS");
     let cap = match parse_bench_threads(raw.as_deref()) {
         Ok(Some(n)) => n,
         Ok(None) => hw,

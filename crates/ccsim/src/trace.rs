@@ -67,11 +67,6 @@ impl StepRecord {
     pub fn is_rmr(&self) -> bool {
         matches!(self.kind, StepKind::Op { rmr: true, .. })
     }
-
-    /// Whether this step was a *non-trivial* memory step.
-    pub fn is_non_trivial(&self) -> bool {
-        matches!(self.kind, StepKind::Op { trivial: false, .. })
-    }
 }
 
 impl fmt::Display for StepRecord {

@@ -87,11 +87,6 @@ impl SchedEntry {
         matches!(self, SchedEntry::Crash(_) | SchedEntry::CrashAll)
     }
 
-    /// True if this entry is an abort request.
-    pub fn is_abort(self) -> bool {
-        matches!(self, SchedEntry::Abort(_))
-    }
-
     /// Apply this entry to a world.
     pub fn apply(self, sim: &mut Sim) {
         match self {

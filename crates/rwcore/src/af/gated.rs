@@ -31,6 +31,7 @@ use ccsim::{Layout, Memory, Op, Phase, Program, Protocol, Role, Sim, Step, Value
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use wmutex::{wait_until, Patience};
 
 /// The real-atomics writer-biased lock: [`RawAfLock`] plus the gate.
 #[derive(Debug)]
@@ -59,9 +60,7 @@ impl GatedAfLock {
     /// Reader entry: wait out any active writer at the gate, then run the
     /// `A_f` entry section.
     pub fn reader_lock(&self, reader_id: usize) {
-        while self.gate.load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
+        wait_until(Patience::Forever, || self.gate.load(Ordering::SeqCst) == 0);
         self.inner.reader_lock(reader_id);
     }
 

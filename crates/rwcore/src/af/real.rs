@@ -11,7 +11,7 @@ use crate::config::{AfConfig, GroupSlot};
 use crate::sig::{Opcode, Signal};
 use fcounter::FArray;
 use std::sync::atomic::{AtomicU64, Ordering};
-use wmutex::{IdMutex, Patience, TournamentLock};
+use wmutex::{wait_until, IdMutex, Patience, TournamentLock};
 
 /// The raw (data-less) `A_f` lock: entry/exit sections for registered
 /// reader and writer process ids.
@@ -186,7 +186,7 @@ impl RawAfLock {
     /// # Panics
     /// Panics if `reader_id` is out of range.
     #[inline]
-    pub fn try_reader_lock(&self, reader_id: usize, mut patience: Patience) -> bool {
+    pub fn try_reader_lock(&self, reader_id: usize, patience: Patience) -> bool {
         let GroupSlot { group: i, leaf } = self.slot(reader_id);
         self.c[i].add(leaf, 1); // line 31
         let sig = self.rsig(); // line 32
@@ -195,16 +195,14 @@ impl RawAfLock {
             self.w[i].add(leaf, 1); // line 34
             self.help_wcs(sig.seq, i); // line 35
             let wait_word = Signal::new(sig.seq, Opcode::Wait).pack();
-            while self.rsig.load(Ordering::SeqCst) == wait_word {
-                if !patience.spend() {
-                    // Withdraw: W first (preserving the C ≥ W invariant),
-                    // then the whole exit section — its helping duties
-                    // make sure the writer we abandoned is not stranded.
-                    self.w[i].add(leaf, -1);
-                    self.reader_unlock(reader_id);
-                    return false;
-                }
-                std::hint::spin_loop(); // line 36 (WSEQ never repeats: ≤2 RMRs)
+            // Line 36 (WSEQ never repeats: ≤2 RMRs).
+            if !wait_until(patience, || self.rsig.load(Ordering::SeqCst) != wait_word) {
+                // Withdraw: W first (preserving the C ≥ W invariant),
+                // then the whole exit section — its helping duties
+                // make sure the writer we abandoned is not stranded.
+                self.w[i].add(leaf, -1);
+                self.reader_unlock(reader_id);
+                return false;
             }
             self.w[i].add(leaf, -1); // line 37
         }
@@ -296,25 +294,14 @@ impl RawAfLock {
 
     /// Lines 14 and 21: if group `i` has readers in a passage, wait until
     /// `WSIG[i]` reads `until`. When `patience` runs out, burn the epoch
-    /// through the exit section and return `false`. Always inlined, so
-    /// the blocking `writer_lock` keeps the call-free body its two inline
-    /// wait loops had, with `Patience::Forever` folded away.
+    /// through the exit section and return `false`. Always inlined, like
+    /// [`wait_until`], so the blocking `writer_lock` keeps a call-free
+    /// body with `Patience::Forever` folded away.
     #[inline(always)]
-    fn await_group(
-        &self,
-        writer_id: usize,
-        i: usize,
-        until: Signal,
-        mut patience: Patience,
-    ) -> bool {
-        if self.c[i].read() > 0 {
-            while self.wsig(i) != until {
-                if !patience.spend() {
-                    self.writer_unlock(writer_id); // burn the epoch
-                    return false;
-                }
-                std::hint::spin_loop();
-            }
+    fn await_group(&self, writer_id: usize, i: usize, until: Signal, patience: Patience) -> bool {
+        if self.c[i].read() > 0 && !wait_until(patience, || self.wsig(i) == until) {
+            self.writer_unlock(writer_id); // burn the epoch
+            return false;
         }
         true
     }

@@ -71,7 +71,7 @@ use crate::af::real::RawAfLock;
 use crate::config::{AfConfig, FPolicy};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use wmutex::{IdMutex, Patience, TournamentLock};
+use wmutex::{wait_until, IdMutex, Patience, TournamentLock};
 
 /// Member count mask of the gate word.
 const COUNT_MASK: u64 = (1 << 32) - 1;
@@ -80,19 +80,6 @@ const OPEN: u64 = 1 << 32;
 /// Gate flag: the last member is running the `A_f` exit; the shard is
 /// closed to new leaders until the gate returns to 0.
 const DRAIN: u64 = 1 << 33;
-
-/// Spin briefly, then start yielding: keeps oversubscribed hosts (more
-/// lab threads than CPUs) from burning whole scheduler quanta in a
-/// spin loop while the thread that would unblock us waits for a core.
-#[inline]
-fn backoff(spins: &mut u32) {
-    *spins = spins.saturating_add(1);
-    if *spins < 64 {
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}
 
 /// One shard: an independent single-slot `A_f` instance plus its gate
 /// word and writer-pending flag, padded so shards never share a cache
@@ -213,31 +200,24 @@ impl ShardedAfRwLock {
     /// Panics if `shard` is out of range.
     pub fn read_unlock_shard(&self, shard: usize) {
         let sh = &self.shards[shard];
-        loop {
+        let mut last = false;
+        wait_until(Patience::Forever, || {
             let w = sh.gate.load(Ordering::SeqCst);
             debug_assert!(
                 w & OPEN != 0 && w & COUNT_MASK >= 1,
                 "unlock without a matching lock (gate {w:#x})"
             );
-            if w == OPEN | 1 {
-                // Last member out: close the batch and retire the
-                // underlying passage before reopening the shard.
-                if sh
-                    .gate
-                    .compare_exchange(w, DRAIN, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    sh.inner.reader_unlock(0);
-                    sh.gate.store(0, Ordering::SeqCst);
-                    return;
-                }
-            } else if sh
-                .gate
-                .compare_exchange(w, w - 1, Ordering::SeqCst, Ordering::SeqCst)
+            // The last member out closes the batch instead of leaving.
+            last = w == OPEN | 1;
+            let next = if last { DRAIN } else { w - 1 };
+            sh.gate
+                .compare_exchange(w, next, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
-            {
-                return;
-            }
+        });
+        if last {
+            // Retire the underlying passage before reopening the shard.
+            sh.inner.reader_unlock(0);
+            sh.gate.store(0, Ordering::SeqCst);
         }
     }
 
@@ -254,47 +234,41 @@ impl ShardedAfRwLock {
     /// # Panics
     /// Panics if `shard` is out of range.
     #[inline]
-    pub fn try_read_lock_shard(&self, shard: usize, mut patience: Patience) -> bool {
+    pub fn try_read_lock_shard(&self, shard: usize, patience: Patience) -> bool {
         let sh = &self.shards[shard];
-        let mut spins = 0u32;
-        loop {
+        let mut joined = 0;
+        let admitted = wait_until(patience, || {
             // Writer preference: arrivals hold off while a writer is
             // pending, so the shard's batch can drain. While an exit is
             // retiring (DRAIN) the shard reopens only at gate = 0.
-            let admissible = (sh.wp.load(Ordering::SeqCst) == 0)
-                .then(|| sh.gate.load(Ordering::SeqCst))
-                .filter(|w| w & DRAIN == 0);
-            if let Some(w) = admissible {
-                debug_assert!(w & COUNT_MASK < COUNT_MASK, "batch member overflow");
-                // Claim the idle batch (0 → 1) or join the in-flight one.
-                if sh
-                    .gate
-                    .compare_exchange(w, w + 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    if w == 0 {
-                        sh.inner.reader_lock(0); // committed: leader
-                        sh.gate.fetch_or(OPEN, Ordering::SeqCst);
-                    } else if w & OPEN == 0 {
-                        // Joined while the leader is still running the
-                        // A_f entry; wait for it to open the batch.
-                        let mut fill_spins = 0u32;
-                        while sh.gate.load(Ordering::SeqCst) & OPEN == 0 {
-                            backoff(&mut fill_spins);
-                        }
-                    }
-                    return true; // committed: batch member
-                }
-            }
-            if !patience.spend() {
+            if sh.wp.load(Ordering::SeqCst) != 0 {
                 return false;
             }
-            // Back off while held out; a lost CAS retries at once (the
-            // gate moved, so re-check it).
-            if admissible.is_none() {
-                backoff(&mut spins);
+            let w = sh.gate.load(Ordering::SeqCst);
+            if w & DRAIN != 0 {
+                return false;
             }
+            debug_assert!(w & COUNT_MASK < COUNT_MASK, "batch member overflow");
+            joined = w;
+            // Claim the idle batch (0 → 1) or join the in-flight one.
+            sh.gate
+                .compare_exchange(w, w + 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        });
+        if !admitted {
+            return false;
         }
+        if joined == 0 {
+            sh.inner.reader_lock(0); // committed: leader
+            sh.gate.fetch_or(OPEN, Ordering::SeqCst);
+        } else if joined & OPEN == 0 {
+            // Joined while the leader is still running the A_f entry;
+            // wait for it to open the batch.
+            wait_until(Patience::Forever, || {
+                sh.gate.load(Ordering::SeqCst) & OPEN != 0
+            });
+        }
+        true // committed: batch member
     }
 
     /// Reader entry on the calling thread's shard.

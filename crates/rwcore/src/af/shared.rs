@@ -61,20 +61,6 @@ impl AfShared {
         Self::allocate_custom(layout, cfg, HelpOrder::WaitersFirst, CounterKind::FArray)
     }
 
-    /// [`AfShared::allocate`] with an explicit `HelpWCS` read order (used
-    /// by the regression test demonstrating the paper-literal ordering's
-    /// mutual-exclusion counterexample).
-    ///
-    /// # Panics
-    /// Panics if the configuration has zero readers or writers.
-    pub fn allocate_with_order(
-        layout: &mut Layout,
-        cfg: AfConfig,
-        help_order: HelpOrder,
-    ) -> Arc<Self> {
-        Self::allocate_custom(layout, cfg, help_order, CounterKind::FArray)
-    }
-
     /// Fully parameterised allocation: `HelpWCS` read order *and* the
     /// group-counter implementation (the E13 ablation replaces the
     /// f-array with a CAS retry loop).

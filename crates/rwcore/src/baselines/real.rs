@@ -13,7 +13,7 @@
 //!   tournament mutex: correct, but readers lose all parallelism.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use wmutex::{IdMutex, TournamentLock};
+use wmutex::{wait_until, IdMutex, Patience, TournamentLock};
 
 /// Entry/exit sections of a reader-writer lock for registered processes.
 /// Implemented by the `A_f` lock and every baseline so experiments can
@@ -78,47 +78,32 @@ impl CentralizedRwLock {
 
 impl RawRwLock for CentralizedRwLock {
     fn reader_lock(&self, _id: usize) {
-        loop {
+        wait_until(Patience::Forever, || {
             let s = self.state.load(Ordering::SeqCst);
-            if s & WRITER_BIT != 0 {
-                std::hint::spin_loop();
-                continue;
-            }
-            if self
-                .state
-                .compare_exchange(s, s + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return;
-            }
-        }
+            s & WRITER_BIT == 0
+                && self
+                    .state
+                    .compare_exchange(s, s + 1, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+        });
     }
 
     fn reader_unlock(&self, _id: usize) {
-        loop {
+        wait_until(Patience::Forever, || {
             let s = self.state.load(Ordering::SeqCst);
             debug_assert!(s & !WRITER_BIT > 0, "unlock without lock");
-            if self
-                .state
+            self.state
                 .compare_exchange(s, s - 1, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
-            {
-                return;
-            }
-        }
+        });
     }
 
     fn writer_lock(&self, _id: usize) {
-        loop {
-            if self
-                .state
+        wait_until(Patience::Forever, || {
+            self.state
                 .compare_exchange(0, WRITER_BIT, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
-            {
-                return;
-            }
-            std::hint::spin_loop();
-        }
+        });
     }
 
     fn writer_unlock(&self, _id: usize) {
@@ -167,9 +152,9 @@ impl RawRwLock for FaaRwLock {
             }
             // A writer is active: back out and wait for it to finish.
             self.readers.fetch_sub(1, Ordering::SeqCst);
-            while self.writer_flag.load(Ordering::SeqCst) != 0 {
-                std::hint::spin_loop();
-            }
+            wait_until(Patience::Forever, || {
+                self.writer_flag.load(Ordering::SeqCst) == 0
+            });
         }
     }
 
@@ -181,9 +166,9 @@ impl RawRwLock for FaaRwLock {
     fn writer_lock(&self, id: usize) {
         self.wl.lock(id);
         self.writer_flag.store(1, Ordering::SeqCst);
-        while self.readers.load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
+        wait_until(Patience::Forever, || {
+            self.readers.load(Ordering::SeqCst) == 0
+        });
     }
 
     fn writer_unlock(&self, id: usize) {

@@ -33,7 +33,7 @@
 //! paper's `f(n)` frontier but squarely on its trade-off axis.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use wmutex::{IdMutex, TournamentLock};
+use wmutex::{wait_until, IdMutex, Patience, TournamentLock};
 
 /// One reader's private flag pair, padded to its own cache line(s).
 #[repr(align(128))]
@@ -95,15 +95,9 @@ impl crate::baselines::real::RawRwLock for BusyForbiddenLock {
             // A writer won the handshake: back out so it can proceed,
             // and wait for it to lower the flag.
             c.busy.store(0, Ordering::SeqCst);
-            let mut spins = 0u32;
-            while c.forbidden.load(Ordering::SeqCst) != 0 {
-                spins = spins.saturating_add(1);
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
+            wait_until(Patience::Forever, || {
+                c.forbidden.load(Ordering::SeqCst) == 0
+            });
         }
     }
 
@@ -119,15 +113,7 @@ impl crate::baselines::real::RawRwLock for BusyForbiddenLock {
             c.forbidden.store(1, Ordering::SeqCst);
         }
         for c in &self.controls {
-            let mut spins = 0u32;
-            while c.busy.load(Ordering::SeqCst) != 0 {
-                spins = spins.saturating_add(1);
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
+            wait_until(Patience::Forever, || c.busy.load(Ordering::SeqCst) == 0);
         }
     }
 

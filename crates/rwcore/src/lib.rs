@@ -63,7 +63,7 @@ pub use lock::{
 pub use registry::{LockEntry, LockRegistry};
 pub use scenario::{NamedScenario, Rate, Scenario};
 pub use sig::{Opcode, Signal};
-pub use wmutex::Patience;
+pub use wmutex::{wait_until, Patience};
 pub use world::{
     af_world, af_world_custom, af_world_seq_reuse_bug, af_world_with_order,
     reader_symmetry_classes, AfWorld, PidMap,

@@ -116,6 +116,18 @@ pub fn af_world_custom(
     order: HelpOrder,
     counters: CounterKind,
 ) -> AfWorld {
+    build_af_world(cfg, protocol, order, counters, AfWriterSim::new)
+}
+
+/// The one `A_f` world builder: readers from `cfg`, writers from
+/// `writer`, and the reader symmetry classes declared.
+fn build_af_world(
+    cfg: AfConfig,
+    protocol: Protocol,
+    order: HelpOrder,
+    counters: CounterKind,
+    writer: fn(Arc<AfShared>, usize) -> AfWriterSim,
+) -> AfWorld {
     let mut layout = Layout::new();
     let shared = AfShared::allocate_custom(&mut layout, cfg, order, counters);
     let pids = PidMap::from(cfg);
@@ -125,7 +137,7 @@ pub fn af_world_custom(
         procs.push(Box::new(AfReaderSim::new(Arc::clone(&shared), r)));
     }
     for w in 0..cfg.writers {
-        procs.push(Box::new(AfWriterSim::new(Arc::clone(&shared), w)));
+        procs.push(Box::new(writer(Arc::clone(&shared), w)));
     }
     let mut sim = Sim::new(mem, procs);
     sim.declare_symmetry(reader_symmetry_classes(&shared));
@@ -210,33 +222,17 @@ pub fn reader_symmetry_classes(shared: &AfShared) -> Vec<SymmetryClass> {
 /// (see [`AfWriterSim::new_with_seq_reuse_bug`]). Deliberately broken:
 /// exists so the model checker's catch-tests can prove the crash-all and
 /// crash-augmented exploration actually detects the resulting
-/// mutual-exclusion hole.
+/// mutual-exclusion hole. The bug is on the writer side only, so the
+/// world declares the same reader symmetry classes as [`af_world`].
 #[doc(hidden)]
 pub fn af_world_seq_reuse_bug(cfg: AfConfig, protocol: Protocol) -> AfWorld {
-    let mut layout = Layout::new();
-    let shared = AfShared::allocate_custom(
-        &mut layout,
+    build_af_world(
         cfg,
+        protocol,
         HelpOrder::WaitersFirst,
         CounterKind::FArray,
-    );
-    let pids = PidMap::from(cfg);
-    let mem = Memory::new(&layout, pids.total(), protocol);
-    let mut procs: Vec<Box<dyn Program>> = Vec::with_capacity(pids.total());
-    for r in 0..cfg.readers {
-        procs.push(Box::new(AfReaderSim::new(Arc::clone(&shared), r)));
-    }
-    for w in 0..cfg.writers {
-        procs.push(Box::new(AfWriterSim::new_with_seq_reuse_bug(
-            Arc::clone(&shared),
-            w,
-        )));
-    }
-    AfWorld {
-        sim: Sim::new(mem, procs),
-        shared,
-        pids,
-    }
+        AfWriterSim::new_with_seq_reuse_bug,
+    )
 }
 
 #[cfg(test)]

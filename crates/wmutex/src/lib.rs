@@ -14,7 +14,8 @@
 //!
 //! [`Patience`] is the wait budget every real entry section takes:
 //! [`TournamentLock::try_lock`] here, and the `A_f` entry sections built
-//! on it.
+//! on it. [`wait_until`] is the one wait loop that spends it, shared by
+//! every real lock: a bounded spin, then a yield.
 //!
 //! ```
 //! use wmutex::{IdMutex, TournamentLock};
@@ -30,5 +31,5 @@
 mod real;
 mod sim;
 
-pub use real::{IdMutex, Patience, TournamentLock};
+pub use real::{wait_until, IdMutex, Patience, TournamentLock};
 pub use sim::{mutex_world, EnterMachine, ExitMachine, MutexClient, SimTournament};

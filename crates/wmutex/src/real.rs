@@ -14,12 +14,12 @@ use std::time::Instant;
 
 /// How long a bounded entry section may wait before it withdraws.
 ///
-/// Every entry wait loop of the real locks takes one: the blocking entry
-/// points pass [`Patience::Forever`], and the `try_*` entry points pass
-/// whatever the caller chose. The budget is `Copy` and each wait loop
-/// spends its own copy, so [`Patience::Spins`] bounds every loop
-/// separately, while [`Patience::Until`] is one deadline for the whole
-/// entry section. The entry sections that take one are `#[inline]`, so
+/// Every wait of the real locks is one [`wait_until`] call, which takes
+/// one: the blocking entry points pass [`Patience::Forever`], and the
+/// `try_*` entry points pass whatever the caller chose. The budget is
+/// `Copy` and each wait spends its own copy, so [`Patience::Spins`]
+/// bounds every wait separately, while [`Patience::Until`] is one
+/// deadline for the whole entry section. The entry sections that take one are `#[inline]`, so
 /// the compiler can fold `Forever` away in a blocking entry's copy.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Patience {
@@ -36,7 +36,7 @@ impl Patience {
     /// Spend one failed re-read of the awaited word; returns whether the
     /// wait may continue.
     #[inline]
-    pub fn spend(&mut self) -> bool {
+    fn spend(&mut self) -> bool {
         match self {
             Patience::Forever => true,
             Patience::Spins(0) => false,
@@ -47,6 +47,51 @@ impl Patience {
             Patience::Until(deadline) => Instant::now() < *deadline,
         }
     }
+}
+
+/// Failed re-reads one [`wait_until`] call pauses with a spin hint
+/// before it starts yielding its time slice.
+const SPINS_BEFORE_YIELD: u32 = 64;
+
+/// The one wait loop of every real lock: evaluate `cond` until it holds
+/// or `patience` runs out, and return whether it held.
+///
+/// `cond` is evaluated first, so a wait that need not wait costs one
+/// evaluation. After each `false` the loop spends one failed re-read of
+/// `patience` and then pauses: a spin hint for the call's first 64
+/// failed re-reads, and [`std::thread::yield_now`] after that. A local
+/// spin costs no RMRs in the CC model, but on a host with more threads
+/// than CPUs a thread that keeps spinning burns the time slice of the
+/// thread it waits for; the yield hands that slice over. `cond` may do
+/// more than read — a CAS retry loop puts each attempt inside it.
+///
+/// Always inlined, so a blocking caller's [`Patience::Forever`] folds
+/// away and an uncontended entry pays only for `cond`.
+///
+/// # Examples
+/// ```
+/// use std::sync::atomic::{AtomicBool, Ordering};
+/// use wmutex::{wait_until, Patience};
+/// let flag = AtomicBool::new(false);
+/// assert!(!wait_until(Patience::Spins(10), || flag.load(Ordering::Acquire)));
+/// flag.store(true, Ordering::Release);
+/// assert!(wait_until(Patience::Forever, || flag.load(Ordering::Acquire)));
+/// ```
+#[inline(always)]
+pub fn wait_until(mut patience: Patience, mut cond: impl FnMut() -> bool) -> bool {
+    let mut spins = 0;
+    while !cond() {
+        if !patience.spend() {
+            return false;
+        }
+        if spins < SPINS_BEFORE_YIELD {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+    true
 }
 
 /// A mutual-exclusion lock shared by a fixed set of registered processes,
@@ -92,18 +137,16 @@ impl Node {
     /// SeqCst: each flag and turn store must be ordered before the loads
     /// that follow it.
     #[inline]
-    fn acquire(&self, side: usize, mut patience: Patience) -> bool {
+    fn acquire(&self, side: usize, patience: Patience) -> bool {
         self.flag[side].store(true, Ordering::SeqCst);
         self.turn.store(side, Ordering::SeqCst);
-        while self.flag[1 - side].load(Ordering::SeqCst) && self.turn.load(Ordering::SeqCst) == side
-        {
-            if !patience.spend() {
-                self.flag[side].store(false, Ordering::Release);
-                return false;
-            }
-            std::hint::spin_loop();
+        let won = wait_until(patience, || {
+            !self.flag[1 - side].load(Ordering::SeqCst) || self.turn.load(Ordering::SeqCst) != side
+        });
+        if !won {
+            self.flag[side].store(false, Ordering::Release);
         }
-        true
+        won
     }
 
     /// Peterson's exit. Release: the rival's SeqCst load that sees the
@@ -338,17 +381,47 @@ mod tests {
         assert_eq!(total, 4 * 500);
     }
 
+    /// `wait_until` evaluated with a `cond` that first holds at its
+    /// `holds_at`-th evaluation (never, if `None`): the result and how
+    /// many times `cond` ran.
+    fn evaluations(patience: Patience, holds_at: Option<u64>) -> (bool, u64) {
+        let mut n = 0;
+        let held = wait_until(patience, || {
+            n += 1;
+            Some(n) == holds_at
+        });
+        (held, n)
+    }
+
     #[test]
-    fn patience_spends_per_failed_re_read() {
-        let mut spins = Patience::Spins(2);
-        assert!(
-            spins.spend() && spins.spend(),
-            "two failed re-reads allowed"
+    fn wait_until_evaluates_once_per_failed_re_read() {
+        for patience in [
+            Patience::Forever,
+            Patience::Spins(0),
+            Patience::Until(Instant::now()),
+        ] {
+            assert_eq!(
+                evaluations(patience, Some(1)),
+                (true, 1),
+                "{patience:?}: a cond already true is evaluated once"
+            );
+        }
+        for n in [0, 1, 2, 100] {
+            assert_eq!(
+                evaluations(Patience::Spins(n), None),
+                (false, n + 1),
+                "Spins({n}) allows n failed re-reads, then runs out"
+            );
+            assert_eq!(evaluations(Patience::Spins(n), Some(n + 1)), (true, n + 1));
+        }
+        assert_eq!(
+            evaluations(Patience::Until(Instant::now()), None),
+            (false, 1),
+            "a passed deadline runs out at the first failed check"
         );
-        assert!(!spins.spend(), "the third runs out");
-        let mut forever = Patience::Forever;
-        assert!((0..1_000).all(|_| forever.spend()));
-        assert!(!Patience::Until(Instant::now()).spend(), "deadline passed");
+        // Past the spin bound the loop yields, and still stops as soon
+        // as `cond` holds.
+        assert_eq!(evaluations(Patience::Forever, Some(500)), (true, 500));
     }
 
     #[test]

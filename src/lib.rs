@@ -73,4 +73,4 @@ pub use rwcore::{
     Rate, RawAfLock, RawRwLock, ReadGuard, ReaderHandle, RealLock, RealLockFactory, RealShape,
     Scenario, Signal, SimInstance, SimLock, WriteGuard, WriterHandle,
 };
-pub use wmutex::{IdMutex, Patience, TournamentLock};
+pub use wmutex::{wait_until, IdMutex, Patience, TournamentLock};
