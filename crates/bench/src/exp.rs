@@ -6,8 +6,8 @@
 //! *typed* content — captioned [`Table`] sections plus structured
 //! [`Check`] records (claim, bound, measured, pass) — instead of ad-hoc
 //! `println!`s and `assert!`s, so the same run can be rendered as the
-//! human-readable text table, serialized as a structured JSON twin, or
-//! byte-diffed against the committed goldens in `results/`.
+//! human-readable text table, printed as JSON (`--json`), or byte-diffed
+//! against the committed goldens in `results/`.
 //!
 //! The registry lives in [`crate::experiments`]; the single `experiments`
 //! binary drives it (`--list`, `--filter`, `--smoke`, `--json`,
@@ -20,15 +20,18 @@
 //! Each experiment runs in one of two [`Mode`]s: `Full` (the complete
 //! sweep behind the committed goldens) or `Smoke` (one small
 //! configuration per experiment — seconds, not minutes — used by CI).
-//! Goldens live at `results/<id>.txt` + `results/<id>.json` for full
-//! mode and `results/smoke/<id>.{txt,json}` for smoke mode. `--check`
-//! re-runs the experiment, renders both forms, and byte-diffs them
-//! against the goldens, exiting nonzero with a unified diff on any
-//! drift; `--bless` regenerates the goldens after an intentional change.
+//! A run's one committed record is its text report: `results/<id>.txt`
+//! for full mode and `results/smoke/<id>.txt` for smoke mode. `--check`
+//! re-runs the experiment, renders the text report, and byte-diffs it
+//! against the golden, exiting nonzero with a unified diff on any
+//! drift; `--bless` regenerates the golden after an intentional change.
+//! No other run writes a report; E15 and E17 do rewrite their
+//! replayable counterexample traces, `results/trace_*.txt`, on every
+//! run.
 //!
-//! Experiments whose *full* report contains wall-clock content (the two
-//! `perf_*` experiments) opt out of the byte-diff for that mode via
-//! [`Experiment::deterministic`]; `--check` still runs them, requires
+//! Experiments whose *full* report contains wall-clock content (the
+//! three `perf_*` experiments) opt out of the byte-diff for that mode
+//! via [`Experiment::deterministic`]; `--check` still runs them, requires
 //! every [`Check`] to pass, and requires their goldens to exist.
 
 use crate::par;
@@ -43,10 +46,10 @@ use std::sync::{Arc, Mutex};
 /// Which configuration an experiment runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// The complete sweep behind the committed `results/<id>.*` goldens.
+    /// The complete sweep behind the committed `results/<id>.txt` goldens.
     Full,
     /// One small configuration per experiment (CI's smoke budget);
-    /// gated against `results/smoke/<id>.*`.
+    /// gated against `results/smoke/<id>.txt`.
     Smoke,
 }
 
@@ -290,7 +293,7 @@ impl Report {
         out
     }
 
-    /// Render the structured JSON twin (the `.json` golden).
+    /// Render the report as JSON (the `--json` stdout form).
     ///
     /// Hand-rolled (the workspace has no serde by policy): objects with
     /// a fixed field order, all scalars as strings except `pass`, so the
@@ -409,20 +412,12 @@ pub fn golden_txt_path(dir: &Path, mode: Mode, id: &str) -> PathBuf {
     }
 }
 
-/// Path of the JSON structured twin for `id` under `dir` in `mode`.
-pub fn golden_json_path(dir: &Path, mode: Mode, id: &str) -> PathBuf {
-    match mode {
-        Mode::Full => dir.join(format!("{id}.json")),
-        Mode::Smoke => dir.join("smoke").join(format!("{id}.json")),
-    }
-}
-
-/// Gate one report against its goldens under `dir`.
+/// Gate one report against its text golden under `dir`.
 ///
 /// Returns one failure message per problem: a failed [`Check`], a
 /// missing golden, or (for byte-stable reports) a unified diff of the
 /// drift. `deterministic = false` skips the byte-diff but still
-/// requires the goldens to exist and every check to pass.
+/// requires the golden to exist and every check to pass.
 pub fn check_against_goldens(report: &Report, deterministic: bool, dir: &Path) -> Vec<String> {
     let mut failures = Vec::new();
     for c in report.checks.iter().filter(|c| !c.pass) {
@@ -431,61 +426,49 @@ pub fn check_against_goldens(report: &Report, deterministic: bool, dir: &Path) -
             report.id, c.claim, c.bound, c.measured
         ));
     }
-    let renders = [
-        (
-            report.render_text(),
-            golden_txt_path(dir, report.mode, report.id),
-        ),
-        (
-            report.render_json(),
-            golden_json_path(dir, report.mode, report.id),
-        ),
-    ];
-    for (rendered, path) in renders {
-        match std::fs::read_to_string(&path) {
-            Err(_) => failures.push(format!(
-                "{}: missing golden {} — run `experiments --bless{} --filter {}` to create it",
-                report.id,
-                path.display(),
-                if report.mode == Mode::Smoke {
-                    " --smoke"
-                } else {
-                    ""
-                },
-                report.id,
-            )),
-            Ok(_) if !deterministic => {} // presence is all we can gate
-            Ok(golden) => {
-                if golden != rendered {
-                    failures.push(format!(
-                        "{}: drift against {}\n{}",
-                        report.id,
-                        path.display(),
-                        unified_diff(
-                            &golden,
-                            &rendered,
-                            &format!("{} (golden)", path.display()),
-                            &format!("{} (rendered)", report.id),
-                        )
-                    ));
-                }
+    let path = golden_txt_path(dir, report.mode, report.id);
+    match std::fs::read_to_string(&path) {
+        Err(_) => failures.push(format!(
+            "{}: missing golden {} — run `experiments --bless{} --filter {}` to create it",
+            report.id,
+            path.display(),
+            if report.mode == Mode::Smoke {
+                " --smoke"
+            } else {
+                ""
+            },
+            report.id,
+        )),
+        Ok(_) if !deterministic => {} // presence is all we can gate
+        Ok(golden) => {
+            let rendered = report.render_text();
+            if golden != rendered {
+                failures.push(format!(
+                    "{}: drift against {}\n{}",
+                    report.id,
+                    path.display(),
+                    unified_diff(
+                        &golden,
+                        &rendered,
+                        &format!("{} (golden)", path.display()),
+                        &format!("{} (rendered)", report.id),
+                    )
+                ));
             }
         }
     }
     failures
 }
 
-/// Write (or overwrite) the goldens for `report` under `dir`; returns
-/// the paths written.
-pub fn bless(report: &Report, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+/// Write (or overwrite) the text golden for `report` under `dir`;
+/// returns the path written.
+pub fn bless(report: &Report, dir: &Path) -> std::io::Result<PathBuf> {
     let txt = golden_txt_path(dir, report.mode, report.id);
-    let json = golden_json_path(dir, report.mode, report.id);
     if let Some(parent) = txt.parent() {
         std::fs::create_dir_all(parent)?;
     }
     std::fs::write(&txt, report.render_text())?;
-    std::fs::write(&json, report.render_json())?;
-    Ok(vec![txt, json])
+    Ok(txt)
 }
 
 /// Line-based unified diff of `old` vs `new` (3 lines of context).
@@ -615,11 +598,11 @@ pub struct CliOptions {
     pub list: bool,
     /// `--smoke`: run (and gate) the smoke configurations.
     pub smoke: bool,
-    /// `--json`: print JSON twins instead of text reports.
+    /// `--json`: print reports as JSON instead of text.
     pub json: bool,
-    /// `--check`: byte-diff rendered reports against the goldens.
+    /// `--check`: byte-diff rendered text reports against the goldens.
     pub check: bool,
-    /// `--bless`: (re)write the goldens from this run.
+    /// `--bless`: (re)write the text goldens from this run.
     pub bless: bool,
     /// `--filter a,b`: restrict to matching experiment ids.
     pub filters: Vec<String>,
@@ -635,10 +618,11 @@ usage: experiments [--list] [--filter <ids>] [--smoke] [--json] [--check] [--ble
                      the lock registry, and the named workload scenarios
   --filter <ids>     comma-separated ids or id prefixes (e.g. e2,e15 or e2_writer_rmr)
   --smoke            one small config per experiment (CI budget); gates results/smoke/
-  --json             print the structured JSON twin instead of the text report
-  --check            byte-diff rendered output against the committed goldens;
+  --json             print each report as JSON instead of text
+  --check            byte-diff the text reports against the committed goldens;
                      exit nonzero with a unified diff on any drift or failed check
-  --bless            regenerate the goldens (results/<id>.txt + .json) from this run
+  --bless            regenerate the goldens (results/[smoke/]<id>.txt) from this run;
+                     no other run writes a report
   --results-dir <d>  goldens root (default: results)";
 
 /// Parse driver arguments (everything after the program name).
@@ -778,6 +762,19 @@ pub fn render_list(registry: &[Box<dyn Experiment>], locks: &rwcore::LockRegistr
     out
 }
 
+/// What a run without `--check` or `--bless` prints for `report` (its
+/// JSON form if `json`, else its text form), and its failure line if a
+/// structured check failed. Both forms fail on the same rule.
+fn plain_run(report: &Report, json: bool) -> (String, Option<String>) {
+    let out = if json {
+        report.render_json()
+    } else {
+        format!("{}\n", report.render_text())
+    };
+    let failure = (!report.passed()).then(|| format!("{}: structured checks failed", report.id));
+    (out, failure)
+}
+
 /// The unified driver: run experiments per `opts`; returns the process
 /// exit code. Progress goes to stderr; reports/diffs go to stdout.
 pub fn cli_main(opts: &CliOptions) -> i32 {
@@ -830,11 +827,7 @@ pub fn cli_main(opts: &CliOptions) -> i32 {
             all_failures.extend(failures);
         } else if opts.bless {
             match bless(&report, &dir) {
-                Ok(paths) => {
-                    for p in paths {
-                        println!("blessed {}", p.display());
-                    }
-                }
+                Ok(path) => println!("blessed {}", path.display()),
                 Err(e) => {
                     all_failures.push(format!("{}: bless failed: {e}", exp.id()));
                 }
@@ -845,14 +838,10 @@ pub fn cli_main(opts: &CliOptions) -> i32 {
                     exp.id()
                 ));
             }
-        } else if opts.json {
-            print!("{}", report.render_json());
         } else {
-            print!("{}", report.render_text());
-            println!();
-            if !report.passed() {
-                all_failures.push(format!("{}: structured checks failed", exp.id()));
-            }
+            let (out, failure) = plain_run(&report, opts.json);
+            print!("{out}");
+            all_failures.extend(failure);
         }
     }
     if all_failures.is_empty() {
@@ -872,14 +861,19 @@ pub fn cli_main(opts: &CliOptions) -> i32 {
         let diff_path =
             ccsim::env::read_nonempty("EXPERIMENTS_DIFF_OUT", "target/experiments-diff.txt");
         let diff_path = PathBuf::from(diff_path);
-        if let Some(parent) = diff_path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if std::fs::write(&diff_path, &combined).is_ok() {
-            eprintln!(
+        let written = diff_path
+            .parent()
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| std::fs::write(&diff_path, &combined));
+        match written {
+            Ok(()) => eprintln!(
                 "[experiments] failure report written to {}",
                 diff_path.display()
-            );
+            ),
+            Err(e) => eprintln!(
+                "[experiments] could not write the failure report to {}: {e}",
+                diff_path.display()
+            ),
         }
     }
     eprintln!("[experiments] {} failure(s)", all_failures.len());
@@ -918,16 +912,61 @@ mod tests {
     }
 
     #[test]
-    fn json_render_is_valid_enough_and_stable() {
+    fn json_render_carries_every_field_and_is_stable() {
         let r = sample_report();
         let s = r.render_json();
         assert!(s.starts_with("{\n  \"id\": \"toy\",\n"));
-        assert!(s.contains("\"columns\": [\"n\", \"rmr\"]"));
-        assert!(s.contains("[\"8\", \"12\"]"));
-        assert!(s.contains("\"pass\": true"));
+        for (key, value) in [
+            ("title", &r.title),
+            ("claim", &r.claim),
+            ("mode", &r.mode.tag().to_string()),
+            ("notes", &r.notes),
+        ] {
+            assert!(
+                s.contains(&format!("\"{key}\": {}", json_str(value))),
+                "{key}"
+            );
+        }
+        for section in &r.sections {
+            assert!(s.contains(&format!("\"heading\": {}", json_str(&section.heading))));
+            let columns = json_str_array(section.table.headers());
+            assert!(s.contains(&format!("\"columns\": {columns}")));
+            for row in section.table.rows() {
+                assert!(s.contains(&json_str_array(row)), "{row:?}");
+            }
+        }
+        for c in &r.checks {
+            let check = format!(
+                "{{\"claim\": {}, \"bound\": {}, \"measured\": {}, \"pass\": {}}}",
+                json_str(&c.claim),
+                json_str(&c.bound),
+                json_str(&c.measured),
+                c.pass
+            );
+            assert!(s.contains(&check), "{check}");
+        }
         assert!(s.ends_with("}\n"));
         // Same input renders byte-identically.
         assert_eq!(s, r.render_json());
+    }
+
+    #[test]
+    fn a_failing_check_fails_text_and_json_runs_alike() {
+        let passing = sample_report();
+        let mut failing = passing.clone();
+        failing.check(Check::le_u64("impossible bound", 16, 1));
+        for json in [false, true] {
+            let (out, failure) = plain_run(&passing, json);
+            assert_eq!(failure, None);
+            assert!(out.contains("rmr bounded"));
+            let (out, failure) = plain_run(&failing, json);
+            assert_eq!(
+                failure.as_deref(),
+                Some("toy: structured checks failed"),
+                "json = {json}"
+            );
+            assert!(out.contains("impossible bound"));
+        }
     }
 
     #[test]
@@ -1002,8 +1041,8 @@ mod tests {
             Path::new("results/e2.txt")
         );
         assert_eq!(
-            golden_json_path(d, Mode::Smoke, "e2"),
-            Path::new("results/smoke/e2.json")
+            golden_txt_path(d, Mode::Smoke, "e2"),
+            Path::new("results/smoke/e2.txt")
         );
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! One module per experiment; [`registry`] returns them all in index
 //! order. Every module implements [`crate::exp::Experiment`] and renders
-//! its sweep as a structured [`crate::exp::Report`] — the text/JSON
-//! goldens under `results/` are produced from these modules by the
+//! its sweep as a structured [`crate::exp::Report`] — the text goldens
+//! under `results/` are produced from these modules by the
 //! `experiments` binary (see [`crate::exp`] for the `--check`/`--bless`
 //! workflow).
 

@@ -8,14 +8,14 @@
 //! Full mode runs up to `min(ncpu, 64)` OS threads (capped by the
 //! strict `BENCH_THREADS` parsing from [`crate::par`]), pinned to cores
 //! where the platform allows (pinning failure degrades to a report
-//! note, never an error). Each lock × scenario cell reports throughput
-//! plus p50/p99/p999 latency from lock-free per-thread histograms
-//! ([`crate::hist`]) and — for sharded locks — the shard count the
-//! instance *actually* ran with: the sharded `A_f` caps a shard request
-//! at the CPU count, and that cap used to happen silently at the call
-//! site. The whole sweep lands in `BENCH_locks.json` (override:
-//! `BENCH_LOCKS_OUT`). Wall-clock content makes the full report
-//! non-byte-stable, so [`Experiment::deterministic`] is false there.
+//! note, never an error). Each lock × scenario cell reports throughput,
+//! its read and write counts, p50/p99/p999 latency from lock-free
+//! per-thread histograms ([`crate::hist`]) and — for sharded locks —
+//! the shard count the instance *actually* ran with: the sharded `A_f`
+//! caps a shard request at the CPU count, and that cap used to happen
+//! silently at the call site. A note names the host's CPU count.
+//! Wall-clock content makes the full report non-byte-stable, so
+//! [`Experiment::deterministic`] is false there.
 //!
 //! Full mode then times single-threaded passages, with no contention at
 //! all: a reader and a writer passage of every lock in
@@ -24,7 +24,9 @@
 //! the f-array counter's `add` and `read` against the CAS-loop and
 //! fetch-and-add counters, alone and with a few threads adding at once.
 //! Every such row is the median of five calibrated samples with their
-//! min–max range, so a run shows its own noise.
+//! min–max range, so a run shows its own noise. A contended-adds sample
+//! counts only if every adder's clock interval overlaps every other's;
+//! the row says how many did.
 //!
 //! Smoke mode is byte-stable: 4 threads, 2 shards requested, the first
 //! two scenarios of the matrix, fixed per-thread op quotas with seeded
@@ -135,9 +137,7 @@ impl Experiment for PerfLocks {
     }
 
     fn run(&self, ctx: &Ctx) -> Report {
-        let ncpu = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
+        let ncpu = par::host_cpus();
         let mut report = Report::new(self, ctx);
         let mut notes: Vec<String> = Vec::new();
 
@@ -233,7 +233,8 @@ fn run_smoke(report: &mut Report, ncpu: usize) {
     report.check(floor);
 }
 
-/// Timed full sweep with latency tables and the JSON side artifact.
+/// Timed full sweep with latency tables, then the uncontended and
+/// counter rows.
 fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
     // Thread budget: min(ncpu, 64), at least 2 so there is contention,
     // honoring the strict BENCH_THREADS cap (satellite: rejects garbage
@@ -261,15 +262,19 @@ fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
     for (i, named) in scenarios.iter().enumerate() {
         let wl = scenario_workload(named, i, threads, OpBudget::Duration(FULL_CELL), pin_ok);
         let mut table = Table::new([
-            "lock", "ops/s", "r p50", "r p99", "r p999", "w p99", "shards",
+            "lock", "ops/s", "reads", "writes", "r p50", "r p99", "r p999", "w p99", "shards",
         ]);
+        let mut all_pinned = true;
         for lock in LockRegistry::builtin()
             .real_locks(RealShape::symmetric(wl.threads).with_shards(shards_requested))
         {
             let s = run_contended(lock, &wl);
+            all_pinned &= s.pinned;
             table.row([
                 s.lock.clone(),
                 format!("{:.0}", s.ops_per_sec()),
+                s.reads.to_string(),
+                s.writes.to_string(),
                 quantile_cell(&s, true, 0.50),
                 quantile_cell(&s, true, 0.99),
                 quantile_cell(&s, true, 0.999),
@@ -289,7 +294,7 @@ fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
                 wl.threads,
                 shards_requested,
                 FULL_CELL.as_millis(),
-                if pin_ok { ", pinned" } else { "" }
+                if all_pinned { ", pinned" } else { "" }
             ),
             table,
         );
@@ -338,67 +343,10 @@ fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
         ));
     }
 
-    // The JSON side artifact: one object per cell, plus sweep metadata.
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut cell_json: Vec<String> = Vec::new();
-    for c in &cells {
-        let s = &c.sample;
-        let rq = |q: f64| {
-            s.read_hist
-                .quantile(q)
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "null".to_string())
-        };
-        let wq = |q: f64| {
-            s.write_hist
-                .quantile(q)
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "null".to_string())
-        };
-        cell_json.push(format!(
-            "    {{\n      \"scenario\": \"{}\",\n      \"lock\": \"{}\",\n      \"threads\": {},\n      \
-             \"ops_per_sec\": {:.0},\n      \"reads\": {},\n      \"writes\": {},\n      \
-             \"read_p50_ns\": {},\n      \"read_p99_ns\": {},\n      \"read_p999_ns\": {},\n      \
-             \"write_p99_ns\": {},\n      \"shards\": {},\n      \"pinned\": {}\n    }}",
-            c.scenario,
-            s.lock,
-            s.threads,
-            s.ops_per_sec(),
-            s.reads,
-            s.writes,
-            rq(0.50),
-            rq(0.99),
-            rq(0.999),
-            wq(0.99),
-            s.shards
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            s.pinned,
-        ));
-    }
-    let floor_json = match floor_ratio {
-        Some(r) => format!(
-            "{{ \"checked\": {}, \"read_mostly_sharded_over_single\": {r:.2} }}",
-            ncpu >= 8
-        ),
-        None => "{ \"checked\": false, \"read_mostly_sharded_over_single\": null }".to_string(),
-    };
-    let json = format!(
-        "{{\n  \"experiment\": \"perf_locks\",\n  \"unix_timestamp\": {unix_secs},\n  \
-         \"ncpu\": {ncpu},\n  \"threads\": {threads},\n  \
-         \"shards_requested\": {shards_requested},\n  \"pinned\": {pin_ok},\n  \"cell_millis\": {},\n  \
-         \"floor\": {floor_json},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        FULL_CELL.as_millis(),
-        cell_json.join(",\n"),
-    );
-    let path = ccsim::env::read_nonempty("BENCH_LOCKS_OUT", "BENCH_locks.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => notes.push(format!("Side artifact: {path}")),
-        Err(e) => notes.push(format!("Side artifact write failed ({path}): {e}")),
-    }
+    notes.push(format!(
+        "Host: {ncpu} CPUs; {threads} base threads per cell; each lock x scenario cell is one {}ms sample.",
+        FULL_CELL.as_millis()
+    ));
 
     run_uncontended(report);
     run_counters(report);
@@ -426,11 +374,15 @@ fn time_per_call(mut f: impl FnMut()) -> String {
     )
 }
 
-/// Render [`SAMPLES`] timings in ns as the median with the min-max range.
+/// Render timings in ns as the median with the min-max range, or `n/a`
+/// if there are none.
 fn median_and_range(mut ns: Vec<f64>) -> String {
+    if ns.is_empty() {
+        return "n/a".to_string();
+    }
     ns.sort_by(f64::total_cmp);
     // Three significant digits of the median, in its own unit.
-    let median = ns[SAMPLES / 2];
+    let median = (ns[(ns.len() - 1) / 2] + ns[ns.len() / 2]) / 2.0;
     let (scale, unit) = match median {
         m if m < 1e3 => (1.0, "ns"),
         m if m < 1e6 => (1e3, "us"),
@@ -442,7 +394,7 @@ fn median_and_range(mut ns: Vec<f64>) -> String {
         _ => 0,
     };
     let v = |ns: f64| format!("{:.digits$}", ns / scale);
-    format!("{}{unit} ({}-{})", v(median), v(ns[0]), v(ns[SAMPLES - 1]))
+    format!("{}{unit} ({}-{})", v(median), v(ns[0]), v(ns[ns.len() - 1]))
 }
 
 /// One reader and one writer passage of every uncontended lock, timed
@@ -499,24 +451,34 @@ fn run_counters(report: &mut Report) {
         Box::new(CasCounter::new()),
         Box::new(FaaCounter::new()),
     ];
-    let mut table = Table::new(["counter", "add"]);
+    let mut table = Table::new(["counter", "add", "overlapping samples"]);
     for counter in &counters {
         let ns = contended_ns_per_add(&**counter, threads);
-        table.row([counter.name().to_string(), median_and_range(ns)]);
+        let overlapping = format!("{}/{SAMPLES}", ns.len());
+        table.row([
+            counter.name().to_string(),
+            median_and_range(ns),
+            overlapping,
+        ]);
     }
     report.section(
         format!(
-            "contended adds — {threads} threads x {CONTENDED_ADDS} adds each per sample, time per add, median ({SAMPLES} samples) and min-max range"
+            "contended adds — {threads} threads x {CONTENDED_ADDS} adds each per sample, time per add, median and min-max range of the samples in which all adders overlapped"
         ),
         table,
     );
 }
 
-/// [`SAMPLES`] timings in ns per add of `threads` threads adding to
-/// `counter` at once. The adders are spawned once and a barrier releases
-/// each sample, so no sample times a spawn or a join. Each adder clocks
-/// its own adds, and a sample spans the first start to the last end, so
-/// no other thread's wake-up is timed.
+/// Timings in ns per add of `threads` threads adding to `counter` at
+/// once, one for each of the [`SAMPLES`] samples in which the adders
+/// really ran at once. The adders are spawned once and a barrier
+/// releases each sample, so no sample times a spawn or a join. Each
+/// adder clocks its own adds, and a sample spans the first start to the
+/// last end, so no other thread's wake-up is timed. A sample counts only
+/// if every adder's interval overlaps every other's (the latest start
+/// comes before the earliest end): a release does not make the adders
+/// overlap, and one that finished before another woke would time two
+/// serial runs as a contended one.
 fn contended_ns_per_add(counter: &dyn SharedCounter, threads: usize) -> Vec<f64> {
     let barrier = Barrier::new(threads);
     let clocks: Vec<Vec<(Instant, Instant)>> = std::thread::scope(|s| {
@@ -541,10 +503,57 @@ fn contended_ns_per_add(counter: &dyn SharedCounter, threads: usize) -> Vec<f64>
     });
     let adds = threads as u64 * CONTENDED_ADDS;
     (0..SAMPLES)
-        .map(|i| {
-            let start = clocks.iter().map(|c| c[i].0).min().unwrap();
-            let end = clocks.iter().map(|c| c[i].1).max().unwrap();
-            (end - start).as_secs_f64() * 1e9 / adds as f64
+        .filter_map(|i| {
+            let sample: Vec<_> = clocks.iter().map(|c| c[i]).collect();
+            overlapping_ns_per_add(&sample, adds)
         })
         .collect()
+}
+
+/// Time per add of one sample of `adds` adds from each adder's
+/// `(start, end)` clock: the first start to the last end. `None` unless
+/// the intervals all overlap: the latest start comes before the
+/// earliest end.
+fn overlapping_ns_per_add(clocks: &[(Instant, Instant)], adds: u64) -> Option<f64> {
+    let start = clocks.iter().map(|c| c.0);
+    let end = clocks.iter().map(|c| c.1);
+    let overlap = start.clone().max()? < end.clone().min()?;
+    let span = end.max()? - start.min()?;
+    overlap.then(|| span.as_secs_f64() * 1e9 / adds as f64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_contended_sample_counts_only_if_every_adder_overlaps() {
+        let t = Instant::now();
+        let ms = |n: u64| t + Duration::from_millis(n);
+        // Two adders that ran at once: 4 ms for 4,000 adds.
+        let ns = overlapping_ns_per_add(&[(ms(0), ms(3)), (ms(1), ms(4))], 4_000);
+        assert!((ns.expect("overlapping") - 1_000.0).abs() < 1e-6, "{ns:?}");
+        // One finished before the other started: two serial runs.
+        assert_eq!(
+            overlapping_ns_per_add(&[(ms(0), ms(1)), (ms(2), ms(3))], 2),
+            None
+        );
+        // Touching intervals do not overlap either.
+        assert_eq!(
+            overlapping_ns_per_add(&[(ms(0), ms(1)), (ms(1), ms(2))], 2),
+            None
+        );
+        // The middle adder overlaps both others, but the first ended
+        // before the last started.
+        let chain = [(ms(0), ms(2)), (ms(1), ms(4)), (ms(3), ms(5))];
+        assert_eq!(overlapping_ns_per_add(&chain, 2), None);
+    }
+
+    #[test]
+    fn median_and_range_handles_any_sample_count() {
+        assert_eq!(median_and_range(Vec::new()), "n/a");
+        assert_eq!(median_and_range(vec![30.0]), "30.0ns (30.0-30.0)");
+        assert_eq!(median_and_range(vec![40.0, 20.0]), "30.0ns (20.0-40.0)");
+        assert_eq!(median_and_range(vec![5.0, 1.0, 3.0]), "3.00ns (1.00-5.00)");
+    }
 }

@@ -14,9 +14,9 @@
 //! exactly 1,588,408 orbits), and the **newly feasible** CAS-loop n=4
 //! two-crash space (19.6M quotient orbits, past the
 //! 50M-concrete-state horizon without symmetry) exhausted under a
-//! wall-clock *and* resident-byte ceiling — asserts the perf floors, and
-//! writes `BENCH_modelcheck.json` (override: `BENCH_MODELCHECK_OUT`);
-//! its wall-clock content makes the report non-byte-stable, so
+//! wall-clock *and* resident-byte ceiling — and asserts the perf floors.
+//! A note names the host's CPU count, the worker count and the sample
+//! count. The wall-clock content makes the report non-byte-stable, so
 //! [`Experiment::deterministic`] is false there. Smoke mode runs the
 //! crash-free spaces once per operating point and reports only
 //! deterministic columns (state counts and visited entries); its
@@ -258,7 +258,7 @@ impl Experiment for PerfModelcheck {
                 ]);
             }
         }
-        report.section(workload.clone(), table);
+        report.section(workload, table);
 
         // The symmetry A/B on the class-declaring world: same backend
         // storage, concrete vs canonical keys.
@@ -289,7 +289,7 @@ impl Experiment for PerfModelcheck {
                 ]);
             }
         }
-        report.section(sym_workload.clone(), sym_table);
+        report.section(sym_workload, sym_table);
 
         report
             .check(Check::new(
@@ -376,41 +376,39 @@ impl Experiment for PerfModelcheck {
                 .expect("CAS-loop n=4 two-crash space is safe");
             let new_secs = start.elapsed().as_secs_f64();
             let new_sps = new.states_explored as f64 / new_secs;
-            let new_workload =
-                "A_f(CasLoop) n=4 m=1 passages=1 crash_budget=2 writeback".to_string();
+            let new_workload = "A_f(CasLoop) n=4 m=1 passages=1 crash_budget=2 writeback";
 
             let mut big_table = Table::new([
                 "workload",
                 "symmetry",
                 "states",
+                "visited",
                 "seconds",
                 "states/s",
                 "resident_bytes",
             ]);
-            big_table.row([
-                "A_f n=2 m=1 passages=1 crash_budget=2 writeback".to_string(),
-                "off (concrete)".to_string(),
-                big.states_explored.to_string(),
-                format!("{big_secs:.1}"),
-                format!("{big_sps:.0}"),
-                big.visited.resident_bytes.to_string(),
-            ]);
-            big_table.row([
-                n3_workload.to_string(),
-                Symmetry::Quotient.to_string(),
-                n3.states_explored.to_string(),
-                format!("{n3_secs:.1}"),
-                format!("{n3_sps:.0}"),
-                n3.visited.resident_bytes.to_string(),
-            ]);
-            big_table.row([
-                new_workload.clone(),
-                Symmetry::Quotient.to_string(),
-                new.states_explored.to_string(),
-                format!("{new_secs:.1}"),
-                format!("{new_sps:.0}"),
-                new.visited.resident_bytes.to_string(),
-            ]);
+            let big_rows = [
+                (
+                    "A_f n=2 m=1 passages=1 crash_budget=2 writeback",
+                    "off (concrete)",
+                    &big,
+                    big_secs,
+                    big_sps,
+                ),
+                (n3_workload, "quotient", &n3, n3_secs, n3_sps),
+                (new_workload, "quotient", &new, new_secs, new_sps),
+            ];
+            for (workload, symmetry, r, secs, sps) in big_rows {
+                big_table.row([
+                    workload.to_string(),
+                    symmetry.to_string(),
+                    r.states_explored.to_string(),
+                    r.visited.entries.to_string(),
+                    format!("{secs:.1}"),
+                    format!("{sps:.0}"),
+                    r.visited.resident_bytes.to_string(),
+                ]);
+            }
             report.section("previously / newly infeasible instances", big_table);
             // Historically 8.75M states (past the default 5M cap); the
             // recoverable A_f recovery paths prune the wedged branches,
@@ -471,65 +469,12 @@ impl Experiment for PerfModelcheck {
                 new.visited.resident_bytes <= NEWLY_FEASIBLE_RESIDENT_CEILING,
             ));
 
-            // Preserve the historical side artifact for trend tracking.
-            let unix_secs = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            let ncpu = std::thread::available_parallelism().map_or(1, |p| p.get());
-            let json = format!(
-                "{{\n  \"experiment\": \"perf_modelcheck\",\n  \"unix_timestamp\": {unix_secs},\n  \
-                 \"ncpu\": {ncpu},\n  \"workers\": {workers},\n  \"samples\": {samples},\n  \"workload\": \
-                 \"{workload}\",\n  \"states\": {},\n  \
-                 \"full_rehash_states_per_sec\": {full_sps:.0},\n  \
-                 \"incremental_states_per_sec\": {inc_sps:.0},\n  \
-                 \"parallel_states_per_sec\": {par_sps:.0},\n  \
-                 \"incremental_speedup\": {inc_speedup:.2},\n  \
-                 \"parallel_speedup\": {par_speedup:.2},\n  \
-                 \"symmetry_workload\": \"{sym_workload}\",\n  \
-                 \"concrete_states\": {off_states},\n  \
-                 \"quotient_states\": {quo_states},\n  \
-                 \"symmetry_reduction\": {reduction:.2},\n  \
-                 \"concrete_states_per_sec\": {off_sps:.0},\n  \
-                 \"quotient_states_per_sec\": {quo_sps:.0},\n  \
-                 \"concrete_resident_bytes\": {},\n  \
-                 \"quotient_resident_bytes\": {},\n  \"infeasible_instance\": {{\n    \
-                 \"workload\": \"A_f n=2 m=1 passages=1 crash_budget=2 writeback\",\n    \
-                 \"states\": {},\n    \"seconds\": {big_secs:.1},\n    \
-                 \"states_per_sec\": {big_sps:.0},\n    \"complete\": {}\n  }},\n  \
-                 \"quotient_instance\": {{\n    \
-                 \"workload\": \"{n3_workload}\",\n    \
-                 \"symmetry\": \"quotient\",\n    \
-                 \"states\": {},\n    \"resident_bytes\": {},\n    \
-                 \"seconds\": {n3_secs:.1},\n    \
-                 \"states_per_sec\": {n3_sps:.0},\n    \"complete\": {}\n  }},\n  \
-                 \"newly_feasible_instance\": {{\n    \
-                 \"workload\": \"{new_workload}\",\n    \
-                 \"symmetry\": \"quotient\",\n    \
-                 \"states\": {},\n    \"visited_entries\": {},\n    \
-                 \"resident_bytes\": {},\n    \
-                 \"resident_ceiling_bytes\": {NEWLY_FEASIBLE_RESIDENT_CEILING},\n    \
-                 \"seconds\": {new_secs:.1},\n    \
-                 \"wall_ceiling_seconds\": {NEWLY_FEASIBLE_WALL_CEILING_SECS:.0},\n    \
-                 \"states_per_sec\": {new_sps:.0},\n    \"complete\": {}\n  }}\n}}\n",
-                inc_report.states_explored,
-                off_report.visited.resident_bytes,
-                quo_report.visited.resident_bytes,
-                big.states_explored,
-                big.complete,
-                n3.states_explored,
-                n3.visited.resident_bytes,
-                n3.complete,
-                new.states_explored,
-                new.visited.entries,
-                new.visited.resident_bytes,
-                new.complete
-            );
-            let path = ccsim::env::read_nonempty("BENCH_MODELCHECK_OUT", "BENCH_modelcheck.json");
-            match std::fs::write(&path, &json) {
-                Ok(()) => report.notes(format!("Side artifact: {path}")),
-                Err(e) => report.notes(format!("Side artifact write failed ({path}): {e}")),
-            };
+            report.notes(format!(
+                "Host: {} CPUs; {workers} workers for the parallel row and the three instances above. \
+                 The states/s of the first two tables is the best of {samples} samples per mode, \
+                 interleaved; each instance above ran once.",
+                par::host_cpus()
+            ));
         }
         report
     }

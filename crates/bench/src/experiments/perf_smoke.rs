@@ -5,11 +5,12 @@
 //! (RMR checksums must agree), so the published number is for a
 //! verified-equivalent simulation.
 //!
-//! Full mode reports wall-clock steps/sec (inherently non-reproducible:
-//! [`Experiment::deterministic`] is false, so `--check` gates the checks
-//! and golden presence but not the bytes) and writes the side artifact
-//! `BENCH_ccsim.json` (path override: `BENCH_CCSIM_OUT`). Smoke mode
-//! drops the timings and reports only the deterministic RMR checksums.
+//! Full mode reports wall-clock steps/sec, the best of a few samples on
+//! one thread, with the host's CPU count and the sample count in a note
+//! (inherently non-reproducible: [`Experiment::deterministic`] is false,
+//! so `--check` gates the checks and golden presence but not the bytes).
+//! Smoke mode drops the timings and reports only the deterministic RMR
+//! checksums.
 
 use super::prelude::*;
 use ccsim::reference::RefMemory;
@@ -185,38 +186,11 @@ impl Experiment for PerfSmoke {
                 format!("{wb_speedup:.2}x"),
                 wb_speedup >= 3.0,
             ));
-            // Preserve the historical side artifact for trend tracking.
-            let unix_secs = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            let mut json = String::new();
-            json.push_str("{\n");
-            json.push_str("  \"experiment\": \"perf_smoke\",\n");
-            json.push_str(&format!("  \"unix_timestamp\": {unix_secs},\n"));
-            json.push_str(&format!("  \"n_procs\": {},\n", w.n_procs));
-            json.push_str(&format!("  \"n_vars\": {},\n", w.n_vars));
-            json.push_str(&format!("  \"steps\": {},\n", w.steps));
-            json.push_str(&format!("  \"write_percent\": {WRITE_PERCENT},\n"));
-            json.push_str(&format!("  \"seed\": {SEED},\n"));
-            json.push_str(&format!("  \"samples\": {},\n", w.samples));
-            json.push_str("  \"results\": [\n");
-            for (i, (protocol, ref_sps, dir_sps, _, _)) in rows.iter().enumerate() {
-                json.push_str(&format!(
-                    "    {{\"protocol\": \"{}\", \"reference_steps_per_sec\": {:.0}, \"directory_steps_per_sec\": {:.0}, \"speedup\": {:.2}}}{}\n",
-                    protocol_name(*protocol),
-                    ref_sps,
-                    dir_sps,
-                    dir_sps / ref_sps,
-                    if i + 1 < rows.len() { "," } else { "" }
-                ));
-            }
-            json.push_str("  ]\n}\n");
-            let path = ccsim::env::read_nonempty("BENCH_CCSIM_OUT", "BENCH_ccsim.json");
-            match std::fs::write(&path, &json) {
-                Ok(()) => report.notes(format!("Side artifact: {path}")),
-                Err(e) => report.notes(format!("Side artifact write failed ({path}): {e}")),
-            };
+            report.notes(format!(
+                "Host: {} CPUs; one thread; steps/s is the best of {} samples per core and protocol.",
+                crate::par::host_cpus(),
+                w.samples
+            ));
         }
         report
     }

@@ -133,9 +133,7 @@ pub fn run_contended(lock: Arc<dyn RealLock>, wl: &MixedWorkload) -> ContendedSa
     let barrier = Arc::new(Barrier::new(wl.threads + 1));
     let stop = Arc::new(AtomicBool::new(false));
     let shared = Arc::new(AtomicU64::new(0));
-    let ncpu = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let ncpu = crate::par::host_cpus();
 
     let mut handles = Vec::with_capacity(wl.threads);
     for t in 0..wl.threads {

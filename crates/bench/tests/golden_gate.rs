@@ -4,8 +4,7 @@
 //! experiment — the exact drill a CI failure walks a human through.
 
 use bench::exp::{
-    bless, check_against_goldens, golden_json_path, golden_txt_path, Check, Ctx, Experiment, Mode,
-    Report,
+    bless, check_against_goldens, golden_txt_path, Check, Ctx, Experiment, Mode, Report,
 };
 use bench::Table;
 
@@ -47,37 +46,28 @@ fn bless_then_check_roundtrips_and_catches_perturbation() {
     let ctx = Ctx::new(Mode::Full);
     let report = Toy.run(&ctx);
 
-    // Missing goldens are themselves a failure (with a bless hint).
+    // A missing golden is itself a failure (with a bless hint).
     let failures = check_against_goldens(&report, true, &dir);
-    assert_eq!(failures.len(), 2, "both goldens missing: {failures:?}");
+    assert_eq!(failures.len(), 1, "golden missing: {failures:?}");
     assert!(failures[0].contains("missing golden"));
     assert!(failures[0].contains("--bless"));
 
-    // Bless writes both the text table and the structured JSON twin.
-    let paths = bless(&report, &dir).expect("bless");
-    assert_eq!(
-        paths,
-        vec![
-            golden_txt_path(&dir, Mode::Full, "toy_gate"),
-            golden_json_path(&dir, Mode::Full, "toy_gate"),
-        ]
-    );
-    for p in &paths {
-        assert!(p.exists(), "{} not written", p.display());
-    }
+    // Bless writes the text report, the one golden.
+    let txt = bless(&report, &dir).expect("bless");
+    assert_eq!(txt, golden_txt_path(&dir, Mode::Full, "toy_gate"));
+    assert!(txt.exists(), "{} not written", txt.display());
 
     // A clean re-run byte-matches what was blessed.
     assert!(check_against_goldens(&report, true, &dir).is_empty());
 
     // Perturb one table cell in the text golden: the check must fail
     // with a unified diff that names the experiment and shows the cell.
-    let txt = &paths[0];
-    let golden = std::fs::read_to_string(txt).unwrap();
+    let golden = std::fs::read_to_string(&txt).unwrap();
     assert!(
         golden.contains("16   16"),
         "fixture layout changed:\n{golden}"
     );
-    std::fs::write(txt, golden.replace("16   16", "16   17")).unwrap();
+    std::fs::write(&txt, golden.replace("16   16", "16   17")).unwrap();
     let failures = check_against_goldens(&report, true, &dir);
     assert_eq!(failures.len(), 1, "{failures:?}");
     let failure = &failures[0];
@@ -96,7 +86,7 @@ fn bless_then_check_roundtrips_and_catches_perturbation() {
     );
 
     // Restoring the golden makes the gate clean again.
-    std::fs::write(txt, golden).unwrap();
+    std::fs::write(&txt, golden).unwrap();
     assert!(check_against_goldens(&report, true, &dir).is_empty());
 
     // A failing structured check is reported even with clean goldens.
@@ -120,14 +110,20 @@ fn smoke_goldens_live_in_their_own_subdir() {
     let dir = temp_results_dir("smoke");
     let ctx = Ctx::new(Mode::Smoke);
     let report = Toy.run(&ctx);
-    let paths = bless(&report, &dir).expect("bless");
-    assert!(paths[0].starts_with(dir.join("smoke")));
-    assert!(paths[1].ends_with("smoke/toy_gate.json"));
+    let txt = bless(&report, &dir).expect("bless");
+    assert_eq!(txt, dir.join("smoke").join("toy_gate.txt"));
+    // Bless writes exactly one file: the text report.
+    let written: Vec<_> = std::fs::read_dir(dir.join("smoke"))
+        .expect("smoke dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    assert_eq!(written, [txt]);
+    assert_eq!(std::fs::read_dir(&dir).expect("results dir").count(), 1);
     assert!(check_against_goldens(&report, true, &dir).is_empty());
     // Smoke and full goldens never collide: the full check still
-    // reports its goldens as missing.
+    // reports its golden as missing.
     let full_report = Toy.run(&Ctx::new(Mode::Full));
-    assert_eq!(check_against_goldens(&full_report, true, &dir).len(), 2);
+    assert_eq!(check_against_goldens(&full_report, true, &dir).len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -136,8 +132,8 @@ fn nondeterministic_reports_gate_presence_and_checks_only() {
     let dir = temp_results_dir("nondet");
     let ctx = Ctx::new(Mode::Full);
     let report = Toy.run(&ctx);
-    // Absent goldens still fail even for non-deterministic reports.
-    assert_eq!(check_against_goldens(&report, false, &dir).len(), 2);
+    // An absent golden still fails even for non-deterministic reports.
+    assert_eq!(check_against_goldens(&report, false, &dir).len(), 1);
     bless(&report, &dir).expect("bless");
     // Now perturb a golden: a non-deterministic report skips the
     // byte-diff, so the gate stays clean...

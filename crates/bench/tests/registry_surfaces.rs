@@ -185,7 +185,7 @@ fn one_registration_reaches_all_three_surfaces() {
         .iter()
         .find(|c| c.lock == "toy-ticket")
         .expect("toy-ticket appears in the model-check suite plan");
-    assert_eq!(toy_case.instance, "2r+1w");
+    assert_eq!(toy_case.instance.label, "2r+1w");
     assert!(toy_case.properties.contains(&"mutual-exclusion"));
 }
 
@@ -215,15 +215,9 @@ fn the_toy_lock_actually_runs_on_both_surfaces() {
     // Sim side: the generated suite case explores the toy's world and
     // passes Mutual Exclusion.
     let scenario: Scenario = "r9:1".parse().unwrap();
-    let base = CheckConfig::default();
-    let (_, sim) = reg
-        .sim_entries()
-        .find(|(id, _)| *id == "toy-ticket")
-        .expect("sim twin registered");
-    let cases = suite::plan(&reg, &scenario, &base);
+    let cases = suite::plan(&reg, &scenario, &CheckConfig::default());
     let case = cases.iter().find(|c| c.lock == "toy-ticket").unwrap();
-    let inst = &sim.instances()[0];
-    let report = suite::run_case(sim.as_ref(), inst, case, Protocol::WriteBack, 1)
+    let report = suite::run_case(case, Protocol::WriteBack, 1)
         .expect("toy sim twin passes Mutual Exclusion");
     assert!(report.states_explored > 0);
 }

@@ -10,33 +10,14 @@
 //! the parsers here reject empty strings, stray whitespace, signs, radix
 //! prefixes, and non-UTF-8 values uniformly.
 //!
-//! The three layers:
+//! The two layers:
 //!
-//! * [`parse_strict`] — the generic core: an optional raw value plus a
-//!   fallible token parser; errors are prefixed with the variable name.
-//! * [`parse_strict_uint`] — the decimal-integer special case used by
-//!   `BENCH_THREADS` and `RANDOMIZED_SEED`.
+//! * [`parse_strict_uint`] — the decimal-integer parser used by
+//!   `BENCH_THREADS` and `RANDOMIZED_SEED`; errors name the variable.
 //! * [`read_strict_uint`] / [`read_nonempty`] — process-environment
-//!   lookups over the above, panicking (loud abort) on malformed values,
-//!   including values that are not valid UTF-8.
-
-use std::fmt;
-
-/// Strictly parse an optional env value with a fallible token parser.
-///
-/// `None` (the variable is unset) means "use the default" and returns
-/// `Ok(None)`. Otherwise `parse` decides; its error is prefixed with
-/// `name` so the diagnostic names the offending variable. Note the
-/// parser sees empty strings too — a strict parser must reject them
-/// (every parser in this workspace does), never treat `FOO=` as unset.
-pub fn parse_strict<T, E: fmt::Display>(
-    name: &str,
-    raw: Option<&str>,
-    parse: impl Fn(&str) -> Result<T, E>,
-) -> Result<Option<T>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    parse(raw).map(Some).map_err(|e| format!("{name}: {e}"))
-}
+//!   lookups, panicking (loud abort) on malformed values, including
+//!   values that are not valid UTF-8. [`read_nonempty`] reads free-form
+//!   values such as the `EXPERIMENTS_DIFF_OUT` path.
 
 /// Strictly parse an optional decimal unsigned integer env value.
 ///
@@ -98,10 +79,9 @@ pub fn read_strict_uint(name: &str, allow_zero: bool) -> Option<u64> {
 /// Read a free-form override (e.g. an output path) from the process
 /// environment, defaulting to `default` when unset.
 ///
-/// An *empty* value is rejected loudly: `BENCH_LOCKS_OUT=` used to be
-/// accepted and made the artifact writer target `""`, failing later with
-/// an unrelated I/O error — the empty-string inconsistency this helper
-/// removes.
+/// An *empty* value is rejected loudly: a path knob set to `""` would
+/// otherwise make its writer target `""` and fail later with an
+/// unrelated I/O error.
 ///
 /// # Panics
 /// Panics if the variable is set to an empty or non-UTF-8 value.
@@ -124,10 +104,6 @@ mod tests {
     fn unset_means_default() {
         assert_eq!(parse_strict_uint("K", None, false), Ok(None));
         assert_eq!(parse_strict_uint("K", None, true), Ok(None));
-        assert_eq!(
-            parse_strict::<u64, String>("K", None, |_| Err("never called".into())),
-            Ok(None)
-        );
     }
 
     #[test]
@@ -157,24 +133,6 @@ mod tests {
         let err = parse_strict_uint("K", Some("0"), false).unwrap_err();
         assert!(err.contains("positive"), "{err}");
         assert_eq!(parse_strict_uint("K", Some("0"), true), Ok(Some(0)));
-    }
-
-    #[test]
-    fn generic_prefixes_the_variable_name() {
-        let parse = |s: &str| -> Result<u8, String> {
-            if s == "on" {
-                Ok(1)
-            } else {
-                Err(format!("bad toggle {s:?}"))
-            }
-        };
-        assert_eq!(parse_strict("TOGGLE", Some("on"), parse), Ok(Some(1)));
-        let err = parse_strict("TOGGLE", Some("off"), parse).unwrap_err();
-        assert!(err.starts_with("TOGGLE: "), "{err}");
-        assert!(err.contains("bad toggle"), "{err}");
-        // Empty strings reach the parser and must be rejected by it —
-        // FOO= is a set (malformed) value, not an unset one.
-        assert!(parse_strict("TOGGLE", Some(""), parse).is_err());
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::{
 };
 use ccsim::{Protocol, Sim};
 use rwcore::{FaultSupport, LockRegistry, Scenario, SimInstance, SimLock};
+use std::sync::Arc;
 
 /// Budget conventions of the generated invariant probes, re-exported so
 /// suite consumers and hand-written tests agree on one set of numbers.
@@ -39,13 +40,17 @@ pub mod budgets {
 }
 
 /// One generated check: a lock instance, the properties verified on it
-/// (in one exploration pass), and the effective exploration config.
+/// (in one exploration pass), and the effective exploration config. It
+/// carries the sim twin and instance it runs on, so [`run_case`] needs
+/// nothing else.
 #[derive(Clone, Debug)]
 pub struct SuiteCase {
     /// Registry id of the lock.
     pub lock: String,
-    /// Instance label (e.g. `"2r+1w"`).
-    pub instance: String,
+    /// The lock's sim twin.
+    pub sim: Arc<dyn SimLock>,
+    /// The instance explored (its label is e.g. `"2r+1w"`).
+    pub instance: SimInstance,
     /// Property names checked on this instance.
     pub properties: Vec<&'static str>,
     /// The exploration limits and adversary budgets in force.
@@ -59,7 +64,7 @@ impl SuiteCase {
         format!(
             "{}/{}: {}",
             self.lock,
-            self.instance,
+            self.instance.label,
             self.properties.join(", ")
         )
     }
@@ -122,57 +127,44 @@ pub fn check_config_for(
     cfg
 }
 
-/// The checks `scenario` generates for one sim twin. Shared by
-/// [`plan`] and [`run_suite`] so the printed plan is exactly what runs.
-fn cases_for(
-    id: &str,
-    sim: &dyn SimLock,
-    scenario: &Scenario,
-    base: &CheckConfig,
-) -> Vec<(SimInstance, SuiteCase)> {
-    let faulty = check_config_for(scenario, sim.fault_support(), base);
+/// Enumerate the checks `scenario` generates over every sim twin in
+/// `reg`, in registry and instance order — the model-check surface a
+/// registered lock appears on. [`run_suite`] runs exactly this plan, and
+/// external harnesses (e.g. the backend-parity suite) run its cases
+/// under custom configs.
+pub fn plan(reg: &LockRegistry, scenario: &Scenario, base: &CheckConfig) -> Vec<SuiteCase> {
     let mut failure_free = base.clone();
     failure_free.crash_budget = 0;
     failure_free.crash_all_budget = 0;
     failure_free.abort_budget = 0;
-    sim.instances()
-        .into_iter()
-        .map(|inst| {
-            let config = if inst.probes {
-                faulty.clone()
-            } else {
-                failure_free.clone()
-            };
-            let mut properties = vec!["mutual-exclusion"];
-            if inst.probes && sim.exit_budget().is_some() {
-                properties.push("bounded-exit");
-            }
-            if config.crash_budget > 0 || config.crash_all_budget > 0 {
-                properties.push("post-crash-acquirability");
-            }
-            if config.abort_budget > 0 {
-                properties.push("bounded-abort");
-            }
-            let case = SuiteCase {
-                lock: id.to_string(),
-                instance: inst.label.clone(),
-                properties,
-                config,
-            };
-            (inst, case)
-        })
-        .collect()
-}
-
-/// Enumerate the checks `scenario` generates over every sim twin in
-/// `reg` — the model-check surface a registered lock appears on, and
-/// what `experiments --list`-style listings print.
-pub fn plan(reg: &LockRegistry, scenario: &Scenario, base: &CheckConfig) -> Vec<SuiteCase> {
     reg.sim_entries()
         .flat_map(|(id, sim)| {
-            cases_for(id, sim.as_ref(), scenario, base)
-                .into_iter()
-                .map(|(_, case)| case)
+            let faulty = check_config_for(scenario, sim.fault_support(), base);
+            let failure_free = failure_free.clone();
+            sim.instances().into_iter().map(move |instance| {
+                let config = if instance.probes {
+                    faulty.clone()
+                } else {
+                    failure_free.clone()
+                };
+                let mut properties = vec!["mutual-exclusion"];
+                if instance.probes && sim.exit_budget().is_some() {
+                    properties.push("bounded-exit");
+                }
+                if config.crash_budget > 0 || config.crash_all_budget > 0 {
+                    properties.push("post-crash-acquirability");
+                }
+                if config.abort_budget > 0 {
+                    properties.push("bounded-abort");
+                }
+                SuiteCase {
+                    lock: id.to_string(),
+                    sim: Arc::clone(sim),
+                    instance,
+                    properties,
+                    config,
+                }
+            })
         })
         .collect()
 }
@@ -181,10 +173,11 @@ type Probe = Box<dyn Fn(&Sim) -> Result<(), String> + Sync>;
 
 /// The invariant probes a planned case attaches (beyond the always-on
 /// Mutual Exclusion check), derived from its property list.
-fn probes_for(sim: &dyn SimLock, case: &SuiteCase) -> Vec<Probe> {
+fn probes_for(case: &SuiteCase) -> Vec<Probe> {
     let mut probes: Vec<Probe> = Vec::new();
     if case.properties.contains(&"bounded-exit") {
-        let budget = sim
+        let budget = case
+            .sim
             .exit_budget()
             .expect("bounded-exit planned without a budget");
         probes.push(Box::new(bounded_exit_invariant(budget)));
@@ -203,36 +196,17 @@ fn probes_for(sim: &dyn SimLock, case: &SuiteCase) -> Vec<Probe> {
 /// Run one generated check: a single exploration pass over the instance
 /// with every applicable invariant probe attached.
 pub fn run_case(
-    sim: &dyn SimLock,
-    inst: &SimInstance,
     case: &SuiteCase,
     protocol: Protocol,
     workers: usize,
 ) -> Result<CheckReport, CheckError> {
-    let probes = probes_for(sim, case);
+    let probes = probes_for(case);
     explore_par_with(
-        || sim.build(inst, protocol),
+        || case.sim.build(&case.instance, protocol),
         &case.config,
         workers,
         move |s| probes.iter().try_for_each(|p| p(s)),
     )
-}
-
-/// The (instance, case) pairs `scenario` generates for every sim twin —
-/// the iteration surface external harnesses (e.g. the backend-parity
-/// suite) use to run each case under custom configs.
-pub fn planned_cases(
-    reg: &LockRegistry,
-    scenario: &Scenario,
-    base: &CheckConfig,
-) -> Vec<(String, SimInstance, SuiteCase)> {
-    reg.sim_entries()
-        .flat_map(|(id, sim)| {
-            cases_for(id, sim.as_ref(), scenario, base)
-                .into_iter()
-                .map(move |(inst, case)| (id.to_string(), inst, case))
-        })
-        .collect()
 }
 
 /// Run the whole generated suite for `scenario` over every sim twin in
@@ -249,17 +223,15 @@ pub fn run_suite(
     workers: usize,
 ) -> Result<Vec<SuiteOutcome>, Box<SuiteFailure>> {
     let mut outcomes = Vec::new();
-    for (id, sim) in reg.sim_entries() {
-        for (inst, case) in cases_for(id, sim.as_ref(), scenario, base) {
-            match run_case(sim.as_ref(), &inst, &case, protocol, workers) {
-                Ok(report) => outcomes.push(SuiteOutcome { case, report }),
-                Err(error) => {
-                    return Err(Box::new(SuiteFailure {
-                        lock: case.lock,
-                        instance: case.instance,
-                        error,
-                    }))
-                }
+    for case in plan(reg, scenario, base) {
+        match run_case(&case, protocol, workers) {
+            Ok(report) => outcomes.push(SuiteOutcome { case, report }),
+            Err(error) => {
+                return Err(Box::new(SuiteFailure {
+                    lock: case.lock,
+                    instance: case.instance.label,
+                    error,
+                }))
             }
         }
     }
@@ -323,7 +295,7 @@ mod tests {
         let cases = plan(&reg, &scenario, &base);
         let af_probe = cases
             .iter()
-            .find(|c| c.lock == "a_f" && c.instance == "2r+1w")
+            .find(|c| c.lock == "a_f" && c.instance.label == "2r+1w")
             .expect("a_f probe instance planned");
         assert!(af_probe.properties.contains(&"post-crash-acquirability"));
         assert!(af_probe.properties.contains(&"bounded-abort"));
@@ -333,7 +305,7 @@ mod tests {
         // The larger a_f instance stays failure-free (probes gate cost).
         let af_large = cases
             .iter()
-            .find(|c| c.lock == "a_f" && c.instance == "2r+2w")
+            .find(|c| c.lock == "a_f" && c.instance.label == "2r+2w")
             .expect("a_f large instance planned");
         assert_eq!(af_large.config.crash_budget, 0);
         // Locks without fault support never plan fault properties.

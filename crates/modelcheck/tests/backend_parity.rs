@@ -11,7 +11,7 @@
 //! `symmetry_quotient.rs`.
 
 use ccsim::Protocol;
-use modelcheck::suite::{planned_cases, run_case};
+use modelcheck::suite::{plan, run_case, SuiteCase};
 use modelcheck::{explore, explore_par, CheckConfig, CheckError, CheckReport, Symmetry};
 use rwcore::{af_world_seq_reuse_bug, AfConfig, LockRegistry, Scenario};
 
@@ -26,24 +26,19 @@ fn suite_cases_agree_between_quotient_and_oracle() {
     let reg = LockRegistry::builtin();
     let scenario: Scenario = "r2:1,xcrash=0.01,xabort=0.01".parse().unwrap();
     let base = CheckConfig::default();
-    for (lock, inst, case) in planned_cases(&reg, &scenario, &base) {
-        let sim = reg
-            .sim_entries()
-            .find(|(id, _)| *id == lock)
-            .map(|(_, s)| s)
-            .expect("planned lock is registered");
+    for case in plan(&reg, &scenario, &base) {
         let label = case.describe();
 
         let mut reports: Vec<CheckReport> = Vec::new();
         for symmetry in MODES {
-            let tuned = modelcheck::suite::SuiteCase {
+            let tuned = SuiteCase {
                 config: CheckConfig {
                     symmetry,
                     ..case.config.clone()
                 },
                 ..case.clone()
             };
-            let seq = run_case(sim.as_ref(), &inst, &tuned, Protocol::WriteBack, 1)
+            let seq = run_case(&tuned, Protocol::WriteBack, 1)
                 .unwrap_or_else(|e| panic!("{label} seq {symmetry}: unexpected violation: {e}"));
             assert!(seq.complete, "{label} {symmetry}");
             assert_eq!(
@@ -55,10 +50,9 @@ fn suite_cases_agree_between_quotient_and_oracle() {
             // agreement is already covered by par_determinism, and it is
             // by far the slowest lane.)
             if symmetry == Symmetry::Quotient {
-                let par = run_case(sim.as_ref(), &inst, &tuned, Protocol::WriteBack, 2)
-                    .unwrap_or_else(|e| {
-                        panic!("{label} par {symmetry}: unexpected violation: {e}")
-                    });
+                let par = run_case(&tuned, Protocol::WriteBack, 2).unwrap_or_else(|e| {
+                    panic!("{label} par {symmetry}: unexpected violation: {e}")
+                });
                 assert!(par.complete, "{label} {symmetry}");
                 assert_eq!(seq.counts(), par.counts(), "{label} {symmetry}: seq vs par");
             }

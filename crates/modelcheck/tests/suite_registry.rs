@@ -42,7 +42,7 @@ fn failure_free_suite_passes_for_every_builtin_sim_twin() {
     // The flagship's large instance is genuinely non-trivial.
     let af_large = outcomes
         .iter()
-        .find(|o| o.case.lock == "a_f" && o.case.instance == "2r+2w")
+        .find(|o| o.case.lock == "a_f" && o.case.instance.label == "2r+2w")
         .expect("a_f 2r+2w ran");
     assert!(af_large.report.states_explored > 10_000);
 }
@@ -66,7 +66,7 @@ fn faulty_scenario_drives_crash_and_abort_adversaries_through_the_suite() {
     let planned = suite::plan(&flagship, &scenario, &base);
     let probe_case = planned
         .iter()
-        .find(|c| c.instance == "2r+1w")
+        .find(|c| c.instance.label == "2r+1w")
         .expect("probe instance planned");
     for prop in [
         "mutual-exclusion",
@@ -84,7 +84,7 @@ fn faulty_scenario_drives_crash_and_abort_adversaries_through_the_suite() {
         .unwrap_or_else(|f| panic!("generated fault check failed: {f}"));
     let probe = outcomes
         .iter()
-        .find(|o| o.case.instance == "2r+1w")
+        .find(|o| o.case.instance.label == "2r+1w")
         .expect("probe instance ran");
     assert!(
         probe.report.crash_transitions > 0,
@@ -93,7 +93,7 @@ fn faulty_scenario_drives_crash_and_abort_adversaries_through_the_suite() {
     // The non-probe instance stayed failure-free by construction.
     let large = outcomes
         .iter()
-        .find(|o| o.case.instance == "2r+2w")
+        .find(|o| o.case.instance.label == "2r+2w")
         .expect("non-probe instance ran");
     assert_eq!(large.report.crash_transitions, 0);
     assert_eq!(large.case.config.crash_budget, 0);
