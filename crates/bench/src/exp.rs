@@ -25,9 +25,10 @@
 //! re-runs the experiment, renders the text report, and byte-diffs it
 //! against the golden, exiting nonzero with a unified diff on any
 //! drift; `--bless` regenerates the golden after an intentional change.
-//! No other run writes a report; E15 and E17 do rewrite their
-//! replayable counterexample traces, `results/trace_*.txt`, on every
-//! run.
+//! A report may also carry [`Artifact`]s, the replayable counterexample
+//! traces of E15 and E17: `--bless` writes each into the results root
+//! (`results/trace_<fingerprint>.txt`), and `--check` byte-compares it
+//! with the committed file. No other run writes anything.
 //!
 //! Experiments whose *full* report contains wall-clock content (the
 //! three `perf_*` experiments) opt out of the byte-diff for that mode
@@ -222,6 +223,19 @@ pub struct Report {
     pub checks: Vec<Check>,
     /// Trailing prose ("expected shape" commentary).
     pub notes: String,
+    /// Files the run produced beside its text, in the results root.
+    pub artifacts: Vec<Artifact>,
+}
+
+/// A file a run produces beside its report, such as a replayable
+/// counterexample trace. Only `--bless` writes it, and `--check`
+/// requires the committed copy to match it byte for byte.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Artifact {
+    /// File name under the results root, e.g. `trace_<fingerprint>.txt`.
+    pub file_name: String,
+    /// The rendered contents.
+    pub text: String,
 }
 
 impl Report {
@@ -235,6 +249,7 @@ impl Report {
             sections: Vec::new(),
             checks: Vec::new(),
             notes: String::new(),
+            artifacts: Vec::new(),
         }
     }
 
@@ -417,7 +432,9 @@ pub fn golden_txt_path(dir: &Path, mode: Mode, id: &str) -> PathBuf {
 /// Returns one failure message per problem: a failed [`Check`], a
 /// missing golden, or (for byte-stable reports) a unified diff of the
 /// drift. `deterministic = false` skips the byte-diff but still
-/// requires the golden to exist and every check to pass.
+/// requires the golden to exist and every check to pass. Every
+/// [`Artifact`] must match its committed copy under `dir` byte for
+/// byte, whatever `deterministic` says.
 pub fn check_against_goldens(report: &Report, deterministic: bool, dir: &Path) -> Vec<String> {
     let mut failures = Vec::new();
     for c in report.checks.iter().filter(|c| !c.pass) {
@@ -429,15 +446,10 @@ pub fn check_against_goldens(report: &Report, deterministic: bool, dir: &Path) -
     let path = golden_txt_path(dir, report.mode, report.id);
     match std::fs::read_to_string(&path) {
         Err(_) => failures.push(format!(
-            "{}: missing golden {} — run `experiments --bless{} --filter {}` to create it",
+            "{}: missing golden {} — run `{}` to create it",
             report.id,
             path.display(),
-            if report.mode == Mode::Smoke {
-                " --smoke"
-            } else {
-                ""
-            },
-            report.id,
+            bless_command(report),
         )),
         Ok(_) if !deterministic => {} // presence is all we can gate
         Ok(golden) => {
@@ -457,18 +469,58 @@ pub fn check_against_goldens(report: &Report, deterministic: bool, dir: &Path) -
             }
         }
     }
+    for artifact in &report.artifacts {
+        let path = dir.join(&artifact.file_name);
+        match std::fs::read_to_string(&path) {
+            Err(_) => failures.push(format!(
+                "{}: missing artifact {} — run `{}` to write it",
+                report.id,
+                path.display(),
+                bless_command(report),
+            )),
+            Ok(committed) if committed == artifact.text => {}
+            Ok(committed) => failures.push(format!(
+                "{}: artifact drift against {}\n{}",
+                report.id,
+                path.display(),
+                unified_diff(
+                    &committed,
+                    &artifact.text,
+                    &format!("{} (committed)", path.display()),
+                    &format!("{} (rendered)", artifact.file_name),
+                )
+            )),
+        }
+    }
     failures
 }
 
-/// Write (or overwrite) the text golden for `report` under `dir`;
-/// returns the path written.
-pub fn bless(report: &Report, dir: &Path) -> std::io::Result<PathBuf> {
+/// The driver command that writes `report`'s golden and artifacts.
+fn bless_command(report: &Report) -> String {
+    let smoke = if report.mode == Mode::Smoke {
+        " --smoke"
+    } else {
+        ""
+    };
+    format!("experiments --bless{smoke} --filter {}", report.id)
+}
+
+/// Write (or overwrite) the text golden for `report` under `dir`, then
+/// each of its [`Artifact`]s in `dir`; returns the paths written, the
+/// golden first.
+pub fn bless(report: &Report, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let txt = golden_txt_path(dir, report.mode, report.id);
     if let Some(parent) = txt.parent() {
         std::fs::create_dir_all(parent)?;
     }
     std::fs::write(&txt, report.render_text())?;
-    Ok(txt)
+    let mut written = vec![txt];
+    for artifact in &report.artifacts {
+        let path = dir.join(&artifact.file_name);
+        std::fs::write(&path, &artifact.text)?;
+        written.push(path);
+    }
+    Ok(written)
 }
 
 /// Line-based unified diff of `old` vs `new` (3 lines of context).
@@ -621,8 +673,9 @@ usage: experiments [--list] [--filter <ids>] [--smoke] [--json] [--check] [--ble
   --json             print each report as JSON instead of text
   --check            byte-diff the text reports against the committed goldens;
                      exit nonzero with a unified diff on any drift or failed check
-  --bless            regenerate the goldens (results/[smoke/]<id>.txt) from this run;
-                     no other run writes a report
+  --bless            regenerate the goldens (results/[smoke/]<id>.txt) and the
+                     counterexample traces (results/trace_*.txt) from this run;
+                     no other run writes a file
   --results-dir <d>  goldens root (default: results)";
 
 /// Parse driver arguments (everything after the program name).
@@ -827,7 +880,11 @@ pub fn cli_main(opts: &CliOptions) -> i32 {
             all_failures.extend(failures);
         } else if opts.bless {
             match bless(&report, &dir) {
-                Ok(path) => println!("blessed {}", path.display()),
+                Ok(paths) => {
+                    for path in paths {
+                        println!("blessed {}", path.display());
+                    }
+                }
                 Err(e) => {
                     all_failures.push(format!("{}: bless failed: {e}", exp.id()));
                 }
@@ -898,6 +955,7 @@ mod tests {
             }],
             checks: vec![Check::le_u64("rmr bounded", 16, 20)],
             notes: "Expected shape: flat.".into(),
+            artifacts: Vec::new(),
         }
     }
 

@@ -5,6 +5,8 @@
 //! rows are deterministic for the fixed seeds.
 
 use super::prelude::*;
+use super::support::trace_cell;
+use crate::exp::Artifact;
 use crate::par;
 use ccsim::{run_random_with_faults, FaultPlan, Prng, RunConfig, RunError, Sim};
 use modelcheck::{explore_par, shrink, CheckConfig, TraceArtifact};
@@ -45,10 +47,11 @@ impl Lock {
 }
 
 /// Exhaustive crash-augmented safety check for one lock; returns the
-/// table row and whether MX held. The whole worker pool attacks one
+/// table row, whether MX held, and the shrunk counterexample trace if
+/// it did not. The whole worker pool attacks one
 /// state space at a time — the budget-2 spaces dwarf the budget-1 ones,
 /// so parallelism inside the explorer beats parallelism across rows.
-fn check_row(lock: Lock, budget: u32) -> ([String; 5], bool) {
+fn check_row(lock: Lock, budget: u32) -> ([String; 5], bool, Option<Artifact>) {
     let (n, m) = (2usize, 1usize);
     let result = explore_par(
         || lock.world(n, m),
@@ -75,9 +78,10 @@ fn check_row(lock: Lock, budget: u32) -> ([String; 5], bool) {
                 format!("{} crash transitions", r.crash_transitions),
             ],
             true,
+            None,
         ),
         Err(e) => {
-            // Shrink and persist the counterexample as a replayable trace.
+            // Shrink the counterexample into a replayable trace.
             let out = shrink(
                 || lock.world(n, m),
                 e.schedule(),
@@ -89,10 +93,7 @@ fn check_row(lock: Lock, budget: u32) -> ([String; 5], bool) {
                 fingerprint: out.fingerprint,
                 schedule: out.schedule,
             };
-            let detail = match artifact.write_to("results") {
-                Ok(path) => format!("trace: {}", path.display()),
-                Err(io) => format!("trace write failed: {io}"),
-            };
+            let (detail, trace) = trace_cell(&artifact);
             (
                 [
                     lock.name().to_string(),
@@ -102,6 +103,7 @@ fn check_row(lock: Lock, budget: u32) -> ([String; 5], bool) {
                     detail,
                 ],
                 false,
+                Some(trace),
             )
         }
     }
@@ -184,12 +186,14 @@ impl Experiment for E15 {
         // spaces are the multi-minute bulk of the full run).
         let budgets: &[u32] = if ctx.smoke() { &[1] } else { &[1, 2] };
         let (mut safe, mut checks_total) = (0usize, 0usize);
+        let mut traces = Vec::new();
         for &lock in &Lock::ALL {
             for &budget in budgets {
-                let (row, ok) = check_row(lock, budget);
+                let (row, ok, trace) = check_row(lock, budget);
                 table.row(row);
                 safe += usize::from(ok);
                 checks_total += 1;
+                traces.extend(trace);
             }
         }
 
@@ -233,6 +237,7 @@ impl Experiment for E15 {
                  violation, a shrunk replayable trace is written to results/\n\
                  (replay: see examples/verify_your_lock.rs).",
             );
+        report.artifacts = traces;
         report
     }
 }

@@ -13,6 +13,8 @@
 //! arXiv:2302.00748).
 
 use super::prelude::*;
+use super::support::trace_cell;
+use crate::exp::Artifact;
 use crate::par;
 use ccsim::{run_round_robin, RunConfig};
 use modelcheck::{
@@ -118,8 +120,9 @@ fn check_rows(ctx: &Ctx) -> (Vec<[String; 5]>, usize, usize) {
 }
 
 /// The negative control: the same adversary must catch the recovery with
-/// the epoch burn removed. Returns the row and whether it was caught.
-fn catch_row() -> ([String; 5], bool) {
+/// the epoch burn removed. Returns the row, whether it was caught, and
+/// the shrunk counterexample trace.
+fn catch_row() -> ([String; 5], bool, Option<Artifact>) {
     let factory = || af_world_seq_reuse_bug(AfConfig::new(1, 1), Protocol::WriteBack).sim;
     let result = explore_par(
         factory,
@@ -141,10 +144,7 @@ fn catch_row() -> ([String; 5], bool) {
                 fingerprint: out.fingerprint,
                 schedule: out.schedule,
             };
-            let detail = match artifact.write_to("results") {
-                Ok(path) => format!("trace: {}", path.display()),
-                Err(io) => format!("trace write failed: {io}"),
-            };
+            let (detail, trace) = trace_cell(&artifact);
             (
                 [
                     "negative control".into(),
@@ -154,6 +154,7 @@ fn catch_row() -> ([String; 5], bool) {
                     detail,
                 ],
                 true,
+                Some(trace),
             )
         }
         Ok(r) => (
@@ -165,6 +166,7 @@ fn catch_row() -> ([String; 5], bool) {
                 String::new(),
             ],
             false,
+            None,
         ),
     }
 }
@@ -233,7 +235,7 @@ impl Experiment for E17 {
         for row in rows {
             table.row(row);
         }
-        let (row, caught) = catch_row();
+        let (row, caught, trace) = catch_row();
         table.row(row);
 
         let sizes: &[usize] = if ctx.smoke() {
@@ -291,6 +293,7 @@ impl Experiment for E17 {
                  upper bounds of the Jayanti–Jayanti–Joshi lineage\n\
                  (arXiv:2302.00748).",
             );
+        report.artifacts.extend(trace);
         report
     }
 }

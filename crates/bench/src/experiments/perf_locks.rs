@@ -25,8 +25,9 @@
 //! fetch-and-add counters, alone and with a few threads adding at once.
 //! Every such row is the median of five calibrated samples with their
 //! min–max range, so a run shows its own noise. A contended-adds sample
-//! counts only if every adder's clock interval overlaps every other's;
-//! the row says how many did.
+//! gives each adder as many adds as one thread makes in a calibrated
+//! sample, and counts only if every adder's clock interval overlaps
+//! every other's; the row says how many adds and how many samples.
 //!
 //! Smoke mode is byte-stable: 4 threads, 2 shards requested, the first
 //! two scenarios of the matrix, fixed per-thread op quotas with seeded
@@ -57,8 +58,6 @@ const MAX_THREADS: usize = 64;
 const SAMPLES: usize = 5;
 /// Calibration target: one sample runs at least this long.
 const SAMPLE_TARGET: Duration = Duration::from_millis(20);
-/// Adds per thread per sample in the contended counter rows.
-const CONTENDED_ADDS: u64 = 20_000;
 
 /// A measured cell: one lock under one scenario.
 struct Cell {
@@ -352,24 +351,32 @@ fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
     run_counters(report);
 }
 
-/// Time `f` per call: grow the inner loop 4x until one sample takes at
-/// least [`SAMPLE_TARGET`], take [`SAMPLES`] samples, and render them
-/// with [`median_and_range`].
-fn time_per_call(mut f: impl FnMut()) -> String {
-    let mut sample = |iters: u64| {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        start.elapsed()
-    };
+/// Calls of `f` per sample: the inner loop grows 4x until one sample
+/// takes at least [`SAMPLE_TARGET`].
+fn calibrate(mut f: impl FnMut()) -> u64 {
     let mut iters: u64 = 1;
-    while sample(iters) < SAMPLE_TARGET && iters < 1 << 30 {
+    while time_calls(&mut f, iters) < SAMPLE_TARGET && iters < 1 << 30 {
         iters *= 4;
     }
+    iters
+}
+
+/// Wall time of `iters` calls of `f`.
+fn time_calls(mut f: impl FnMut(), iters: u64) -> Duration {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed()
+}
+
+/// Time `f` per call: [`calibrate`], take [`SAMPLES`] samples, and
+/// render them with [`median_and_range`].
+fn time_per_call(mut f: impl FnMut()) -> String {
+    let iters = calibrate(&mut f);
     median_and_range(
         (0..SAMPLES)
-            .map(|_| sample(iters).as_secs_f64() * 1e9 / iters as f64)
+            .map(|_| time_calls(&mut f, iters).as_secs_f64() * 1e9 / iters as f64)
             .collect(),
     )
 }
@@ -451,26 +458,31 @@ fn run_counters(report: &mut Report) {
         Box::new(CasCounter::new()),
         Box::new(FaaCounter::new()),
     ];
-    let mut table = Table::new(["counter", "add", "overlapping samples"]);
+    let mut table = Table::new(["counter", "adds per thread", "add", "overlapping samples"]);
     for counter in &counters {
-        let ns = contended_ns_per_add(&**counter, threads);
+        // As many adds as one thread makes alone in a calibrated sample,
+        // so an adder runs at least that long under contention.
+        let adds = calibrate(|| counter.add(0, 1));
+        let ns = contended_ns_per_add(&**counter, threads, adds);
         let overlapping = format!("{}/{SAMPLES}", ns.len());
         table.row([
             counter.name().to_string(),
+            adds.to_string(),
             median_and_range(ns),
             overlapping,
         ]);
     }
     report.section(
         format!(
-            "contended adds — {threads} threads x {CONTENDED_ADDS} adds each per sample, time per add, median and min-max range of the samples in which all adders overlapped"
+            "contended adds — {threads} threads per sample, each adding for at least {} ms, time per add, median and min-max range of the samples in which all adders overlapped",
+            SAMPLE_TARGET.as_millis()
         ),
         table,
     );
 }
 
-/// Timings in ns per add of `threads` threads adding to `counter` at
-/// once, one for each of the [`SAMPLES`] samples in which the adders
+/// Timings in ns per add of `threads` threads making `adds` adds each to
+/// `counter` at once, one for each of the [`SAMPLES`] samples in which the adders
 /// really ran at once. The adders are spawned once and a barrier
 /// releases each sample, so no sample times a spawn or a join. Each
 /// adder clocks its own adds, and a sample spans the first start to the
@@ -479,7 +491,7 @@ fn run_counters(report: &mut Report) {
 /// comes before the earliest end): a release does not make the adders
 /// overlap, and one that finished before another woke would time two
 /// serial runs as a contended one.
-fn contended_ns_per_add(counter: &dyn SharedCounter, threads: usize) -> Vec<f64> {
+fn contended_ns_per_add(counter: &dyn SharedCounter, threads: usize, adds: u64) -> Vec<f64> {
     let barrier = Barrier::new(threads);
     let clocks: Vec<Vec<(Instant, Instant)>> = std::thread::scope(|s| {
         let adders: Vec<_> = (0..threads)
@@ -490,7 +502,7 @@ fn contended_ns_per_add(counter: &dyn SharedCounter, threads: usize) -> Vec<f64>
                         .map(|_| {
                             barrier.wait();
                             let start = Instant::now();
-                            for _ in 0..CONTENDED_ADDS {
+                            for _ in 0..adds {
                                 counter.add(id, 1);
                             }
                             (start, Instant::now())
@@ -501,11 +513,10 @@ fn contended_ns_per_add(counter: &dyn SharedCounter, threads: usize) -> Vec<f64>
             .collect();
         adders.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let adds = threads as u64 * CONTENDED_ADDS;
     (0..SAMPLES)
         .filter_map(|i| {
             let sample: Vec<_> = clocks.iter().map(|c| c[i]).collect();
-            overlapping_ns_per_add(&sample, adds)
+            overlapping_ns_per_add(&sample, threads as u64 * adds)
         })
         .collect()
 }

@@ -51,7 +51,7 @@ const NEWLY_FEASIBLE_STATE_FLOOR: u64 = 10_000_000;
 const NEWLY_FEASIBLE_WALL_CEILING_SECS: f64 = 600.0;
 
 /// Resident-byte ceiling for the n=4 lane's visited store (measured
-/// 268,435,456 B = 13.7 B/orbit: 64 flat tables of 2^19 8-byte slots).
+/// 268,435,456 B = 13.7 B/orbit: 64 cuckoo tables of 2^19 8-byte slots).
 const NEWLY_FEASIBLE_RESIDENT_CEILING: u64 = 384 * 1024 * 1024;
 
 fn af_factory(crash_budget: u32) -> (impl Fn() -> ccsim::Sim + Sync, CheckConfig) {

@@ -1,7 +1,24 @@
-//! Shared measurement helpers for the starvation experiments (E12/E14).
+//! Shared helpers: latency measurement for the starvation experiments
+//! (E12/E14) and counterexample traces for the crash experiments
+//! (E15/E17).
 
+use crate::exp::{Artifact, RESULTS_DIR};
 use ccsim::{Phase, Prng, ProcId, Sim, Step};
+use modelcheck::TraceArtifact;
 use rwcore::PidMap;
+use std::path::Path;
+
+/// The report cell naming `trace`'s committed file, and the rendered
+/// trace for the report to carry (`--bless` writes it to that file).
+pub(crate) fn trace_cell(trace: &TraceArtifact) -> (String, Artifact) {
+    let file_name = trace.file_name();
+    let cell = format!(
+        "trace: {}",
+        Path::new(RESULTS_DIR).join(&file_name).display()
+    );
+    let text = trace.render();
+    (cell, Artifact { file_name, text })
+}
 
 /// Scheduler steps until the writer first enters the CS while `active`
 /// readers cycle passages non-stop under a uniformly random scheduler.

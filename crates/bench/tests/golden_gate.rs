@@ -4,7 +4,7 @@
 //! experiment — the exact drill a CI failure walks a human through.
 
 use bench::exp::{
-    bless, check_against_goldens, golden_txt_path, Check, Ctx, Experiment, Mode, Report,
+    bless, check_against_goldens, golden_txt_path, Artifact, Check, Ctx, Experiment, Mode, Report,
 };
 use bench::Table;
 
@@ -53,8 +53,9 @@ fn bless_then_check_roundtrips_and_catches_perturbation() {
     assert!(failures[0].contains("--bless"));
 
     // Bless writes the text report, the one golden.
-    let txt = bless(&report, &dir).expect("bless");
-    assert_eq!(txt, golden_txt_path(&dir, Mode::Full, "toy_gate"));
+    let written = bless(&report, &dir).expect("bless");
+    assert_eq!(written, [golden_txt_path(&dir, Mode::Full, "toy_gate")]);
+    let txt = &written[0];
     assert!(txt.exists(), "{} not written", txt.display());
 
     // A clean re-run byte-matches what was blessed.
@@ -62,12 +63,12 @@ fn bless_then_check_roundtrips_and_catches_perturbation() {
 
     // Perturb one table cell in the text golden: the check must fail
     // with a unified diff that names the experiment and shows the cell.
-    let golden = std::fs::read_to_string(&txt).unwrap();
+    let golden = std::fs::read_to_string(txt).unwrap();
     assert!(
         golden.contains("16   16"),
         "fixture layout changed:\n{golden}"
     );
-    std::fs::write(&txt, golden.replace("16   16", "16   17")).unwrap();
+    std::fs::write(txt, golden.replace("16   16", "16   17")).unwrap();
     let failures = check_against_goldens(&report, true, &dir);
     assert_eq!(failures.len(), 1, "{failures:?}");
     let failure = &failures[0];
@@ -86,7 +87,7 @@ fn bless_then_check_roundtrips_and_catches_perturbation() {
     );
 
     // Restoring the golden makes the gate clean again.
-    std::fs::write(&txt, golden).unwrap();
+    std::fs::write(txt, golden).unwrap();
     assert!(check_against_goldens(&report, true, &dir).is_empty());
 
     // A failing structured check is reported even with clean goldens.
@@ -110,8 +111,11 @@ fn smoke_goldens_live_in_their_own_subdir() {
     let dir = temp_results_dir("smoke");
     let ctx = Ctx::new(Mode::Smoke);
     let report = Toy.run(&ctx);
-    let txt = bless(&report, &dir).expect("bless");
-    assert_eq!(txt, dir.join("smoke").join("toy_gate.txt"));
+    let txt = dir.join("smoke").join("toy_gate.txt");
+    assert_eq!(
+        bless(&report, &dir).expect("bless"),
+        std::slice::from_ref(&txt)
+    );
     // Bless writes exactly one file: the text report.
     let written: Vec<_> = std::fs::read_dir(dir.join("smoke"))
         .expect("smoke dir")
@@ -148,5 +152,50 @@ fn nondeterministic_reports_gate_presence_and_checks_only() {
     let failures = check_against_goldens(&failing, false, &dir);
     assert_eq!(failures.len(), 1, "{failures:?}");
     assert!(failures[0].contains("regressed floor"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn artifacts_are_written_by_bless_and_checked_byte_for_byte() {
+    let dir = temp_results_dir("artifact");
+    let mut report = Toy.run(&Ctx::new(Mode::Smoke));
+    report.artifacts.push(Artifact {
+        file_name: "trace_00000000000000ab.txt".into(),
+        text: "schedule: s0 s1\n".into(),
+    });
+    let trace = dir.join("trace_00000000000000ab.txt");
+
+    // A missing committed artifact fails the check with a bless hint.
+    let failures = check_against_goldens(&report, true, &dir);
+    assert_eq!(failures.len(), 2, "{failures:?}");
+    assert!(failures[1].contains("missing artifact"), "{failures:?}");
+    assert!(failures[1].contains("--bless --smoke"), "{failures:?}");
+
+    // Bless writes the golden under smoke/ and the artifact in the
+    // results root, whatever the mode.
+    let written = bless(&report, &dir).expect("bless");
+    assert_eq!(
+        written,
+        [
+            golden_txt_path(&dir, Mode::Smoke, "toy_gate"),
+            trace.clone()
+        ]
+    );
+    assert_eq!(
+        std::fs::read_to_string(&trace).unwrap(),
+        "schedule: s0 s1\n"
+    );
+    assert!(check_against_goldens(&report, true, &dir).is_empty());
+
+    // A committed artifact that differs fails, even for a report whose
+    // text is not byte-gated.
+    std::fs::write(&trace, "schedule: s1 s0\n").unwrap();
+    for deterministic in [true, false] {
+        let failures = check_against_goldens(&report, deterministic, &dir);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("artifact drift"), "{failures:?}");
+        assert!(failures[0].contains("-schedule: s1 s0"), "{failures:?}");
+        assert!(failures[0].contains("+schedule: s0 s1"), "{failures:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -114,15 +114,20 @@ impl TraceArtifact {
         })
     }
 
+    /// The artifact's file name, `trace_<fingerprint>.txt`.
+    pub fn file_name(&self) -> String {
+        format!("trace_{:016x}.txt", self.fingerprint)
+    }
+
     /// Write the artifact into `dir` (created if needed) as
-    /// `trace_<fingerprint>.txt`; returns the path written.
+    /// [`TraceArtifact::file_name`]; returns the path written.
     ///
     /// # Errors
     /// Propagates filesystem errors.
     pub fn write_to(&self, dir: impl AsRef<Path>) -> io::Result<PathBuf> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
-        let path = dir.join(format!("trace_{:016x}.txt", self.fingerprint));
+        let path = dir.join(self.file_name());
         fs::write(&path, self.render())?;
         Ok(path)
     }

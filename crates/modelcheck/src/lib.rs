@@ -1154,8 +1154,8 @@ mod tests {
                 "{symmetry}: one visited entry per expanded state"
             );
             assert!(
-                report.visited.resident_bytes >= report.visited.entries * 9,
-                "{symmetry}: resident bytes cover at least the stored keys"
+                19 * report.visited.resident_bytes >= 160 * report.visited.entries,
+                "{symmetry}: 8 bytes per slot at no more than 19/20 load"
             );
             counts.push(report.counts());
         }

@@ -6,9 +6,10 @@
 //! [`ccsim::SymmetryClass`]es ([`Symmetry::Quotient`]), or the
 //! pre-optimization SipHash walk kept as an independent-hash-family
 //! oracle ([`Symmetry::FullRehash`]). The storage is always one 64-bit
-//! key per state in 64 mutex-striped [`KeySet`] shards, and every insert
-//! locks its shard: the search runs the same code at any worker count,
-//! and a lone worker's locks are never contended.
+//! key per state in 64 mutex-striped [`KeySet`] shards, bucketized
+//! cuckoo tables at most 19/20 full, and every insert locks its shard:
+//! the search runs the same code at any worker count, and a lone
+//! worker's locks are never contended.
 
 use crate::{state_key_concrete, state_key_full, state_key_quotient, Budgets, Symmetry};
 use ccsim::Sim;
@@ -19,19 +20,112 @@ use std::sync::Mutex;
 /// the selector stays a single shift.
 const SHARDS: usize = 64;
 
-/// Slots a [`KeySet`] starts with.
-const MIN_SLOTS: usize = 8;
+/// Keys per [`KeySet`] bucket: eight `u64`s fill one 64-byte line.
+const BUCKET: usize = 8;
 
-/// A set of 64-bit keys in one flat open-addressing table: a
-/// power-of-two `Vec<u64>` probed linearly from the key's low bits and
-/// kept at most 3/4 full. An empty slot holds 0, so the key 0 is
-/// recorded in a flag instead. One probe usually touches one cache line,
-/// and the key is its own hash: callers must pass full-avalanche keys
-/// (every state key is a `mix64` or SipHash output), whose low bits are
-/// already uniform.
+/// Slots a [`KeySet`] starts with: one bucket.
+const MIN_SLOTS: usize = BUCKET;
+
+/// A [`KeySet`] doubles before an insert would leave it more than
+/// `MAX_LOAD_NUM / MAX_LOAD_DEN` (19/20) full.
+const MAX_LOAD_NUM: usize = 19;
+const MAX_LOAD_DEN: usize = 20;
+
+/// Evictions one insert may chain before its [`KeySet`] doubles.
+const MAX_KICKS: usize = 500;
+
+/// Where a key stands in one bucket.
+enum Probe {
+    Found,
+    Free(usize),
+    Full,
+}
+
+/// Look `key` up in a bucket. A bucket fills from slot 0 up and never
+/// frees a slot, so its keys are a prefix and their count is the first
+/// free slot. The scan has no early exit: one branch-free pass over the
+/// line measured faster than a branch per slot.
+fn probe(bucket: &[u64; BUCKET], key: u64) -> Probe {
+    let mut found = false;
+    let mut used = 0;
+    for &k in bucket {
+        found |= k == key;
+        used += usize::from(k != 0);
+    }
+    if found {
+        Probe::Found
+    } else if used < BUCKET {
+        Probe::Free(used)
+    } else {
+        Probe::Full
+    }
+}
+
+/// The slots of a [`KeySet`]: a power of two of buckets of eight keys,
+/// starting at the first 64-byte boundary of a `Vec<u64>` one bucket
+/// longer, so each bucket is one cache line. (A `Vec` of 64-byte-aligned
+/// buckets would get its alignment from the allocator instead, whose
+/// aligned allocations leave holes in the heap: about 0.7 MiB more peak
+/// RSS over repeated explorations of the f-array `A_f` at n=2 with one
+/// crash.) An empty slot holds 0.
+#[derive(Debug)]
+struct Buckets {
+    slots: Vec<u64>,
+    /// Index in `slots` of bucket 0's first slot.
+    base: usize,
+    /// `len - 1` for a power-of-two `len` of buckets.
+    mask: usize,
+}
+
+impl Buckets {
+    fn new(len: usize) -> Self {
+        let slots = vec![0; (len + 1) * BUCKET];
+        let misaligned = slots.as_ptr() as usize % 64;
+        Buckets {
+            base: (64 - misaligned) % 64 / std::mem::size_of::<u64>(),
+            slots,
+            mask: len - 1,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.mask + 1
+    }
+
+    fn get(&self, b: usize) -> &[u64; BUCKET] {
+        let at = self.base + b * BUCKET;
+        self.slots[at..at + BUCKET].try_into().unwrap()
+    }
+
+    fn get_mut(&mut self, b: usize) -> &mut [u64; BUCKET] {
+        let at = self.base + b * BUCKET;
+        (&mut self.slots[at..at + BUCKET]).try_into().unwrap()
+    }
+
+    /// The key's first and second bucket.
+    fn of(&self, key: u64) -> (usize, usize) {
+        (
+            key as usize & self.mask,
+            key.rotate_right(32) as usize & self.mask,
+        )
+    }
+}
+
+/// A set of 64-bit keys in a bucketized cuckoo table of [`Buckets`],
+/// kept at most 19/20 full. A key may sit in one of two buckets: its
+/// first from its low bits, its second from its bits 32 up, which stay
+/// clear of the top 6 bits that [`Visited`] shards by. An insert into
+/// two full buckets evicts a key to its other bucket, and so on down a
+/// bounded chain; a chain that hits its limit doubles the table.
+/// Lookups read the first bucket first, and a first bucket with a free
+/// slot means the key is absent: a key goes to its second bucket only
+/// once its first is full, and a full bucket stays full. The key 0
+/// marks an empty slot, so it is recorded in a flag instead. The key is
+/// its own hash: callers must pass full-avalanche keys (every state key
+/// is a `mix64` or SipHash output), whose bits are already uniform.
 #[derive(Debug)]
 pub(crate) struct KeySet {
-    slots: Vec<u64>,
+    buckets: Buckets,
     /// Distinct keys stored, the key 0 included.
     len: usize,
     has_zero: bool,
@@ -40,7 +134,7 @@ pub(crate) struct KeySet {
 impl KeySet {
     pub(crate) fn new() -> Self {
         KeySet {
-            slots: vec![0; MIN_SLOTS],
+            buckets: Buckets::new(MIN_SLOTS / BUCKET),
             len: 0,
             has_zero: false,
         }
@@ -54,37 +148,75 @@ impl KeySet {
             self.len += usize::from(new);
             return new;
         }
-        loop {
-            let mask = self.slots.len() - 1;
-            let mut i = key as usize & mask;
-            while self.slots[i] != 0 {
-                if self.slots[i] == key {
-                    return false;
+        let (first, second) = self.buckets.of(key);
+        let free = match probe(self.buckets.get(first), key) {
+            Probe::Found => return false,
+            Probe::Free(i) => Some((first, i)),
+            Probe::Full => match probe(self.buckets.get(second), key) {
+                Probe::Found => return false,
+                Probe::Free(i) => Some((second, i)),
+                Probe::Full => None,
+            },
+        };
+        // New: the key 0 counts toward the load too, which keeps
+        // `19 * bytes() >= 160 * len`.
+        self.len += 1;
+        let over_load = MAX_LOAD_DEN * self.len > MAX_LOAD_NUM * self.slots();
+        match free {
+            Some((b, i)) if !over_load => self.buckets.get_mut(b)[i] = key,
+            _ => {
+                if over_load {
+                    self.grow();
                 }
-                i = (i + 1) & mask;
+                self.place(key);
             }
-            // New: store it unless that would pass a 3/4 load (the key 0
-            // counts too, which keeps `bytes() >= 32 * len / 3`).
-            if 4 * (self.len + 1) <= 3 * self.slots.len() {
-                self.slots[i] = key;
-                self.len += 1;
-                return true;
+        }
+        true
+    }
+
+    /// Store `key`, absent from the table, evicting keys to their other
+    /// bucket while both of the one in hand are full. A chain of
+    /// [`MAX_KICKS`] evictions doubles the table and then places the key
+    /// still in hand. The victim slot turns with the chain and with bits
+    /// of the key in hand that index no bucket, so a chain is
+    /// deterministic yet rarely revisits a slot.
+    fn place(&mut self, mut key: u64) {
+        loop {
+            let (first, second) = self.buckets.of(key);
+            for b in [first, second] {
+                if let Probe::Free(i) = probe(self.buckets.get(b), key) {
+                    self.buckets.get_mut(b)[i] = key;
+                    return;
+                }
             }
+            let mut at = second;
+            for kick in 0..MAX_KICKS {
+                let victim = ((key >> 26) as usize).wrapping_add(kick) % BUCKET;
+                key = std::mem::replace(&mut self.buckets.get_mut(at)[victim], key);
+                let (first, second) = self.buckets.of(key);
+                at = if at == first { second } else { first };
+                if let Probe::Free(i) = probe(self.buckets.get(at), key) {
+                    self.buckets.get_mut(at)[i] = key;
+                    return;
+                }
+            }
+            assert!(
+                8 * self.len >= self.slots(),
+                "visited keys are not full-avalanche: {} keys overflow two \
+                 buckets of a {}-slot table",
+                self.len,
+                self.slots()
+            );
             self.grow();
         }
     }
 
     /// Double the table and re-place every stored key.
     fn grow(&mut self) {
-        let doubled = vec![0; 2 * self.slots.len()];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        let mask = self.slots.len() - 1;
-        for key in old.into_iter().filter(|&k| k != 0) {
-            let mut i = key as usize & mask;
-            while self.slots[i] != 0 {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = key;
+        let doubled = Buckets::new(2 * self.buckets.len());
+        let old = std::mem::replace(&mut self.buckets, doubled);
+        for key in old.slots.into_iter().filter(|&k| k != 0) {
+            self.place(key);
         }
     }
 
@@ -93,9 +225,15 @@ impl KeySet {
         self.len
     }
 
-    /// Bytes of the slot table: 8 per slot, occupied or not.
+    /// Key slots in the table, occupied or not.
+    fn slots(&self) -> usize {
+        self.buckets.len() * BUCKET
+    }
+
+    /// Bytes of the table's slots: 8 per slot, occupied or not. The
+    /// alignment pad of one bucket is not counted.
     pub(crate) fn bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<u64>()
+        self.slots() * std::mem::size_of::<u64>()
     }
 }
 
@@ -108,7 +246,8 @@ pub struct VisitedStats {
     pub entries: u64,
     /// Resident bytes of the backing tables: allocated slots (not
     /// occupancy) at 8 bytes each, one 64-bit key per slot. The tables
-    /// are at most 3/4 full, so this is at least 32/3 bytes per entry.
+    /// are at most 19/20 full, so this is at least 160/19 (about 8.4)
+    /// bytes per entry.
     pub resident_bytes: u64,
     /// Entries in the most-occupied shard (the striping balance
     /// numerator; keys are full-avalanche hashes, so skew beyond a small
@@ -128,9 +267,9 @@ impl VisitedStats {
 }
 
 /// The visited set: 64 mutex-protected [`KeySet`] shards of 64-bit state
-/// keys, selected by the key's top bits (the keys are full-avalanche
-/// hashes, so any fixed bit range balances, and the shard's own index
-/// uses the low bits). Exactly-once expansion rests on
+/// keys, selected by the key's top 6 bits (the keys are full-avalanche
+/// hashes, so any fixed bit range balances, and the shard's own bucket
+/// indices use the bits below). Exactly-once expansion rests on
 /// [`Visited::insert`] being atomic per key, which the striped mutexes
 /// provide.
 pub(crate) struct Visited {
@@ -201,7 +340,7 @@ mod tests {
         for key in keys {
             assert_eq!(set.insert(key), oracle.insert(key), "insert {key:#x}");
             assert_eq!(set.len(), oracle.len());
-            assert!(4 * set.len() <= 3 * set.slots.len(), "over 3/4 full");
+            assert!(20 * set.len() <= 19 * set.slots(), "over 19/20 full");
         }
         for &key in &oracle {
             assert!(!set.insert(key), "stored key {key:#x} lost");
@@ -227,12 +366,67 @@ mod tests {
     fn growth_keeps_every_key_across_many_doublings() {
         // 3,001 keys from 8 slots is nine doublings (to 4,096 slots).
         // The keys come in pairs that agree on their low 40 bits, so
-        // every pair lands on one home slot and probes past it.
+        // every pair shares its first bucket.
         let keys = (1..=1500u64).flat_map(|i| [mix64(i), mix64(i) ^ 1 << 40]);
         let set = agree_with_oracle(keys.chain([0]));
         assert_eq!(set.len(), 3001);
-        assert_eq!(set.slots.len(), 4096);
-        assert_eq!(set.bytes(), 8 * set.slots.len());
+        assert_eq!(set.slots(), 4096);
+        assert_eq!(set.bytes(), 8 * set.slots());
+    }
+
+    #[test]
+    fn keys_forced_into_two_buckets_kick_and_then_double() {
+        // Every key has first bucket 1 and second bucket 2 while the
+        // table has 4 buckets: 24 keys need only 32 slots by load, but
+        // their two buckets hold 16, so inserts chain evictions until
+        // the kick limit doubles the table, where bits 2 and 34 split
+        // them over four buckets.
+        let fixed = 1 | 2 << 32;
+        let free = !(3 | 3 << 32);
+        let keys: Vec<u64> = (1..=24u64).map(|i| mix64(i) & free | fixed).collect();
+        let set = agree_with_oracle(keys.iter().copied());
+        assert_eq!(set.len(), 24);
+        assert_eq!(set.slots(), 64);
+        for &key in &keys {
+            let (first, second) = set.buckets.of(key);
+            assert!(
+                set.buckets.get(first).contains(&key) || set.buckets.get(second).contains(&key)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not full-avalanche")]
+    fn keys_that_share_both_buckets_at_every_size_fail_loudly() {
+        // Bits 26 to 31 index no bucket below 2^26 buckets, so nine such
+        // keys overflow bucket 0 however far the table doubles.
+        let mut set = KeySet::new();
+        for i in 1..=9u64 {
+            set.insert(i << 26);
+        }
+    }
+
+    #[test]
+    fn one_shards_worth_of_keys_fills_8192_slots() {
+        // The most-occupied shard of the `mc-farray` instance (the
+        // f-array `A_f`, n=2, one crash) holds 7,503 keys, which share
+        // their top 6 bits; 7,503 / 8,192 is under 19/20.
+        let shard = 0b101101 << 58;
+        let keys = (1..=7503u64).map(|i| mix64(i) >> 6 | shard);
+        let set = agree_with_oracle(keys);
+        assert_eq!(set.len(), 7503);
+        assert_eq!(set.slots(), 8192);
+        assert_eq!(set.bytes(), 65536);
+    }
+
+    #[test]
+    fn buckets_are_cache_line_aligned() {
+        let mut set = KeySet::new();
+        for key in (1..=1000).map(mix64) {
+            set.insert(key);
+            let bucket_0 = set.buckets.get(0).as_ptr();
+            assert_eq!(bucket_0 as usize % 64, 0);
+        }
     }
 
     #[test]
@@ -247,6 +441,6 @@ mod tests {
         }
         let stats = visited.stats();
         assert_eq!(stats.entries, 1000);
-        assert!(stats.resident_bytes >= stats.entries * 32 / 3);
+        assert!(19 * stats.resident_bytes >= 160 * stats.entries);
     }
 }

@@ -112,7 +112,9 @@ fn paper_literal_help_order_violates_mutual_exclusion() {
 /// cost at most liveness, never Mutual Exclusion — local state and cache
 /// lines vanish, shared memory (including the f-array counters, whose
 /// kept leaf mirrors only ever over-count) survives. Exhausted here for
-/// n=2, m=1 with a one-crash adversary.
+/// n=2, m=1 with a one-crash adversary. This is the benchmark's
+/// `mc-farray` instance, so its counts and visited bytes are pinned: 64
+/// shards of 8,192 slots, the largest holding 7,503 keys.
 #[test]
 fn af_crash_augmented_exploration_is_safe() {
     let report = explore_par(
@@ -130,6 +132,11 @@ fn af_crash_augmented_exploration_is_safe() {
         report.crash_transitions > 0,
         "the crash adversary must actually strike"
     );
+    assert_eq!(
+        (report.states_explored, report.transitions),
+        (468_677, 1_328_602)
+    );
+    assert_eq!(report.visited.resident_bytes, 4_194_304);
 }
 
 /// System-wide crash robustness: with the recoverable reader (counter
