@@ -6,12 +6,12 @@
 //! *typed* content — captioned [`Table`] sections plus structured
 //! [`Check`] records (claim, bound, measured, pass) — instead of ad-hoc
 //! `println!`s and `assert!`s, so the same run can be rendered as the
-//! human-readable text table, printed as JSON (`--json`), or byte-diffed
-//! against the committed goldens in `results/`.
+//! human-readable text table or byte-diffed against the committed goldens
+//! in `results/`.
 //!
 //! The registry lives in [`crate::experiments`]; the single `experiments`
-//! binary drives it (`--list`, `--filter`, `--smoke`, `--json`,
-//! `--check`, `--bless`). One experiment runs standalone with
+//! binary drives it (`--list`, `--filter`, `--smoke`, `--check`,
+//! `--bless`). One experiment runs standalone with
 //! `experiments --filter <id>`, which prints its text report and exits
 //! nonzero if any structured check fails.
 //!
@@ -55,7 +55,7 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// Stable lowercase tag used in rendered reports and JSON.
+    /// Stable lowercase tag used in rendered reports.
     pub fn tag(self) -> &'static str {
         match self {
             Mode::Full => "full",
@@ -307,63 +307,6 @@ impl Report {
         }
         out
     }
-
-    /// Render the report as JSON (the `--json` stdout form).
-    ///
-    /// Hand-rolled (the workspace has no serde by policy): objects with
-    /// a fixed field order, all scalars as strings except `pass`, so the
-    /// output is byte-stable and diffs line up cell-by-cell.
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"id\": {},", json_str(self.id));
-        let _ = writeln!(out, "  \"title\": {},", json_str(&self.title));
-        let _ = writeln!(out, "  \"claim\": {},", json_str(&self.claim));
-        let _ = writeln!(out, "  \"mode\": {},", json_str(self.mode.tag()));
-        out.push_str("  \"sections\": [");
-        for (i, s) in self.sections.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"heading\": {},", json_str(&s.heading));
-            let _ = writeln!(
-                out,
-                "      \"columns\": {},",
-                json_str_array(s.table.headers())
-            );
-            out.push_str("      \"rows\": [");
-            for (j, row) in s.table.rows().iter().enumerate() {
-                out.push_str(if j == 0 { "\n" } else { ",\n" });
-                let _ = write!(out, "        {}", json_str_array(row));
-            }
-            if !s.table.rows().is_empty() {
-                out.push_str("\n      ");
-            }
-            out.push_str("]\n    }");
-        }
-        if !self.sections.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
-        out.push_str("  \"checks\": [");
-        for (i, c) in self.checks.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{\"claim\": {}, \"bound\": {}, \"measured\": {}, \"pass\": {}}}",
-                json_str(&c.claim),
-                json_str(&c.bound),
-                json_str(&c.measured),
-                c.pass
-            );
-        }
-        if !self.checks.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
-        let _ = writeln!(out, "  \"notes\": {}", json_str(self.notes.trim_end()));
-        out.push_str("}\n");
-        out
-    }
 }
 
 /// One reproducible experiment behind the registry.
@@ -383,33 +326,6 @@ pub trait Experiment: Sync {
     }
     /// Run the experiment and produce its report.
     fn run(&self, ctx: &Ctx) -> Report;
-}
-
-/// JSON string literal for `s` (quotes, escapes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON array of string literals.
-fn json_str_array<S: AsRef<str>>(items: &[S]) -> String {
-    let cells: Vec<String> = items.iter().map(|s| json_str(s.as_ref())).collect();
-    format!("[{}]", cells.join(", "))
 }
 
 // ---------------------------------------------------------------------------
@@ -650,8 +566,6 @@ pub struct CliOptions {
     pub list: bool,
     /// `--smoke`: run (and gate) the smoke configurations.
     pub smoke: bool,
-    /// `--json`: print reports as JSON instead of text.
-    pub json: bool,
     /// `--check`: byte-diff rendered text reports against the goldens.
     pub check: bool,
     /// `--bless`: (re)write the text goldens from this run.
@@ -664,13 +578,12 @@ pub struct CliOptions {
 
 /// Usage string for the `experiments` driver.
 pub const USAGE: &str = "\
-usage: experiments [--list] [--filter <ids>] [--smoke] [--json] [--check] [--bless] [--results-dir <dir>]
+usage: experiments [--list] [--filter <ids>] [--smoke] [--check] [--bless] [--results-dir <dir>]
 
   --list             list registered experiments (id, title, paper claim),
                      the lock registry, and the named workload scenarios
   --filter <ids>     comma-separated ids or id prefixes (e.g. e2,e15 or e2_writer_rmr)
   --smoke            one small config per experiment (CI budget); gates results/smoke/
-  --json             print each report as JSON instead of text
   --check            byte-diff the text reports against the committed goldens;
                      exit nonzero with a unified diff on any drift or failed check
   --bless            regenerate the goldens (results/[smoke/]<id>.txt) and the
@@ -686,7 +599,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
         match arg.as_str() {
             "--list" => opts.list = true,
             "--smoke" => opts.smoke = true,
-            "--json" => opts.json = true,
             "--check" => opts.check = true,
             "--bless" => opts.bless = true,
             "--filter" => {
@@ -816,14 +728,9 @@ pub fn render_list(registry: &[Box<dyn Experiment>], locks: &rwcore::LockRegistr
 }
 
 /// What a run without `--check` or `--bless` prints for `report` (its
-/// JSON form if `json`, else its text form), and its failure line if a
-/// structured check failed. Both forms fail on the same rule.
-fn plain_run(report: &Report, json: bool) -> (String, Option<String>) {
-    let out = if json {
-        report.render_json()
-    } else {
-        format!("{}\n", report.render_text())
-    };
+/// text form), and its failure line if a structured check failed.
+fn plain_run(report: &Report) -> (String, Option<String>) {
+    let out = format!("{}\n", report.render_text());
     let failure = (!report.passed()).then(|| format!("{}: structured checks failed", report.id));
     (out, failure)
 }
@@ -896,7 +803,7 @@ pub fn cli_main(opts: &CliOptions) -> i32 {
                 ));
             }
         } else {
-            let (out, failure) = plain_run(&report, opts.json);
+            let (out, failure) = plain_run(&report);
             print!("{out}");
             all_failures.extend(failure);
         }
@@ -970,68 +877,16 @@ mod tests {
     }
 
     #[test]
-    fn json_render_carries_every_field_and_is_stable() {
-        let r = sample_report();
-        let s = r.render_json();
-        assert!(s.starts_with("{\n  \"id\": \"toy\",\n"));
-        for (key, value) in [
-            ("title", &r.title),
-            ("claim", &r.claim),
-            ("mode", &r.mode.tag().to_string()),
-            ("notes", &r.notes),
-        ] {
-            assert!(
-                s.contains(&format!("\"{key}\": {}", json_str(value))),
-                "{key}"
-            );
-        }
-        for section in &r.sections {
-            assert!(s.contains(&format!("\"heading\": {}", json_str(&section.heading))));
-            let columns = json_str_array(section.table.headers());
-            assert!(s.contains(&format!("\"columns\": {columns}")));
-            for row in section.table.rows() {
-                assert!(s.contains(&json_str_array(row)), "{row:?}");
-            }
-        }
-        for c in &r.checks {
-            let check = format!(
-                "{{\"claim\": {}, \"bound\": {}, \"measured\": {}, \"pass\": {}}}",
-                json_str(&c.claim),
-                json_str(&c.bound),
-                json_str(&c.measured),
-                c.pass
-            );
-            assert!(s.contains(&check), "{check}");
-        }
-        assert!(s.ends_with("}\n"));
-        // Same input renders byte-identically.
-        assert_eq!(s, r.render_json());
-    }
-
-    #[test]
-    fn a_failing_check_fails_text_and_json_runs_alike() {
+    fn a_failing_check_fails_a_plain_run() {
         let passing = sample_report();
         let mut failing = passing.clone();
         failing.check(Check::le_u64("impossible bound", 16, 1));
-        for json in [false, true] {
-            let (out, failure) = plain_run(&passing, json);
-            assert_eq!(failure, None);
-            assert!(out.contains("rmr bounded"));
-            let (out, failure) = plain_run(&failing, json);
-            assert_eq!(
-                failure.as_deref(),
-                Some("toy: structured checks failed"),
-                "json = {json}"
-            );
-            assert!(out.contains("impossible bound"));
-        }
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("Θ(log n) — ok"), "\"Θ(log n) — ok\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        let (out, failure) = plain_run(&passing);
+        assert_eq!(failure, None);
+        assert!(out.contains("rmr bounded"));
+        let (out, failure) = plain_run(&failing);
+        assert_eq!(failure.as_deref(), Some("toy: structured checks failed"));
+        assert!(out.contains("impossible bound"));
     }
 
     #[test]
@@ -1074,10 +929,15 @@ mod tests {
             .map(String::from),
         )
         .unwrap();
-        assert!(opts.smoke && opts.check && !opts.bless && !opts.json && !opts.list);
+        assert!(opts.smoke && opts.check && !opts.bless && !opts.list);
         assert_eq!(opts.filters, ["e2", "e15"]);
         assert_eq!(opts.results_dir.as_deref(), Some(Path::new("rdir")));
-        assert!(parse_args(["--bogus".to_string()]).is_err());
+        for unknown in ["--bogus", "--json"] {
+            assert_eq!(
+                parse_args([unknown.to_string()]),
+                Err(format!("unknown argument {unknown:?}"))
+            );
+        }
         assert!(parse_args(["--check", "--bless"].map(String::from)).is_err());
     }
 

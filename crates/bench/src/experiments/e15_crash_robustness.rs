@@ -234,8 +234,9 @@ impl Experiment for E15 {
                  the processes left spinning on abandoned lock claims. Recovery\n\
                  RMRs are the re-warming cost of the crashed processes'\n\
                  passages. The system-wide crash model is E17's subject. On a\n\
-                 violation, a shrunk replayable trace is written to results/\n\
-                 (replay: see examples/verify_your_lock.rs).",
+                 violation, the report carries a shrunk replayable trace:\n\
+                 --bless writes it to results/ and --check compares it with the\n\
+                 committed file (replay: see examples/verify_your_lock.rs).",
             );
         report.artifacts = traces;
         report

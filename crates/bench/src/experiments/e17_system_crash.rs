@@ -285,7 +285,8 @@ impl Experiment for E17 {
                  and the writer's epoch burn leave no reachable configuration\n\
                  with a stranded lock; the negative control shows the same\n\
                  adversary catching the recovery with the burn removed — the\n\
-                 shrunk trace lands in results/ and replays through\n\
+                 report carries the shrunk trace, --bless writes it to results/,\n\
+                 --check compares it with the committed file, and it replays through\n\
                  examples/verify_your_lock.rs --replay. The measured per-process\n\
                  recovery cost grows like log2(n) (the f-array re-walk at f=1),\n\
                  sitting between Chan–Woelfel's Ω(log n/log log n) per-passage\n\

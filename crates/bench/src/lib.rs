@@ -3,7 +3,7 @@
 //! Every experiment lives behind the registry in [`experiments`] (one
 //! module per paper claim, all implementing [`exp::Experiment`]) and is
 //! driven by the unified `experiments` binary — `--list`, `--filter`,
-//! `--smoke`, `--json`, `--check`, `--bless`; see [`exp`]. One
+//! `--smoke`, `--check`, `--bless`; see [`exp`]. One
 //! experiment runs standalone with `experiments --filter <id>`, and
 //! it is the only program that times a real lock or counter.
 //!

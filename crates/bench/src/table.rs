@@ -44,17 +44,6 @@ impl Table {
         self.rows.len()
     }
 
-    /// The column headers, in order.
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
-    /// The data rows, in insertion order; every row has
-    /// [`headers`](Self::headers)`.len()` cells.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     /// True if no data rows were added.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
@@ -144,12 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn accessors_expose_headers_and_rows() {
+    fn len_counts_data_rows() {
         let mut t = Table::new(["a", "b"]);
         t.row(["1", "2"]).row(["3", "4"]);
-        assert_eq!(t.headers(), ["a", "b"]);
-        assert_eq!(t.rows().len(), 2);
-        assert_eq!(t.rows()[1], ["3", "4"]);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
     }

@@ -32,10 +32,10 @@ pub enum OpBudget {
 
 /// A symmetric contended workload driven by a [`Scenario`]: `threads`
 /// identical threads, each deriving every per-op decision — the
-/// read/write mix coin, burst repetition, churn yields, think-time spins
-/// — from the scenario via a seeded per-thread [`Prng`]. Thread `t` acts
-/// as reader id `t` *and* writer id `t` of the lock under test (sized
-/// for `threads` readers and writers).
+/// read/write mix coin, burst repetition, churn yields — from the
+/// scenario via a seeded per-thread [`Prng`]. Thread `t` acts as reader
+/// id `t` *and* writer id `t` of the lock under test (sized for
+/// `threads` readers and writers).
 #[derive(Copy, Clone, Debug)]
 pub struct MixedWorkload {
     /// OS thread count (after scenario oversubscription when built via
@@ -193,9 +193,6 @@ pub fn run_contended(lock: Arc<dyn RealLock>, wl: &MixedWorkload) -> ContendedSa
                     take.write_hist.record(ns);
                     take.writes += 1;
                 }
-                for _ in 0..scenario.think {
-                    std::hint::spin_loop();
-                }
                 if scenario.churn.fires(&mut rng) {
                     std::thread::yield_now();
                 }
@@ -285,8 +282,8 @@ mod tests {
     }
 
     #[test]
-    fn burst_and_think_scenarios_complete() {
-        let wl = mixed_wl("r3:1,burst=0.9,think=50", 2, OpBudget::PerThreadOps(200), 5);
+    fn burst_scenarios_complete() {
+        let wl = mixed_wl("r3:1,burst=0.9", 2, OpBudget::PerThreadOps(200), 5);
         let s = run_contended(Arc::new(StdAdapter::default()), &wl);
         assert_eq!(s.reads + s.writes, 400);
         assert!(s.reads > 0 && s.writes > 0, "bursts keep the overall mix");

@@ -3,11 +3,10 @@
 //! A [`FaultPlan`] declares *which* processes crash and *when* — after a
 //! given number of their own scheduled steps — either hand-placed or drawn
 //! from a seeded [`Prng`]. The plan is pure data: the scheduler (see
-//! [`crate::run_round_robin_with_faults`] and friends) owns a
-//! [`FaultDriver`] that walks the plan during a run and fires
-//! [`crate::Sim::crash`] at the due points. The same plan against the same
-//! schedule therefore reproduces the same crashes — fault injection stays
-//! deterministic and replayable.
+//! [`crate::run_random_with_faults`]) owns a `FaultDriver` that walks
+//! the plan during a run and fires [`crate::Sim::crash`] at the due
+//! points. The same plan against the same schedule therefore reproduces
+//! the same crashes — fault injection stays deterministic and replayable.
 
 use crate::program::Phase;
 use crate::rng::Prng;
@@ -33,22 +32,20 @@ impl fmt::Display for CrashPoint {
     }
 }
 
-/// A deterministic crash-fault plan: a set of [`CrashPoint`]s plus the
-/// policy of whether a crash may strike a process *inside* the critical
-/// section.
+/// A deterministic crash-fault plan: a set of [`CrashPoint`]s and
+/// system-wide crash points.
 ///
-/// With `avoid_cs` (the default), a crash that comes due while its victim
-/// occupies the CS is deferred until the process's first step outside the
-/// CS — the "crashes outside the critical section" regime under which a
-/// non-recoverable lock should still preserve Mutual Exclusion (losing
-/// only liveness).
+/// Crashes never strike inside the critical section: a crash that comes
+/// due while its victim occupies the CS is deferred until the process's
+/// first step outside the CS — the "crashes outside the critical section"
+/// regime under which a non-recoverable lock should still preserve Mutual
+/// Exclusion (losing only liveness).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FaultPlan {
     crashes: Vec<CrashPoint>,
     /// System-wide crash points, keyed on the run's *total* scheduled step
     /// count (a crash-all has no single victim to count steps for).
     crash_alls: Vec<u64>,
-    avoid_cs: bool,
 }
 
 impl Default for FaultPlan {
@@ -64,7 +61,6 @@ impl FaultPlan {
         FaultPlan {
             crashes: Vec::new(),
             crash_alls: Vec::new(),
-            avoid_cs: true,
         }
     }
 
@@ -84,18 +80,10 @@ impl FaultPlan {
     }
 
     /// Add a *system-wide* crash ([`crate::Sim::crash_all`]) due after the
-    /// run's `k`-th scheduled step in total (builder style). Under
-    /// `avoid_cs`, a due crash-all is deferred while **any** process
-    /// occupies the CS.
+    /// run's `k`-th scheduled step in total (builder style). A due
+    /// crash-all is deferred while **any** process occupies the CS.
     pub fn with_crash_all(mut self, k: u64) -> Self {
         self.crash_alls.push(k);
-        self
-    }
-
-    /// Allow (or keep forbidding) crashes while the victim is inside the
-    /// critical section.
-    pub fn allow_crash_in_cs(mut self, allow: bool) -> Self {
-        self.avoid_cs = !allow;
         self
     }
 
@@ -145,11 +133,6 @@ impl FaultPlan {
         &self.crash_alls
     }
 
-    /// Whether crashes are deferred while the victim is in the CS.
-    pub fn avoids_cs(&self) -> bool {
-        self.avoid_cs
-    }
-
     /// True if the plan contains no crashes of either kind.
     pub fn is_empty(&self) -> bool {
         self.crashes.is_empty() && self.crash_alls.is_empty()
@@ -158,10 +141,9 @@ impl FaultPlan {
 
 /// Walks a [`FaultPlan`] during a run: counts each process's scheduled
 /// steps and reports when a planned crash is due. Owned by the fault-aware
-/// runners ([`crate::run_round_robin_with_faults`],
-/// [`crate::run_random_with_faults`]); exposed for custom schedulers.
+/// runner ([`crate::run_random_with_faults`]).
 #[derive(Clone, Debug)]
-pub struct FaultDriver {
+pub(crate) struct FaultDriver {
     /// Per process: pending crash trigger step counts, sorted descending
     /// so the next due point is at the back.
     pending: Vec<Vec<u64>>,
@@ -172,7 +154,6 @@ pub struct FaultDriver {
     pending_alls: Vec<u64>,
     /// Total scheduled steps observed in this run.
     total_taken: u64,
-    avoid_cs: bool,
 }
 
 impl FaultDriver {
@@ -199,7 +180,6 @@ impl FaultDriver {
             taken: vec![0; n_procs],
             pending_alls,
             total_taken: 0,
-            avoid_cs: plan.avoid_cs,
         }
     }
 
@@ -209,33 +189,28 @@ impl FaultDriver {
         self.total_taken += 1;
     }
 
-    /// Crash `p` now if a planned crash is due (and, under `avoid_cs`, the
-    /// process is not in the CS — a due crash then stays pending until the
-    /// process steps out). Returns the crash record if one fired.
+    /// Crash `p` now if a planned crash is due and the process is not in
+    /// the CS (a due crash stays pending until the process steps out).
+    /// Returns the crash record if one fired.
     pub fn fire_due(&mut self, sim: &mut Sim, p: ProcId) -> Option<crate::trace::StepRecord> {
         let due = matches!(self.pending[p.0].last(), Some(&k) if k <= self.taken[p.0]);
-        if !due || (self.avoid_cs && sim.phase(p) == Phase::Cs) {
+        if !due || sim.phase(p) == Phase::Cs {
             return None;
         }
         self.pending[p.0].pop();
         Some(sim.crash(p))
     }
 
-    /// Fire a system-wide crash now if one is due (and, under `avoid_cs`,
-    /// no process occupies the CS — a due crash-all then stays pending
-    /// until the CS empties). Returns the crash record if one fired.
+    /// Fire a system-wide crash now if one is due and no process occupies
+    /// the CS (a due crash-all stays pending until the CS empties).
+    /// Returns the crash record if one fired.
     pub fn fire_crash_all_due(&mut self, sim: &mut Sim) -> Option<crate::trace::StepRecord> {
         let due = matches!(self.pending_alls.last(), Some(&k) if k <= self.total_taken);
-        if !due || (self.avoid_cs && !sim.procs_in_cs().is_empty()) {
+        if !due || !sim.procs_in_cs().is_empty() {
             return None;
         }
         self.pending_alls.pop();
         Some(sim.crash_all())
-    }
-
-    /// True if no crash of either kind remains pending.
-    pub fn is_done(&self) -> bool {
-        self.pending.iter().all(Vec::is_empty) && self.pending_alls.is_empty()
     }
 }
 
@@ -245,14 +220,11 @@ mod tests {
 
     #[test]
     fn builder_and_accessors() {
-        let plan = FaultPlan::crash_after(ProcId(1), 3)
-            .with_crash(ProcId(0), 5)
-            .allow_crash_in_cs(true);
+        let plan = FaultPlan::crash_after(ProcId(1), 3).with_crash(ProcId(0), 5);
         assert_eq!(plan.crash_points().len(), 2);
-        assert!(!plan.avoids_cs());
         assert!(!plan.is_empty());
         assert!(FaultPlan::none().is_empty());
-        assert!(FaultPlan::default().avoids_cs());
+        assert_eq!(FaultPlan::default(), FaultPlan::none());
     }
 
     #[test]

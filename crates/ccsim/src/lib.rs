@@ -52,7 +52,7 @@ mod trace;
 mod value;
 
 pub use cache::{Cache, Mode, Protocol};
-pub use fault::{CrashPoint, FaultDriver, FaultPlan};
+pub use fault::{CrashPoint, FaultPlan};
 pub use fxhash::{mix64, FxBuildHasher, FxHasher};
 pub use layout::Layout;
 pub use memory::{CacheView, Memory, StepOutcome};
@@ -60,9 +60,9 @@ pub use op::{Op, OpKind};
 pub use program::{sub, Phase, Program, ProgramClone, Role, Step, SubMachine, SubStep};
 pub use rng::Prng;
 pub use sched::{
-    blocked_spinners, run_random, run_random_with_faults, run_round_robin,
-    run_round_robin_with_faults, run_solo, RunConfig, RunError, RunReport,
+    blocked_spinners, run_random, run_random_with_faults, run_round_robin, run_solo, RunConfig,
+    RunError, RunReport,
 };
 pub use sim::{MutualExclusionViolation, ProcStats, Sim, SymmetryClass};
-pub use trace::{StepKind, StepRecord, Trace, TraceSummary};
+pub use trace::{StepKind, StepRecord, Trace};
 pub use value::{ProcId, Value, VarId};

@@ -164,25 +164,11 @@ pub fn run_random(sim: &mut Sim, rng: &mut Prng, cfg: &RunConfig) -> Result<RunR
     })
 }
 
-/// [`run_round_robin`] with crash injection: after each scheduled step the
+/// [`run_random`] with crash injection: after each scheduled step the
 /// given [`FaultPlan`] may crash the stepped process (see
-/// [`crate::Sim::crash`]). A crashed process's in-progress passage is
+/// [`crate::Sim::crash`]) or the whole system (see
+/// [`crate::Sim::crash_all`]). A crashed process's in-progress passage is
 /// abandoned and re-run — the quota counts *completed* passages.
-///
-/// # Errors
-/// See [`RunError`].
-pub fn run_round_robin_with_faults(
-    sim: &mut Sim,
-    cfg: &RunConfig,
-    plan: &FaultPlan,
-) -> Result<RunReport, RunError> {
-    run_with(sim, cfg, Some(plan), |_, eligible_procs, turn| {
-        (turn as usize) % eligible_procs.len()
-    })
-}
-
-/// [`run_random`] with crash injection; see
-/// [`run_round_robin_with_faults`].
 ///
 /// # Errors
 /// See [`RunError`].
@@ -386,6 +372,18 @@ mod tests {
         }
     }
 
+    /// Round-robin with crash injection: the runner loop the fault tests
+    /// drive, with [`run_round_robin`]'s pick.
+    fn round_robin_with_faults(
+        sim: &mut Sim,
+        cfg: &RunConfig,
+        plan: &FaultPlan,
+    ) -> Result<RunReport, RunError> {
+        run_with(sim, cfg, Some(plan), |_, eligible_procs, turn| {
+            (turn as usize) % eligible_procs.len()
+        })
+    }
+
     fn read_world(n: usize) -> Sim {
         let mut l = Layout::new();
         let v = l.var("x", Value::Int(0));
@@ -464,7 +462,7 @@ mod tests {
             passages_per_proc: 2,
             ..Default::default()
         };
-        let report = run_round_robin_with_faults(&mut sim, &cfg, &plan).unwrap();
+        let report = round_robin_with_faults(&mut sim, &cfg, &plan).unwrap();
         assert_eq!(report.crashes, 1);
         assert_eq!(report.completed, vec![2], "quota counts completed passages");
         assert_eq!(sim.stats(ProcId(0)).crashes, 1);
@@ -472,19 +470,18 @@ mod tests {
     }
 
     #[test]
-    fn avoid_cs_defers_crash_until_exit() {
-        // After its second step a ReadClient sits in the CS; with the
-        // default avoid_cs policy the due crash must wait for the step
-        // that leaves the CS.
+    fn crash_due_in_cs_defers_until_exit() {
+        // After its second step a ReadClient sits in the CS; the due
+        // crash must wait for the step that leaves the CS.
         let mut sim = read_world(1);
         let plan = FaultPlan::crash_after(ProcId(0), 2);
         let cfg = RunConfig::default();
-        let report = run_round_robin_with_faults(&mut sim, &cfg, &plan).unwrap();
+        let report = round_robin_with_faults(&mut sim, &cfg, &plan).unwrap();
         assert_eq!(report.crashes, 1);
         let t = {
             let mut sim2 = read_world(1);
             sim2.set_tracing(true);
-            run_round_robin_with_faults(&mut sim2, &cfg, &plan).unwrap();
+            round_robin_with_faults(&mut sim2, &cfg, &plan).unwrap();
             sim2.take_trace().unwrap()
         };
         let crash_rec = t
@@ -492,20 +489,6 @@ mod tests {
             .find(|r| matches!(r.kind, StepKind::Crash))
             .expect("a crash must be recorded");
         assert_eq!(crash_rec.phase, Phase::Exit, "deferred past the CS");
-    }
-
-    #[test]
-    fn crash_in_cs_allowed_when_policy_permits() {
-        let mut sim = read_world(1);
-        sim.set_tracing(true);
-        let plan = FaultPlan::crash_after(ProcId(0), 2).allow_crash_in_cs(true);
-        run_round_robin_with_faults(&mut sim, &RunConfig::default(), &plan).unwrap();
-        let t = sim.take_trace().unwrap();
-        let crash_rec = t
-            .iter()
-            .find(|r| matches!(r.kind, StepKind::Crash))
-            .unwrap();
-        assert_eq!(crash_rec.phase, Phase::Cs);
     }
 
     #[test]
@@ -517,7 +500,7 @@ mod tests {
             ..Default::default()
         };
         let ra = run_round_robin(&mut a, &cfg).unwrap();
-        let rb = run_round_robin_with_faults(&mut b, &cfg, &FaultPlan::none()).unwrap();
+        let rb = round_robin_with_faults(&mut b, &cfg, &FaultPlan::none()).unwrap();
         assert_eq!(ra, rb);
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
@@ -543,14 +526,14 @@ mod tests {
     fn planned_crash_all_fires_once_and_is_reported() {
         let mut sim = read_world(3);
         sim.set_tracing(true);
-        // Due after the run's 4th total step; with avoid_cs it defers
-        // until no process occupies the CS.
+        // Due after the run's 4th total step; it defers until no process
+        // occupies the CS.
         let plan = FaultPlan::none().with_crash_all(4);
         let cfg = RunConfig {
             passages_per_proc: 2,
             ..Default::default()
         };
-        let report = run_round_robin_with_faults(&mut sim, &cfg, &plan).unwrap();
+        let report = round_robin_with_faults(&mut sim, &cfg, &plan).unwrap();
         assert_eq!(report.crash_alls, 1);
         assert_eq!(report.crashes, 0);
         assert_eq!(report.completed, vec![2, 2, 2]);
@@ -584,7 +567,10 @@ mod tests {
         })
         .unwrap();
         assert!(driver.fire_crash_all_due(&mut sim).is_some());
-        assert!(driver.is_done());
+        assert!(
+            driver.fire_crash_all_due(&mut sim).is_none(),
+            "one planned crash-all fires once"
+        );
     }
 
     #[test]

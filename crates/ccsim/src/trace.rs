@@ -54,21 +54,6 @@ pub struct StepRecord {
     pub kind: StepKind,
 }
 
-impl StepRecord {
-    /// The operation, if this was a memory step.
-    pub fn op(&self) -> Option<&Op> {
-        match &self.kind {
-            StepKind::Op { op, .. } => Some(op),
-            _ => None,
-        }
-    }
-
-    /// Whether this step incurred an RMR.
-    pub fn is_rmr(&self) -> bool {
-        matches!(self.kind, StepKind::Op { rmr: true, .. })
-    }
-}
-
 impl fmt::Display for StepRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.kind {
@@ -166,81 +151,6 @@ impl Trace {
     pub fn iter(&self) -> std::slice::Iter<'_, StepRecord> {
         self.records.iter()
     }
-
-    /// Total RMRs charged to `p` in this trace.
-    pub fn rmrs_of(&self, p: ProcId) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.proc == p && r.is_rmr())
-            .count() as u64
-    }
-
-    /// Total memory steps taken by `p` in this trace.
-    pub fn steps_of(&self, p: ProcId) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.proc == p && r.op().is_some())
-            .count() as u64
-    }
-}
-
-/// Aggregate statistics of a [`Trace`], per process.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct TraceSummary {
-    /// `(memory steps, RMRs)` per process id (dense, indexed by id).
-    pub per_proc: Vec<(u64, u64)>,
-    /// Total memory steps.
-    pub steps: u64,
-    /// Total RMRs.
-    pub rmrs: u64,
-    /// Non-trivial steps (the ones that define familiarity, Def. 1).
-    pub non_trivial: u64,
-}
-
-impl Trace {
-    /// Aggregate the trace into per-process and total counts.
-    pub fn summary(&self) -> TraceSummary {
-        let max_proc = self.records.iter().map(|r| r.proc.0 + 1).max().unwrap_or(0);
-        let mut s = TraceSummary {
-            per_proc: vec![(0, 0); max_proc],
-            ..Default::default()
-        };
-        for r in &self.records {
-            if let StepKind::Op { rmr, trivial, .. } = r.kind {
-                s.steps += 1;
-                s.per_proc[r.proc.0].0 += 1;
-                if rmr {
-                    s.rmrs += 1;
-                    s.per_proc[r.proc.0].1 += 1;
-                }
-                if !trivial {
-                    s.non_trivial += 1;
-                }
-            }
-        }
-        s
-    }
-
-    /// The sub-trace of one process's steps (preserving order and the
-    /// original global indices).
-    pub fn of_proc(&self, p: ProcId) -> Trace {
-        Trace {
-            records: self
-                .records
-                .iter()
-                .filter(|r| r.proc == p)
-                .copied()
-                .collect(),
-        }
-    }
-
-    /// The records that accessed a given variable.
-    pub fn touching(&self, var: crate::value::VarId) -> Vec<&StepRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.op().map(|o| o.var()) == Some(var))
-            .collect()
-    }
 }
 
 impl<'a> IntoIterator for &'a Trace {
@@ -288,8 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn rmr_and_step_counting() {
-        let t: Trace = vec![
+    fn collect_keeps_every_record_in_order() {
+        let records = vec![
             op_record(0, 0, true),
             op_record(1, 0, false),
             op_record(2, 1, true),
@@ -300,13 +210,10 @@ mod tests {
                 phase: Phase::Cs,
                 kind: StepKind::BeginExit,
             },
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(t.rmrs_of(ProcId(0)), 1);
-        assert_eq!(t.steps_of(ProcId(0)), 2, "transitions are not memory steps");
-        assert_eq!(t.rmrs_of(ProcId(1)), 1);
+        ];
+        let t: Trace = records.iter().copied().collect();
         assert_eq!(t.len(), 4);
+        assert_eq!(t.records(), records.as_slice());
     }
 
     #[test]
@@ -314,42 +221,5 @@ mod tests {
         let r = op_record(0, 0, true);
         assert!(r.to_string().contains("read"));
         assert!(r.to_string().contains("RMR"));
-    }
-
-    #[test]
-    fn summary_aggregates() {
-        let t: Trace = vec![
-            op_record(0, 0, true),
-            op_record(1, 0, false),
-            op_record(2, 2, true),
-        ]
-        .into_iter()
-        .collect();
-        let s = t.summary();
-        assert_eq!(s.steps, 3);
-        assert_eq!(s.rmrs, 2);
-        assert_eq!(s.per_proc.len(), 3);
-        assert_eq!(s.per_proc[0], (2, 1));
-        assert_eq!(s.per_proc[2], (1, 1));
-        assert_eq!(s.non_trivial, 0, "all records here are trivial reads");
-    }
-
-    #[test]
-    fn of_proc_and_touching_filter() {
-        let t: Trace = vec![op_record(0, 0, true), op_record(1, 1, false)]
-            .into_iter()
-            .collect();
-        assert_eq!(t.of_proc(ProcId(0)).len(), 1);
-        assert_eq!(t.of_proc(ProcId(1)).len(), 1);
-        assert_eq!(t.of_proc(ProcId(9)).len(), 0);
-        assert_eq!(t.touching(VarId(0)).len(), 2, "both records read v0");
-        assert_eq!(t.touching(VarId(1)).len(), 0);
-    }
-
-    #[test]
-    fn empty_trace_summary() {
-        let s = Trace::new().summary();
-        assert_eq!(s.steps, 0);
-        assert!(s.per_proc.is_empty());
     }
 }

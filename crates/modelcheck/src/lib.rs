@@ -209,8 +209,6 @@ pub struct CheckConfig {
     pub passages_per_proc: u64,
     /// Stop (incomplete) after visiting this many distinct states.
     pub max_states: u64,
-    /// Stop (incomplete) past this schedule depth.
-    pub max_depth: usize,
     /// Total crash events the adversary may inject along any one schedule
     /// (`0` = failure-free exploration, the default). Crashes of processes
     /// in their remainder section are pruned: they change no observable
@@ -252,7 +250,6 @@ impl Default for CheckConfig {
         CheckConfig {
             passages_per_proc: 1,
             max_states: 5_000_000,
-            max_depth: 100_000,
             crash_budget: 0,
             crash_in_cs: false,
             crash_all_budget: 0,
@@ -696,27 +693,28 @@ pub fn replay(factory: impl Fn() -> Sim, schedule: &[SchedEntry]) -> Sim {
     sim
 }
 
+/// The first process `selected` in `sim` that cannot reach its remainder
+/// section *running solo* within `budget` of its own steps, probed on a
+/// clone of the world.
+fn stuck_solo(sim: &Sim, budget: u64, selected: impl Fn(ProcId) -> bool) -> Option<ProcId> {
+    sim.proc_ids().filter(|&p| selected(p)).find(|&p| {
+        let mut probe = sim.clone_world();
+        ccsim::run_solo(&mut probe, p, budget, |s| s.phase(p) == Phase::Remainder).is_none()
+    })
+}
+
 /// A Bounded Exit invariant for [`explore_with`]: every process found in
 /// its exit section must be able to finish the exit *running solo* within
 /// `budget` of its own steps (the paper's Bounded Exit property — the exit
 /// section contains no unbounded waiting). Clones the world per check;
 /// use on small instances.
 pub fn bounded_exit_invariant(budget: u64) -> impl Fn(&Sim) -> Result<(), String> {
-    move |sim: &Sim| {
-        for p in sim.proc_ids() {
-            if sim.phase(p) != Phase::Exit {
-                continue;
-            }
-            let mut probe = sim.clone_world();
-            if ccsim::run_solo(&mut probe, p, budget, |s| s.phase(p) == Phase::Remainder).is_none()
-            {
-                return Err(format!(
-                    "Bounded Exit violated: {p} cannot finish its exit section \
-                     in {budget} solo steps"
-                ));
-            }
-        }
-        Ok(())
+    move |sim: &Sim| match stuck_solo(sim, budget, |p| sim.phase(p) == Phase::Exit) {
+        Some(p) => Err(format!(
+            "Bounded Exit violated: {p} cannot finish its exit section \
+             in {budget} solo steps"
+        )),
+        None => Ok(()),
     }
 }
 
@@ -727,21 +725,12 @@ pub fn bounded_exit_invariant(budget: u64) -> impl Fn(&Sim) -> Result<(), String
 /// of the paper's Bounded Exit). Clones the world per check; use on
 /// small instances with [`CheckConfig::abort_budget`] > 0.
 pub fn bounded_abort_invariant(budget: u64) -> impl Fn(&Sim) -> Result<(), String> {
-    move |sim: &Sim| {
-        for p in sim.proc_ids() {
-            if !sim.is_aborting(p) {
-                continue;
-            }
-            let mut probe = sim.clone_world();
-            if ccsim::run_solo(&mut probe, p, budget, |s| s.phase(p) == Phase::Remainder).is_none()
-            {
-                return Err(format!(
-                    "Bounded Abort violated: aborting {p} cannot withdraw to \
-                     its remainder section in {budget} solo steps"
-                ));
-            }
-        }
-        Ok(())
+    move |sim: &Sim| match stuck_solo(sim, budget, |p| sim.is_aborting(p)) {
+        Some(p) => Err(format!(
+            "Bounded Abort violated: aborting {p} cannot withdraw to \
+             its remainder section in {budget} solo steps"
+        )),
+        None => Ok(()),
     }
 }
 

@@ -50,6 +50,10 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
+/// Schedule depth past which the search stops deepening (the run is then
+/// incomplete, like one that hits [`CheckConfig::max_states`]).
+const MAX_DEPTH: usize = 100_000;
+
 /// Iterations a worker waits after a failed donation attempt before
 /// rescanning its stack (the scan is O(depth); failure means the stack
 /// had nothing spare, which a few pushes can change).
@@ -314,7 +318,7 @@ where
         part.max_depth = part.max_depth.max(depth);
 
         let total = sh.states.fetch_add(1, Ordering::Relaxed) + 1;
-        if total >= sh.cfg.max_states || depth >= sh.cfg.max_depth {
+        if total >= sh.cfg.max_states || depth >= MAX_DEPTH {
             part.capped = true;
             pool.recycle(child);
             continue; // stop deepening; keep scanning siblings
@@ -487,7 +491,7 @@ fn min_violation(
                 if let Err(e) = check_config(&child, invariant, || sched.clone()) {
                     return e;
                 }
-                if visited.insert(keys.key(&child, quota, nb)) && sched.len() < cfg.max_depth {
+                if visited.insert(keys.key(&child, quota, nb)) && sched.len() < MAX_DEPTH {
                     next_level.push((child, sched, nb));
                 }
             }

@@ -2,13 +2,12 @@
 //! and the simulated (model-check) harness.
 //!
 //! A [`Scenario`] names one workload shape — read/write mix, burstiness,
-//! reader churn, oversubscription, think time, and (for the simulated
-//! side) crash and abort pressure — in a strict, round-trippable token
-//! grammar:
+//! reader churn, oversubscription, and (for the simulated side) crash
+//! and abort pressure — in a strict, round-trippable token grammar:
 //!
 //! ```text
 //! r<reads>:<writes>[,burst=<rate>][,churn=<rate>][,oversub=<k>]
-//!                  [,think=<iters>][,xcrash=<rate>][,xabort=<rate>]
+//!                  [,xcrash=<rate>][,xabort=<rate>]
 //! ```
 //!
 //! e.g. `r1000:1,churn=0.125` or `r2:1,xcrash=0.01,xabort=0.01`. The
@@ -24,12 +23,11 @@
 //!
 //! Both harness sides derive their parameters through the accessors
 //! here — [`Scenario::mix`], [`Scenario::churn`],
-//! [`Scenario::crash_budget`], [`Scenario::fault_plan`], … — which is
-//! what makes "the same named scenario drives real threads and
-//! exhaustive exploration" more than a slogan: the parity test in
-//! `bench` asserts the two derivations agree field by field.
+//! [`Scenario::crash_budget`], … — which is what makes "the same named
+//! scenario drives real threads and exhaustive exploration" more than a
+//! slogan: the parity test in `bench` asserts the two derivations agree
+//! field by field.
 
-use ccsim::FaultPlan;
 use std::fmt;
 use std::str::FromStr;
 
@@ -70,19 +68,6 @@ impl Rate {
     /// True for [`Rate::ZERO`].
     pub fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// How many events a rate implies over `trials` independent draws:
-    /// `round(trials * rate)`, but at least 1 when the rate is nonzero —
-    /// a scenario that asks for *some* crash pressure must inject at
-    /// least one crash even into a short run.
-    pub fn events(self, trials: u64) -> u64 {
-        if self.0 == 0 {
-            return 0;
-        }
-        let exact = (u128::from(trials) * u128::from(self.0) + u128::from(RATE_UNIT) / 2)
-            / u128::from(RATE_UNIT);
-        (exact as u64).max(1)
     }
 
     /// One seeded draw: true with probability `self`. Both harness sides
@@ -179,12 +164,8 @@ pub struct Scenario {
     /// Oversubscription factor: threads per base slot (`1` = one thread
     /// per slot, `4` = four).
     pub oversub: u32,
-    /// Think time: busy-spin iterations between ops (`0` = back-to-back
-    /// passages).
-    pub think: u32,
-    /// Crash pressure (simulated harness only): drives the crash budgets
-    /// of exhaustive exploration and the crash count of randomized
-    /// fault plans.
+    /// Crash pressure (simulated harness only): drives the crash budget
+    /// of exhaustive exploration.
     pub xcrash: Rate,
     /// Abort pressure (simulated harness only): drives the abort budget
     /// of exhaustive exploration.
@@ -201,7 +182,6 @@ impl Scenario {
             burst: Rate::ZERO,
             churn: Rate::ZERO,
             oversub: 1,
-            think: 0,
             xcrash: Rate::ZERO,
             xabort: Rate::ZERO,
         }
@@ -252,17 +232,6 @@ impl Scenario {
         }
     }
 
-    /// A seeded randomized fault plan for a run of `procs` processes and
-    /// roughly `steps` scheduled steps: `xcrash.events(steps)` individual
-    /// crash points. Deterministic in `seed`.
-    pub fn fault_plan(&self, seed: u64, procs: usize, steps: u64) -> FaultPlan {
-        let crashes = self.xcrash.events(steps) as usize;
-        if crashes == 0 || procs == 0 || steps == 0 {
-            return FaultPlan::none();
-        }
-        FaultPlan::random(seed, procs, crashes, steps)
-    }
-
     /// The named scenario presets: the lock × scenario matrix of
     /// `perf_locks` (bench-capable rows) and the fault regimes of the
     /// model-check suite (`sim_only` rows). Every spec string is itself
@@ -299,9 +268,6 @@ impl fmt::Display for Scenario {
         }
         if self.oversub != 1 {
             write!(f, ",oversub={}", self.oversub)?;
-        }
-        if self.think != 0 {
-            write!(f, ",think={}", self.think)?;
         }
         if !self.xcrash.is_zero() {
             write!(f, ",xcrash={}", self.xcrash)?;
@@ -348,12 +314,11 @@ impl FromStr for Scenario {
                         return Err("bad oversub \"0\": must be at least 1".to_string());
                     }
                 }
-                "think" => out.think = parse_u32_field("think", value)?,
                 "xcrash" => out.xcrash = value.parse()?,
                 "xabort" => out.xabort = value.parse()?,
                 other => {
                     return Err(format!(
-                        "unknown key {other:?}: expected burst, churn, oversub, think, xcrash, or xabort"
+                        "unknown key {other:?}: expected burst, churn, oversub, xcrash, or xabort"
                     ))
                 }
             }
@@ -420,14 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_events_floor() {
-        assert_eq!(Rate::ZERO.events(1_000_000), 0);
-        assert_eq!(Rate::from_permyriad(100).events(1_000), 10); // 1% of 1000
-        assert_eq!(Rate::from_permyriad(1).events(10), 1); // nonzero => >= 1
-        assert_eq!(Rate::ONE.events(7), 7);
-    }
-
-    #[test]
     fn scenario_presets_parse_and_round_trip() {
         let named = Scenario::named();
         assert!(named.len() >= 6);
@@ -458,6 +415,7 @@ mod tests {
             "r1000:1,churn=2",             // rate beyond 1
             "r1000:1,churn=0.1,churn=0.2", // duplicate key
             "r1000:1,wibble=1",            // unknown key
+            "r1:1,think=5",                // not a key of the grammar
             "r1000:1,oversub=0",
             "r1000:1,oversub=04", // leading zero
             "r01:1",              // leading zero in the mix
@@ -466,6 +424,11 @@ mod tests {
         ] {
             assert!(bad.parse::<Scenario>().is_err(), "{bad:?} must be rejected");
         }
+        let err = "r1:1,think=5".parse::<Scenario>().unwrap_err();
+        assert_eq!(
+            err,
+            "unknown key \"think\": expected burst, churn, oversub, xcrash, or xabort"
+        );
     }
 
     #[test]
@@ -487,7 +450,6 @@ mod tests {
                 burst: rate(&mut rng),
                 churn: rate(&mut rng),
                 oversub: 1 + rng.below(8) as u32,
-                think: rng.below(1000) as u32,
                 xcrash: rate(&mut rng),
                 xabort: rate(&mut rng),
             };
@@ -523,11 +485,5 @@ mod tests {
         let mut rng = Prng::new(7);
         let reads = (0..10_000).filter(|_| s.draw_read(&mut rng)).count();
         assert!((8_700..9_300).contains(&reads), "9:1 mix skewed: {reads}");
-
-        // A fault plan materializes the crash pressure deterministically.
-        let plan = s.fault_plan(42, 3, 1_000);
-        assert_eq!(plan.crash_points().len(), 10); // 1% of 1000 steps
-        assert_eq!(plan, s.fault_plan(42, 3, 1_000));
-        assert!(Scenario::mix_of(1, 1).fault_plan(42, 3, 1_000).is_empty());
     }
 }
