@@ -17,13 +17,13 @@ use std::fmt;
 /// One planned crash: process `proc` crashes immediately after it has
 /// taken `after_steps` scheduled steps (section transitions included).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct CrashPoint {
+pub(crate) struct CrashPoint {
     /// The process to crash.
-    pub proc: ProcId,
+    proc: ProcId,
     /// Fire immediately after the process's `after_steps`-th scheduled
     /// step. Crashes strike *between* steps, never before the victim's
     /// first one, so `0` behaves like `1`.
-    pub after_steps: u64,
+    after_steps: u64,
 }
 
 impl fmt::Display for CrashPoint {
@@ -32,8 +32,8 @@ impl fmt::Display for CrashPoint {
     }
 }
 
-/// A deterministic crash-fault plan: a set of [`CrashPoint`]s and
-/// system-wide crash points.
+/// A deterministic crash-fault plan: a set of per-process crash points
+/// ("crash `p` after its `k`-th step") and system-wide crash points.
 ///
 /// Crashes never strike inside the critical section: a crash that comes
 /// due while its victim occupies the CS is deferred until the process's
@@ -120,17 +120,6 @@ impl FaultPlan {
             plan = plan.with_crash_all(rng.next_u64() % max_total_step);
         }
         plan
-    }
-
-    /// The planned crash points, in insertion order.
-    pub fn crash_points(&self) -> &[CrashPoint] {
-        &self.crashes
-    }
-
-    /// The planned system-wide crash points (total-step triggers), in
-    /// insertion order.
-    pub fn crash_all_points(&self) -> &[u64] {
-        &self.crash_alls
     }
 
     /// True if the plan contains no crashes of either kind.
@@ -221,7 +210,19 @@ mod tests {
     #[test]
     fn builder_and_accessors() {
         let plan = FaultPlan::crash_after(ProcId(1), 3).with_crash(ProcId(0), 5);
-        assert_eq!(plan.crash_points().len(), 2);
+        assert_eq!(
+            plan.crashes,
+            [
+                CrashPoint {
+                    proc: ProcId(1),
+                    after_steps: 3
+                },
+                CrashPoint {
+                    proc: ProcId(0),
+                    after_steps: 5
+                },
+            ]
+        );
         assert!(!plan.is_empty());
         assert!(FaultPlan::none().is_empty());
         assert_eq!(FaultPlan::default(), FaultPlan::none());
@@ -232,8 +233,8 @@ mod tests {
         let a = FaultPlan::random(7, 4, 6, 100);
         let b = FaultPlan::random(7, 4, 6, 100);
         assert_eq!(a, b, "same seed, same plan");
-        assert_eq!(a.crash_points().len(), 6);
-        for c in a.crash_points() {
+        assert_eq!(a.crashes.len(), 6);
+        for c in &a.crashes {
             assert!(c.proc.0 < 4);
             assert!(c.after_steps < 100);
         }
@@ -244,15 +245,15 @@ mod tests {
     #[test]
     fn crash_all_points_build_and_randomize_deterministically() {
         let plan = FaultPlan::none().with_crash_all(4).with_crash_all(9);
-        assert_eq!(plan.crash_all_points(), &[4, 9]);
+        assert_eq!(plan.crash_alls, [4, 9]);
         assert!(!plan.is_empty(), "crash-alls alone make the plan non-empty");
-        assert!(plan.crash_points().is_empty());
+        assert!(plan.crashes.is_empty());
 
         let a = FaultPlan::random_crash_alls(3, 2, 50);
         let b = FaultPlan::random_crash_alls(3, 2, 50);
         assert_eq!(a, b, "same seed, same plan");
-        assert_eq!(a.crash_all_points().len(), 2);
-        for &k in a.crash_all_points() {
+        assert_eq!(a.crash_alls.len(), 2);
+        for &k in &a.crash_alls {
             assert!(k < 50);
         }
     }

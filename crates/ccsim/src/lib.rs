@@ -52,7 +52,7 @@ mod trace;
 mod value;
 
 pub use cache::{Cache, Mode, Protocol};
-pub use fault::{CrashPoint, FaultPlan};
+pub use fault::FaultPlan;
 pub use fxhash::{mix64, FxBuildHasher, FxHasher};
 pub use layout::Layout;
 pub use memory::{CacheView, Memory, StepOutcome};
@@ -63,6 +63,6 @@ pub use sched::{
     blocked_spinners, run_random, run_random_with_faults, run_round_robin, run_solo, RunConfig,
     RunError, RunReport,
 };
-pub use sim::{MutualExclusionViolation, ProcStats, Sim, SymmetryClass};
+pub use sim::{MutualExclusionViolation, Overlay, ProcMove, ProcStats, Sim, SymmetryClass};
 pub use trace::{StepKind, StepRecord, Trace};
 pub use value::{ProcId, Value, VarId};

@@ -19,10 +19,36 @@ const VAR_SALT: u64 = 0x5eed_0000_0000_0001;
 /// variable updates the fingerprint in O(1): XOR out the old signature,
 /// XOR in the new one.
 #[inline]
-fn slot_sig(v: usize, val: &Value) -> u64 {
+pub(crate) fn slot_sig(v: usize, val: &Value) -> u64 {
     let mut h = FxHasher::with_seed(VAR_SALT ^ mix64(v as u64));
     val.hash(&mut h);
     h.finish()
+}
+
+/// The value half of [`Memory::apply`]: applied to a variable holding
+/// `old`, `op` returns the first value to its process and leaves the
+/// second in the variable. A read returns `old` and leaves it; a write
+/// returns [`Value::Nil`]; a CAS returns `old` and installs its new value
+/// only if `old` equals its expected one; an FAA returns `old` and adds.
+/// Pure, so [`crate::Sim::step_effect`] predicts a step's values with
+/// the very semantics `apply` executes.
+///
+/// # Panics
+/// Panics if an FAA meets a non-integer value.
+#[inline]
+pub(crate) fn op_values(op: &Op, old: Value) -> (Value, Value) {
+    match *op {
+        Op::Read(_) => (old, old),
+        Op::Write(_, val) => (Value::Nil, val),
+        Op::Cas { expected, new, .. } => {
+            if old == expected {
+                (old, new)
+            } else {
+                (old, old)
+            }
+        }
+        Op::Faa { delta, .. } => (old, Value::Int(old.expect_int() + delta)),
+    }
 }
 
 /// The result of applying one shared-memory operation.
@@ -196,18 +222,7 @@ impl Memory {
         let old = self.values[v.0];
         let rmr = self.would_rmr(p, op);
 
-        let (response, new) = match *op {
-            Op::Read(_) => (old, old),
-            Op::Write(_, val) => (Value::Nil, val),
-            Op::Cas { expected, new, .. } => {
-                if old == expected {
-                    (old, new)
-                } else {
-                    (old, old)
-                }
-            }
-            Op::Faa { delta, .. } => (old, Value::Int(old.expect_int() + delta)),
-        };
+        let (response, new) = op_values(op, old);
         self.values[v.0] = new;
         if old != new {
             self.vals_fp ^= slot_sig(v.0, &old) ^ slot_sig(v.0, &new);
@@ -285,13 +300,6 @@ impl Memory {
     /// directory, and cache state is deliberately outside the fingerprint.
     pub fn values_fingerprint(&self) -> u64 {
         self.vals_fp
-    }
-
-    /// Variable `v`'s current term of [`Memory::values_fingerprint`].
-    /// XOR-ing it out of the maintained hash removes `v` from it, which
-    /// is how the symmetry-quotient key drops class-owned slots.
-    pub(crate) fn slot_signature(&self, v: VarId) -> u64 {
-        slot_sig(v.0, &self.values[v.0])
     }
 
     /// Recompute [`Memory::values_fingerprint`] from scratch. Used as the

@@ -1,7 +1,7 @@
 //! The simulation world: processes + memory + metrics + trace.
 
 use crate::fxhash::{mix64, FxHasher};
-use crate::memory::Memory;
+use crate::memory::{op_values, slot_sig, Memory};
 use crate::op::Op;
 use crate::program::{Phase, Program, Role, Step};
 use crate::trace::{StepKind, StepRecord, Trace};
@@ -35,6 +35,56 @@ fn proc_sig(i: usize, digest: u64) -> u64 {
     let mut h = FxHasher::with_seed(PROC_SALT ^ mix64(i as u64));
     h.write_u64(digest);
     h.finish()
+}
+
+/// Process `proc`'s move to a new local state: its next
+/// [`Program::fingerprint64`] digest and the patch the move applies to
+/// [`Sim::fingerprint`]. A pure function of the process index and the two
+/// digests, so a memo of local moves can store it.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct ProcMove {
+    proc: ProcId,
+    digest: u64,
+    /// `proc_sig(proc, from) ^ proc_sig(proc, digest)`.
+    sig_delta: u64,
+}
+
+impl ProcMove {
+    /// Process `p` moving from digest `from` to digest `to`.
+    pub fn new(p: ProcId, from: u64, to: u64) -> Self {
+        ProcMove {
+            proc: p,
+            digest: to,
+            sig_delta: proc_sig(p.0, from) ^ proc_sig(p.0, to),
+        }
+    }
+}
+
+/// A successor configuration written as a patch on the current one: at
+/// most one process in a new local state and at most one variable
+/// holding a new value, which is all one step, crash or abort of one
+/// process changes. The state keys read a configuration through an
+/// overlay ([`Sim::fingerprint_overlaid`],
+/// [`Sim::fingerprint_canonical_annotated`]), so the model checker can
+/// key a successor before it builds it. Through [`Overlay::NONE`] the
+/// keys are those of the configuration itself.
+///
+/// The overlay must describe a move of the configuration it is read
+/// through: the [`ProcMove`] starts from that process's current digest.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct Overlay {
+    /// The process that moved.
+    pub proc: Option<ProcMove>,
+    /// The variable that changed, with its new value.
+    pub var: Option<(VarId, Value)>,
+}
+
+impl Overlay {
+    /// The overlay that changes nothing.
+    pub const NONE: Overlay = Overlay {
+        proc: None,
+        var: None,
+    };
 }
 
 /// Emit the tag-prefixed prefix-code encoding of `v` one word at a time
@@ -429,6 +479,12 @@ impl Sim {
         role
     }
 
+    /// The local-state digest of process `p`: [`Program::fingerprint64`]
+    /// as of `p`'s last event, cached.
+    pub fn digest(&self, p: ProcId) -> u64 {
+        self.slots[p.0].digest
+    }
+
     /// Metrics for process `p`.
     pub fn stats(&self, p: ProcId) -> ProcStats {
         self.slots[p.0].stats
@@ -461,6 +517,25 @@ impl Sim {
         match self.poll(p) {
             Step::Op(op) => Some(op),
             _ => None,
+        }
+    }
+
+    /// What stepping `p` now would hand back to it and write, without
+    /// stepping: the value `p` resumes with, and the variable the step
+    /// changes with its new value (`None` for a section transition or a
+    /// step that leaves its variable's value as it was). The values come
+    /// from the op semantics [`Memory::apply`] executes. Pure; the model
+    /// checker predicts a successor's key from it.
+    #[inline]
+    pub fn step_effect(&self, p: ProcId) -> (Value, Option<(VarId, Value)>) {
+        match self.procs[p.0].poll() {
+            Step::Op(op) => {
+                let v = op.var();
+                let old = self.mem.peek(v);
+                let (response, new) = op_values(&op, old);
+                (response, (new != old).then_some((v, new)))
+            }
+            Step::Cs | Step::Remainder => (Value::Nil, None),
         }
     }
 
@@ -739,6 +814,22 @@ impl Sim {
         fp
     }
 
+    /// [`Sim::fingerprint`] of the configuration `ov` describes: two
+    /// Zobrist patches, O(1).
+    #[inline]
+    pub fn fingerprint_overlaid(&self, ov: &Overlay) -> u64 {
+        let moved = ov.proc.map_or(0, |m| m.sig_delta);
+        self.fingerprint() ^ self.values_patch(ov) ^ moved
+    }
+
+    /// The patch `ov`'s variable applies to [`Memory::values_fingerprint`].
+    #[inline]
+    fn values_patch(&self, ov: &Overlay) -> u64 {
+        ov.var.map_or(0, |(v, new)| {
+            slot_sig(v.0, &self.mem.peek(v)) ^ slot_sig(v.0, &new)
+        })
+    }
+
     /// Recompute [`Sim::fingerprint`] from scratch — rehash every variable
     /// and every process. This is the oracle the maintained incremental
     /// hash is checked against (debug assertions here and dedicated
@@ -831,7 +922,7 @@ impl Sim {
     /// declared classes are genuine automorphisms; it is never an
     /// identity oracle.
     pub fn fingerprint_canonical(&self) -> u64 {
-        self.fingerprint_canonical_annotated(|_| 0)
+        self.fingerprint_canonical_annotated(&Overlay::NONE, |_| 0)
     }
 
     /// The symmetry-quotient state key: a 64-bit hash that partitions
@@ -858,22 +949,39 @@ impl Sim {
     /// vector, so permuting class members never changes the key; two
     /// configurations with different vectors share a key only on a
     /// 64-bit collision.
-    pub fn fingerprint_canonical_annotated(&self, annot: impl Fn(ProcId) -> u64) -> u64 {
+    ///
+    /// The key is that of the configuration `ov` describes: digests,
+    /// values and owned-slot signatures are read through the overlay
+    /// ([`Overlay::NONE`] keys this configuration). `annot` speaks for
+    /// that configuration too.
+    pub fn fingerprint_canonical_annotated(
+        &self,
+        ov: &Overlay,
+        annot: impl Fn(ProcId) -> u64,
+    ) -> u64 {
         use std::hash::Hasher;
         let decl = &*self.symmetry;
+        let digest = |i: usize| match ov.proc {
+            Some(m) if m.proc.0 == i => m.digest,
+            _ => self.slots[i].digest,
+        };
+        let value = |v: VarId| match ov.var {
+            Some((w, new)) if w == v => new,
+            _ => self.mem.peek(v),
+        };
         // 1. Shared memory minus class-owned slots.
-        let mut vals = self.mem.values_fingerprint();
+        let mut vals = self.mem.values_fingerprint() ^ self.values_patch(ov);
         for class in &decl.classes {
             for &v in class.owned.iter().flatten() {
-                vals ^= self.mem.slot_signature(v);
+                vals ^= slot_sig(v.0, &value(v));
             }
         }
         let mut h = FxHasher::default();
         h.write_u64(vals);
         // 2. Non-class processes, positionally.
-        for (i, slot) in self.slots.iter().enumerate() {
+        for i in 0..self.slots.len() {
             if !decl.class_member[i] {
-                h.write_u64(slot.digest);
+                h.write_u64(digest(i));
                 h.write_u64(annot(ProcId(i)));
             }
         }
@@ -881,10 +989,10 @@ impl Sim {
         let member_word = |class: &SymmetryClass, j: usize| {
             let p = class.members[j];
             let mut m = FxHasher::default();
-            m.write_u64(self.slots[p.0].digest);
+            m.write_u64(digest(p.0));
             m.write_u64(annot(p));
             for &v in &class.owned[j] {
-                encode_value(self.mem.peek(v), Some(p), |w| m.write_u64(w));
+                encode_value(value(v), Some(p), |w| m.write_u64(w));
             }
             m.finish()
         };

@@ -11,6 +11,7 @@
 //! the search runs the same code at any worker count, and a lone
 //! worker's locks are never contended.
 
+use crate::moves::Successor;
 use crate::{state_key_concrete, state_key_full, state_key_quotient, Budgets, Symmetry};
 use ccsim::Sim;
 use std::sync::Mutex;
@@ -266,6 +267,39 @@ impl VisitedStats {
     }
 }
 
+/// Entries of a worker's [`SeenFilter`]: 32 KiB of keys.
+const FILTER_SLOTS: usize = 4096;
+
+/// A worker's direct-mapped cache of state keys it has inserted into the
+/// [`Visited`] set or found there. Keys never leave the set, so a hit
+/// proves a duplicate at any worker count and spares the shard mutex and
+/// the table probe; a miss proves nothing and goes to the set, so
+/// exactly-once expansion still rests on [`Visited::insert`] alone. An
+/// empty slot holds 0, so the key 0 never hits.
+pub(crate) struct SeenFilter {
+    slots: Box<[u64; FILTER_SLOTS]>,
+}
+
+impl SeenFilter {
+    pub(crate) fn new() -> Self {
+        SeenFilter {
+            slots: Box::new([0; FILTER_SLOTS]),
+        }
+    }
+
+    /// True if `key` is known to be in the set.
+    #[inline]
+    pub(crate) fn contains(&self, key: u64) -> bool {
+        key != 0 && self.slots[key as usize % FILTER_SLOTS] == key
+    }
+
+    /// Remember `key`, which is in the set, in place of its slot's key.
+    #[inline]
+    pub(crate) fn note(&mut self, key: u64) {
+        self.slots[key as usize % FILTER_SLOTS] = key;
+    }
+}
+
 /// The visited set: 64 mutex-protected [`KeySet`] shards of 64-bit state
 /// keys, selected by the key's top 6 bits (the keys are full-avalanche
 /// hashes, so any fixed bit range balances, and the shard's own bucket
@@ -290,21 +324,25 @@ impl Visited {
         }
     }
 
-    /// The configuration's state key under this set's [`Symmetry`]; also
-    /// the digest the deterministic counterexample re-search
-    /// deduplicates by.
-    pub(crate) fn key(&self, sim: &Sim, quota: u64, budgets: Budgets) -> u64 {
+    /// The state key of `succ`, a successor of `sim` written as a patch
+    /// on it ([`Successor::NONE`] for `sim` itself), under this set's
+    /// [`Symmetry`]; also the digest the deterministic counterexample
+    /// re-search deduplicates by. The [`Symmetry::FullRehash`] baseline
+    /// walks a built world, so it takes [`Successor::NONE`] only.
+    pub(crate) fn key(&self, sim: &Sim, succ: &Successor, quota: u64, budgets: Budgets) -> u64 {
         match self.symmetry {
-            Symmetry::Off => state_key_concrete(sim, quota, budgets),
-            Symmetry::Quotient => state_key_quotient(sim, quota, budgets),
-            Symmetry::FullRehash => state_key_full(sim, quota, budgets),
+            Symmetry::Off => state_key_concrete(sim, succ, quota, budgets),
+            Symmetry::Quotient => state_key_quotient(sim, succ, quota, budgets),
+            Symmetry::FullRehash => {
+                debug_assert!(succ.overlay == ccsim::Overlay::NONE);
+                state_key_full(sim, quota, budgets)
+            }
         }
     }
 
-    /// Record a configuration, returning true if it was new. The
-    /// per-shard lock is held only for the probe itself.
-    pub(crate) fn insert(&self, sim: &Sim, quota: u64, budgets: Budgets) -> bool {
-        let key = self.key(sim, quota, budgets);
+    /// Record a state key, returning true if it was new. The per-shard
+    /// lock is held only for the probe itself.
+    pub(crate) fn insert(&self, key: u64) -> bool {
         self.shards[shard_of(key)].lock().unwrap().insert(key)
     }
 

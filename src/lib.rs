@@ -51,9 +51,9 @@
 #![warn(missing_docs)]
 
 pub use ccsim::{
-    blocked_spinners, run_random, run_random_with_faults, run_round_robin, run_solo, CrashPoint,
-    FaultPlan, Layout, Memory, Op, Phase, Prng, ProcId, Program, Protocol, Role, RunConfig,
-    RunError, Sim, Step, StepKind, SubMachine, SubStep, SymmetryClass, Trace, Value, VarId,
+    blocked_spinners, run_random, run_random_with_faults, run_round_robin, run_solo, FaultPlan,
+    Layout, Memory, Op, Phase, Prng, ProcId, Program, Protocol, Role, RunConfig, RunError, Sim,
+    Step, StepKind, SubMachine, SubStep, SymmetryClass, Trace, Value, VarId,
 };
 pub use fcounter::{CasCounter, FArray, FaaCounter, SharedCounter, SimCounter};
 pub use knowledge::{

@@ -1,13 +1,15 @@
 //! Gate: branching a world allocates nothing in steady state.
 //!
-//! The model checker pays for every transition with one world copy
-//! ([`Sim::clone_world_into`] over a recycled spare), one schedule entry,
-//! the Mutual Exclusion probe and a state key. Each test here explores a
-//! world depth-first with exactly those calls, twice over: the first pass
-//! warms the visited set, the spare-world pool and the frame stack, and
-//! the second pass retraces the same transitions. Any allocation the
-//! second pass makes comes from the branching path itself, and the gate
-//! allows fewer than one per 1,000 transitions.
+//! The model checker builds each configuration it has not seen before
+//! with one world copy ([`Sim::clone_world_into`] over a recycled spare)
+//! and one schedule entry, then probes Mutual Exclusion; a successor that
+//! rejoins a known configuration costs only its state key, predicted
+//! from its parent. Each test here builds every successor, with exactly
+//! those calls and a state key, exploring a world depth-first twice
+//! over: the first pass warms the visited set, the spare-world pool and
+//! the frame stack, and the second pass retraces the same transitions.
+//! Any allocation the second pass makes comes from the branching path
+//! itself, and the gate allows fewer than one per 1,000 transitions.
 //!
 //! Allocations are counted per thread, so tests running in parallel do
 //! not see each other's.
@@ -115,7 +117,11 @@ fn push_entries(sim: &Sim, crashes: u32, out: &mut Vec<SchedEntry>) {
 fn state_key(sim: &Sim, quotient: bool, crashes: u32) -> u64 {
     let mut h = ccsim::FxHasher::default();
     if quotient {
-        h.write_u64(sim.fingerprint_canonical_annotated(|p| sim.stats(p).passages.min(QUOTA)));
+        h.write_u64(
+            sim.fingerprint_canonical_annotated(&ccsim::Overlay::NONE, |p| {
+                sim.stats(p).passages.min(QUOTA)
+            }),
+        );
     } else {
         h.write_u64(sim.fingerprint());
         for p in sim.proc_ids() {

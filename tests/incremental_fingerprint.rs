@@ -209,7 +209,7 @@ impl Partition {
     fn record(&mut self, at: &dyn Fn() -> String, sim: &Sim, annot: &[u64]) -> Vec<u64> {
         let mut words = Vec::new();
         sim.canonical_vec_annotated(|q| annot[q.0], &mut words);
-        let key = sim.fingerprint_canonical_annotated(|q| annot[q.0]);
+        let key = sim.fingerprint_canonical_annotated(&ccsim::Overlay::NONE, |q| annot[q.0]);
         let seen_key = *self.key_of.entry(words.clone()).or_insert(key);
         assert_eq!(seen_key, key, "{}: one canonical vector got two keys", at());
         let seen_vec = self.vec_of.entry(key).or_insert_with(|| words.clone());
