@@ -33,8 +33,9 @@
 //! two scenarios of the matrix, fixed per-thread op quotas with seeded
 //! coin flips (so the read/write split is exactly reproducible), and no
 //! timing columns. The sharded-vs-single floor only binds at >= 8 CPUs;
-//! below that the check renders a stable "skipped: fewer than 8 CPUs"
-//! string so goldens blessed on small hosts byte-match CI runners.
+//! below that the report carries a stable "skipped: fewer than 8 CPUs"
+//! note instead of the check, so goldens blessed on small hosts
+//! byte-match CI runners.
 
 use super::prelude::*;
 use crate::exp::{bench_scenarios, uncontended_locks};
@@ -141,7 +142,7 @@ impl Experiment for PerfLocks {
         let mut notes: Vec<String> = Vec::new();
 
         if ctx.smoke() {
-            run_smoke(&mut report, ncpu);
+            run_smoke(&mut report, &mut notes, ncpu);
         } else {
             run_full(&mut report, &mut notes, ncpu);
         }
@@ -153,7 +154,7 @@ impl Experiment for PerfLocks {
 }
 
 /// Byte-stable smoke sweep: fixed threads/quotas/seeds, no timing.
-fn run_smoke(report: &mut Report, ncpu: usize) {
+fn run_smoke(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
     const THREADS: usize = 4;
     const SHARDS: usize = 2;
     let scenarios = bench_scenarios();
@@ -195,41 +196,39 @@ fn run_smoke(report: &mut Report, ncpu: usize) {
     ));
 
     // The CI floor: sharded read path >= 2x single A_f, read-mostly, 8
-    // threads. Only measurable with >= 8 CPUs; the rendered strings are
-    // host-class-stable either way (no host numbers), so the golden
-    // blessed on a small host byte-matches small CI runners.
-    let floor = if ncpu < 8 {
-        Check::new(
-            "sharded read path holds the 2x read-mostly CI floor over single A_f",
-            ">= 2.0x ops/s at 8 threads",
-            "skipped: fewer than 8 CPUs",
-            true,
-        )
-    } else {
-        let probe = &scenarios[0]; // read-mostly
-        let wl = scenario_workload(
-            probe,
-            9,
-            8,
-            OpBudget::Duration(Duration::from_millis(100)),
-            false,
+    // threads. Only measurable with >= 8 CPUs, so a smaller host gets a
+    // note, not a check; the rendered strings are host-class-stable
+    // either way (no host numbers), so the golden blessed on a small
+    // host byte-matches small CI runners.
+    if ncpu < 8 {
+        notes.push(
+            "2x CI floor skipped: fewer than 8 CPUs (the sharded read path's read-mostly floor over single A_f needs 8 threads on 8 CPUs)."
+                .to_string(),
         );
-        let locks = LockRegistry::builtin().real_locks(RealShape::symmetric(8).with_shards(8));
-        let single = run_contended(find_lock(&locks, "a_f"), &wl);
-        let sharded = run_contended(find_lock(&locks, "a_f-sharded"), &wl);
-        let ratio = sharded.ops_per_sec() / single.ops_per_sec().max(1e-9);
-        Check::new(
-            "sharded read path holds the 2x read-mostly CI floor over single A_f",
-            ">= 2.0x ops/s at 8 threads",
-            if ratio >= 2.0 {
-                "held (>= 2.0x)"
-            } else {
-                "BELOW FLOOR (< 2.0x)"
-            },
-            ratio >= 2.0,
-        )
-    };
-    report.check(floor);
+        return;
+    }
+    let probe = &scenarios[0]; // read-mostly
+    let wl = scenario_workload(
+        probe,
+        9,
+        8,
+        OpBudget::Duration(Duration::from_millis(100)),
+        false,
+    );
+    let locks = LockRegistry::builtin().real_locks(RealShape::symmetric(8).with_shards(8));
+    let single = run_contended(find_lock(&locks, "a_f"), &wl);
+    let sharded = run_contended(find_lock(&locks, "a_f-sharded"), &wl);
+    let ratio = sharded.ops_per_sec() / single.ops_per_sec().max(1e-9);
+    report.check(Check::new(
+        "sharded read path holds the 2x read-mostly CI floor over single A_f",
+        ">= 2.0x ops/s at 8 threads",
+        if ratio >= 2.0 {
+            "held (>= 2.0x)"
+        } else {
+            "BELOW FLOOR (< 2.0x)"
+        },
+        ratio >= 2.0,
+    ));
 }
 
 /// Timed full sweep with latency tables, then the uncontended and

@@ -499,7 +499,8 @@ impl Sim {
     }
 
     /// Total steps executed since construction.
-    pub fn total_steps(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_steps(&self) -> u64 {
         self.steps
     }
 

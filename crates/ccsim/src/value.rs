@@ -107,23 +107,6 @@ impl Value {
             other => panic!("expected Value::Bool, found {other:?}"),
         }
     }
-
-    /// Decode a process id, treating [`Value::Nil`] as `None`.
-    ///
-    /// # Panics
-    /// Panics if the value is neither [`Value::Proc`] nor [`Value::Nil`].
-    pub fn expect_proc_opt(self) -> Option<ProcId> {
-        match self {
-            Value::Proc(p) => Some(p),
-            Value::Nil => None,
-            other => panic!("expected Value::Proc or Nil, found {other:?}"),
-        }
-    }
-
-    /// True iff this is [`Value::Nil`].
-    pub fn is_nil(self) -> bool {
-        matches!(self, Value::Nil)
-    }
 }
 
 impl fmt::Display for Value {
@@ -180,8 +163,6 @@ mod tests {
         assert_eq!(Value::from(7i64).expect_int(), 7);
         assert_eq!(Value::from((1, 2)).expect_pair(), (1, 2));
         assert!(Value::from(true).expect_bool());
-        assert_eq!(Value::from(ProcId(3)).expect_proc_opt(), Some(ProcId(3)));
-        assert_eq!(Value::Nil.expect_proc_opt(), None);
     }
 
     #[test]
@@ -196,10 +177,5 @@ mod tests {
         assert_eq!(Value::Pair(4, 1).to_string(), "<4,1>");
         assert_eq!(ProcId(2).to_string(), "p2");
         assert_eq!(VarId(5).to_string(), "v5");
-    }
-
-    #[test]
-    fn default_is_nil() {
-        assert!(Value::default().is_nil());
     }
 }

@@ -58,14 +58,6 @@ impl ProcSet {
         changed
     }
 
-    /// Is `self ⊆ other`?
-    pub fn is_subset_of(&self, other: &ProcSet) -> bool {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
-    }
-
     /// Number of processes in the set.
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -150,12 +142,9 @@ mod tests {
         let mut b = ProcSet::empty(10);
         b.insert(ProcId(1));
         b.insert(ProcId(5));
-        assert!(a.is_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
         assert_eq!(b.count_missing_from(&a), 1);
         assert!(a.union_with(&b), "union grows a");
         assert!(!a.union_with(&b), "second union is a no-op");
-        assert!(b.is_subset_of(&a));
     }
 
     #[test]

@@ -179,10 +179,11 @@ pub enum Symmetry {
     /// `SymmetryClass` docs); with no classes declared it partitions the
     /// space exactly like [`Symmetry::Off`]. Counterexamples are still
     /// found on concrete states — schedules, fingerprints, and replay
-    /// artifacts are unaffected. [`explore`] and [`explore_par`] probe
-    /// Mutual Exclusion once per orbit, on its first representative; an
-    /// invariant attached through [`explore_with`] or
-    /// [`explore_par_with`] still runs on every transition's successor.
+    /// artifacts are unaffected. Every explorer probes Mutual Exclusion
+    /// and any invariant once per orbit, on its first representative, so
+    /// an invariant attached through [`explore_with`] or
+    /// [`explore_par_with`] must be symmetric across the declared classes
+    /// as well as a function of what the key holds.
     Quotient,
     /// The pre-optimization baseline: state keys from a from-scratch
     /// SipHash walk over every variable and every process per visited
@@ -670,7 +671,7 @@ where
 /// Returns the violating schedule if any reachable configuration breaks
 /// Mutual Exclusion.
 pub fn explore(factory: impl Fn() -> Sim, cfg: &CheckConfig) -> Result<CheckReport, CheckError> {
-    par::search(factory, cfg, 1, None::<&par::NoInvariant>)
+    par::search(factory, cfg, 1, &|_: &Sim| Ok(()))
 }
 
 /// Like [`explore`], additionally checking `invariant` in every reachable
@@ -681,14 +682,14 @@ pub fn explore(factory: impl Fn() -> Sim, cfg: &CheckConfig) -> Result<CheckRepo
 /// violation it meets. Sharing that search is why the invariant must be
 /// `Sync` here too, although it is only ever called from this thread.
 ///
-/// `invariant` may read state the visited set's key leaves out, such as
-/// [`Sim::is_recovering`] and the metrics, so it runs on every
-/// transition's successor, including one that rejoins a configuration
-/// already visited; only new configurations are expanded. Without an
-/// invariant, [`explore`] probes Mutual Exclusion, which the key
-/// determines, once per configuration (once per orbit under
-/// [`Symmetry::Quotient`]) and builds no world for a rejoining
-/// transition.
+/// `invariant` must be a function of what the visited set's key holds:
+/// the variables' values, the processes' local states, their passages up
+/// to the quota and their abort flags (not [`Sim::stats`], the cache
+/// contents or the recovery windows). Under [`Symmetry::Quotient`] it
+/// must also be symmetric across the declared classes. Like Mutual
+/// Exclusion, it runs once per configuration (once per orbit under the
+/// quotient), when its key is first claimed; a transition that rejoins a
+/// visited configuration is neither probed nor built.
 ///
 /// # Errors
 /// Returns the violating schedule on a Mutual Exclusion or invariant
@@ -698,7 +699,7 @@ pub fn explore_with(
     cfg: &CheckConfig,
     invariant: impl Fn(&Sim) -> Result<(), String> + Sync,
 ) -> Result<CheckReport, CheckError> {
-    par::search(factory, cfg, 1, Some(&invariant))
+    par::search(factory, cfg, 1, &invariant)
 }
 
 /// Replay a schedule (e.g. from a [`CheckError`] or a parsed
@@ -753,20 +754,18 @@ pub fn bounded_abort_invariant(budget: u64) -> impl Fn(&Sim) -> Result<(), Strin
     }
 }
 
-/// A post-crash acquirability invariant for [`explore_with`]: from any
-/// configuration in which some process is in its recovery window
-/// ([`ccsim::Sim::is_recovering`]), a fair failure-free continuation must
-/// still let every process complete a fresh passage — no crash (individual
-/// or system-wide) may leave the lock permanently lost. The probe is a
-/// round-robin run capped at `max_steps` scheduled steps; a stall,
-/// deadlock, or safety violation in the continuation is reported as an
-/// invariant failure. Clones the world per check (and only on post-crash
-/// configurations); use on small instances with a crash budget.
+/// A post-crash acquirability invariant for [`explore_with`]: from every
+/// reachable configuration, post-crash ones included, a fair failure-free
+/// continuation must still let every process complete a fresh passage —
+/// no crash (individual or system-wide) may leave the lock permanently
+/// lost. The probe is a round-robin run capped at `max_steps` scheduled
+/// steps; a stall, deadlock, or safety violation in the continuation is
+/// reported as an invariant failure. Whether it fails depends only on the
+/// variables' values and the programs' states, which the state key holds.
+/// Clones the world per check; use on small instances with a crash
+/// budget.
 pub fn post_crash_acquirability_invariant(max_steps: u64) -> impl Fn(&Sim) -> Result<(), String> {
     move |sim: &Sim| {
-        if !sim.proc_ids().any(|p| sim.is_recovering(p)) {
-            return Ok(());
-        }
         let mut probe = sim.clone_world();
         let cfg = ccsim::RunConfig {
             passages_per_proc: 1,
@@ -861,68 +860,35 @@ mod tests {
         Sim::new(mem, vec![reader(), reader()])
     }
 
-    /// Both explorers, the parallel one with 1 and 2 workers, must find
-    /// `invariant` violated on `world` under `cfg`.
-    fn assert_every_explorer_finds(
-        world: fn() -> Sim,
-        cfg: &CheckConfig,
-        invariant: &(dyn Fn(&Sim) -> Result<(), String> + Sync),
-    ) {
-        let errs = [
-            explore_with(world, cfg, invariant).expect_err("explore_with"),
-            explore_par_with(world, cfg, 1, invariant).expect_err("1 worker"),
-            explore_par_with(world, cfg, 2, invariant).expect_err("2 workers"),
-        ];
-        for err in errs {
-            assert!(matches!(err, CheckError::Invariant { .. }), "{err}");
-            assert!(invariant(&replay(world, err.schedule())).is_err(), "{err}");
-        }
-    }
-
     #[test]
-    fn invariants_probe_configurations_that_transitions_rejoin() {
+    fn configurations_one_key_names_get_one_acquirability_verdict() {
         let (p0, p1) = (ProcId(0), ProcId(1));
         let s = SchedEntry::Step;
-        let done =
-            move |sim: &Sim| sim.stats(p0).passages == 1 && sim.phase(p1) == Phase::Remainder;
+        let acquirable = post_crash_acquirability_invariant(1_000);
 
         // Two schedules, one crash each, reach one state key. In the
-        // first, p0 begins a passage, crashes and completes a fresh
-        // one, so nobody is recovering. In the second, p0 completes a
-        // passage and p1 begins one and crashes: p1 is back in its
-        // remainder, recovering. The key holds no recovery flag.
+        // first, p0 begins a passage, crashes and completes a fresh one.
+        // In the second, p0 completes a passage and p1 begins one and
+        // crashes. The key holds neither crash.
         let world = || reader_pair_world(Protocol::WriteBack);
         let c = SchedEntry::Crash;
         let a = replay(world, &[s(p0), c(p0), s(p0), s(p0), s(p0), s(p0)]);
         let b = replay(world, &[s(p0), s(p0), s(p0), s(p0), s(p1), c(p1)]);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.fingerprint_canonical(), b.fingerprint_canonical());
-        assert!(!a.is_recovering(p1) && b.is_recovering(p1));
-        // Whichever claims the key first, the recovering one is probed.
-        let p1_recovering = |sim: &Sim| -> Result<(), String> {
-            match done(sim) && sim.is_recovering(p1) {
-                true => Err("p1 is recovering".into()),
-                false => Ok(()),
-            }
-        };
+        assert_ne!(a.stats(p1).crashes, b.stats(p1).crashes);
+        assert_eq!(acquirable(&a), acquirable(&b));
 
-        // With a system-wide crash the search claims the key first with
-        // both processes recovering (p0 completes, p1 begins, both
-        // crash), and rejoins it with p0 recovered (p0 begins, both
-        // crash, p0 completes). The memory has no caches to tell the
-        // two apart.
+        // With a system-wide crash: p0 completes, p1 begins, both crash;
+        // or p0 begins, both crash, p0 completes. The memory has no
+        // caches to tell the two apart.
         let dsm = || reader_pair_world(Protocol::Dsm);
         let ca = SchedEntry::CrashAll;
         let first = replay(dsm, &[s(p0), s(p0), s(p0), s(p0), s(p1), ca]);
         let rejoin = replay(dsm, &[s(p0), ca, s(p0), s(p0), s(p0), s(p0)]);
         assert_eq!(first.fingerprint(), rejoin.fingerprint());
-        assert!(first.is_recovering(p0) && !rejoin.is_recovering(p0));
-        let p0_recovered = |sim: &Sim| -> Result<(), String> {
-            match done(sim) && !sim.is_recovering(p0) && sim.is_recovering(p1) {
-                true => Err("p0 recovered and p1 is recovering".into()),
-                false => Ok(()),
-            }
-        };
+        assert_ne!(first.stats(p0).recovery_ops, rejoin.stats(p0).recovery_ops);
+        assert_eq!(acquirable(&first), acquirable(&rejoin));
 
         for symmetry in [Symmetry::Off, Symmetry::Quotient] {
             let crash = CheckConfig {
@@ -931,37 +897,54 @@ mod tests {
                 symmetry,
                 ..Default::default()
             };
-            explore(world, &crash).expect("readers share the CS");
-            assert_every_explorer_finds(world, &crash, &p1_recovering);
             let crash_all = CheckConfig {
                 crash_budget: 0,
                 crash_all_budget: 1,
-                ..crash
+                ..crash.clone()
             };
-            explore(dsm, &crash_all).expect("readers share the CS");
-            assert_every_explorer_finds(dsm, &crash_all, &p0_recovered);
+            for (world, cfg) in [
+                (world as fn() -> Sim, crash),
+                (dsm as fn() -> Sim, crash_all),
+            ] {
+                let counts = explore(world, &cfg).expect("readers share the CS").counts();
+                for workers in [0, 1, 2] {
+                    let report = match workers {
+                        0 => explore_with(world, &cfg, &acquirable),
+                        w => explore_par_with(world, &cfg, w, &acquirable),
+                    };
+                    assert_eq!(report.expect("acquirable").counts(), counts);
+                }
+            }
         }
     }
 
     #[test]
-    fn an_invariant_runs_on_every_transitions_successor() {
-        // Mutual Exclusion alone is probed once per configuration; an
-        // invariant once per transition, and once at the root.
+    fn an_invariant_runs_once_per_configuration() {
+        // Every explorer probes a configuration once, when its key is
+        // first claimed, with or without an invariant; transitions that
+        // rejoin it probe nothing.
         let world = || wmutex::mutex_world(2, Protocol::WriteBack);
         let cfg = CheckConfig {
             passages_per_proc: 1,
             crash_budget: 1,
             ..Default::default()
         };
-        let calls = std::sync::atomic::AtomicU64::new(0);
-        let report = explore_with(world, &cfg, |_| {
-            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(calls.into_inner(), report.transitions + 1);
-        assert!(report.states_explored < report.transitions);
-        assert_eq!(report.counts(), explore(world, &cfg).unwrap().counts());
+        let counts = explore(world, &cfg).unwrap().counts();
+        for workers in [0, 1, 2] {
+            let calls = std::sync::atomic::AtomicU64::new(0);
+            let count = |_: &Sim| {
+                calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Ok(())
+            };
+            let report = match workers {
+                0 => explore_with(world, &cfg, count),
+                w => explore_par_with(world, &cfg, w, count),
+            }
+            .unwrap();
+            assert_eq!(calls.into_inner(), report.states_explored, "{workers}");
+            assert!(report.states_explored < report.transitions);
+            assert_eq!(report.counts(), counts, "{workers}");
+        }
     }
 
     #[test]

@@ -13,13 +13,16 @@
 //! runs a deterministic program whose local state its digest identifies
 //! (two states with equal digests are the same state, which is what
 //! keying the visited set by digests already assumes). Its next local
-//! state is then a function of its index (for the per-process constants
-//! a digest leaves out), its digest, the kind of entry and the value the
-//! step hands back; the memo is keyed by that whole tuple, not by a hash
-//! of it.
+//! state, whether the move completes a passage and its next abort flag
+//! are then a function of its index (for the per-process constants a
+//! digest leaves out), its digest, its abort flag, the kind of entry and
+//! the value the step hands back; the memo is keyed by that whole tuple,
+//! not by a hash of it. What it stores is read off a successor [`Sim`]
+//! built, so the bookkeeping of [`Sim::step`], [`Sim::crash`] and
+//! [`Sim::abort`] is learned, never restated.
 
 use crate::SchedEntry;
-use ccsim::{FxBuildHasher, Overlay, Phase, ProcId, ProcMove, Sim, Value};
+use ccsim::{FxBuildHasher, Overlay, ProcId, ProcMove, Sim, Value};
 use std::collections::HashMap;
 
 /// A successor of a configuration, written as a patch on it: the
@@ -68,15 +71,28 @@ enum MoveKind {
     Abort,
 }
 
-/// What a local move is looked up by: the process index, its digest,
-/// the entry kind and the value a step hands back ([`Value::Nil`] for a
-/// crash or an abort, which take no input).
+/// What a local move is looked up by: the process index, its digest and
+/// abort flag, the entry kind and the value a step hands back
+/// ([`Value::Nil`] for a crash or an abort, which take no input).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct MoveKey {
     proc: ProcId,
     digest: u64,
+    aborting: bool,
     kind: MoveKind,
     response: Value,
+}
+
+/// What a memoized local move does to the acting process, read off a
+/// successor built for it.
+#[derive(Copy, Clone, Debug)]
+struct Move {
+    /// The process's next digest.
+    next: ProcMove,
+    /// Whether the move completed a passage.
+    completes: bool,
+    /// The process's abort flag afterwards.
+    aborting: bool,
 }
 
 /// What a [`LocalMoves`] lookup says about one entry.
@@ -85,30 +101,26 @@ pub(crate) enum Prediction {
     /// The successor, predicted without building it.
     Known(Successor),
     /// The memo has not seen this move: build the successor and
-    /// [`LocalMoves::learn`] it.
-    Miss(MoveKey),
+    /// [`LocalMoves::learn`] it. Carries the acting process's passage
+    /// count before the move, which the built successor no longer shows
+    /// (and the parent's world may be handed to the successor).
+    Miss(MoveKey, u64),
     /// Build the successor: a system-wide crash changes every process,
     /// and the full-rehash baseline predicts nothing.
     Build,
 }
 
-/// A worker's memo of local moves: for each [`MoveKey`] met so far, the
-/// process's next digest (as a [`ProcMove`]) and next phase. It fills on
-/// misses and never needs evicting: an exploration meets a few thousand
-/// distinct moves.
+/// A worker's memo of local moves: for each [`MoveKey`] met so far, what
+/// the move does to the acting process. It fills on misses and never
+/// needs evicting: an exploration meets a few thousand distinct moves.
 #[derive(Default)]
 pub(crate) struct LocalMoves {
-    memo: HashMap<MoveKey, (ProcMove, Phase), FxBuildHasher>,
+    memo: HashMap<MoveKey, Move, FxBuildHasher>,
 }
 
 impl LocalMoves {
     /// The successor `entry` leads to from `sim`, if the memo knows the
-    /// acting process's move. The bookkeeping mirrors [`Sim::step`],
-    /// [`Sim::crash`] and [`Sim::abort`]: a step from outside the
-    /// remainder section into it completes a passage, or, for an
-    /// aborting process, clears the abort flag instead; a crash clears
-    /// the flag; an abort sets it unless the program lands directly in
-    /// its remainder section.
+    /// acting process's move.
     #[inline]
     pub(crate) fn predict(&self, sim: &Sim, entry: SchedEntry) -> Prediction {
         let (proc, kind, response, var) = match entry {
@@ -123,41 +135,33 @@ impl LocalMoves {
         let key = MoveKey {
             proc,
             digest: sim.digest(proc),
+            aborting: sim.is_aborting(proc),
             kind,
             response,
         };
-        let Some(&(next, phase)) = self.memo.get(&key) else {
-            return Prediction::Miss(key);
+        let passages = sim.stats(proc).passages;
+        let Some(m) = self.memo.get(&key) else {
+            return Prediction::Miss(key, passages);
         };
-        let mut passages = sim.stats(proc).passages;
-        let mut aborting = sim.is_aborting(proc);
-        match kind {
-            MoveKind::Step => {
-                if sim.phase(proc) != Phase::Remainder && phase == Phase::Remainder {
-                    if aborting {
-                        aborting = false;
-                    } else {
-                        passages += 1;
-                    }
-                }
-            }
-            MoveKind::Crash => aborting = false,
-            MoveKind::Abort => aborting |= phase != Phase::Remainder,
-        }
         Prediction::Known(Successor {
             overlay: Overlay {
-                proc: Some(next),
+                proc: Some(m.next),
                 var,
             },
-            acting: Some((proc, passages, aborting)),
+            acting: Some((proc, passages + u64::from(m.completes), m.aborting)),
         })
     }
 
-    /// Record the move `key` missed on, read off the successor built
-    /// for it.
-    pub(crate) fn learn(&mut self, key: MoveKey, child: &Sim) {
-        let next = ProcMove::new(key.proc, key.digest, child.digest(key.proc));
-        self.memo.insert(key, (next, child.phase(key.proc)));
+    /// Record the move `key` missed on, read off the successor built for
+    /// it; `passages` is the acting process's passage count before the
+    /// move.
+    pub(crate) fn learn(&mut self, key: MoveKey, passages: u64, child: &Sim) {
+        let m = Move {
+            next: ProcMove::new(key.proc, key.digest, child.digest(key.proc)),
+            completes: child.stats(key.proc).passages > passages,
+            aborting: child.is_aborting(key.proc),
+        };
+        self.memo.insert(key, m);
     }
 }
 
@@ -217,9 +221,9 @@ mod tests {
                         tally.known += 1;
                         succ
                     }
-                    Prediction::Miss(key) => {
+                    Prediction::Miss(key, passages) => {
                         tally.missed += 1;
-                        moves.learn(key, &child);
+                        moves.learn(key, passages, &child);
                         match moves.predict(&sim, entry) {
                             Prediction::Known(succ) => succ,
                             other => panic!("{label}: {entry} still {other:?} once learned"),

@@ -37,16 +37,18 @@
 //! first and key the built world. Debug builds check every successor
 //! built for a predicted key against the key of the built world.
 //!
-//! Mutual Exclusion reads only the processes' phases and roles, which the
-//! key determines, so [`crate::explore`] and [`explore_par`] probe a
-//! configuration once, when its key is first claimed, and never again
-//! when a later transition rejoins it. An attached invariant may read what the key leaves out:
-//! [`ccsim::Sim::is_recovering`] (which
-//! [`crate::post_crash_acquirability_invariant`] gates on) and the
-//! metrics. Two configurations with one key can differ there, so
-//! [`crate::explore_with`] and [`explore_par_with`] build every successor
-//! and probe it, rejoined or not, as the explorer did before keys came
-//! before worlds; they expand only new keys.
+//! Every search probes a configuration once, with Mutual Exclusion and
+//! its invariant, when its key is first claimed, and never again when a
+//! later transition rejoins it; the breadth-first re-search below keeps
+//! the same discipline. That is sound because of the **invariant
+//! contract**: an invariant must be a function of what the key holds,
+//! which is the variables' values, the processes' local states, their
+//! passages up to the quota and their abort flags (not, say,
+//! [`Sim::stats`] or the cache contents); under
+//! [`crate::Symmetry::Quotient`] it must also be symmetric across the
+//! declared classes. Mutual Exclusion reads only phases and roles, so it
+//! meets the contract. An invariant then runs once per configuration,
+//! once per orbit under the quotient.
 //!
 //! ## Determinism
 //!
@@ -142,10 +144,6 @@ struct Shared<'a> {
     /// `max_states` cap.
     states: AtomicU64,
     stop: AtomicBool,
-    /// An invariant besides Mutual Exclusion is attached: every successor
-    /// is built and probed, including one whose key is already visited
-    /// (see the module docs).
-    probe_rejoins: bool,
 }
 
 impl Shared<'_> {
@@ -296,9 +294,8 @@ where
         seen,
         part,
     } = w;
-    // The full-rehash baseline keys only built worlds, and a search
-    // that probes rejoined configurations builds every successor anyway.
-    let predict = sh.cfg.symmetry != Symmetry::FullRehash && !sh.probe_rejoins;
+    // The full-rehash baseline keys only built worlds.
+    let predict = sh.cfg.symmetry != Symmetry::FullRehash;
     arena.clear();
     arena.extend_from_slice(&entries);
     let mut stack = vec![Frame {
@@ -354,11 +351,11 @@ where
         };
         let (key, built) = match prediction {
             Prediction::Known(succ) => (sh.visited.key(&top.sim, &succ, quota, budgets), None),
-            Prediction::Miss(_) | Prediction::Build => {
+            Prediction::Miss(..) | Prediction::Build => {
                 let mut child = pool.branch(&mut top.sim, last);
                 entry.apply(&mut child);
-                if let Prediction::Miss(move_key) = prediction {
-                    moves.learn(move_key, &child);
+                if let Prediction::Miss(move_key, passages) = prediction {
+                    moves.learn(move_key, passages, &child);
                 }
                 let key = sh.visited.key(&child, &Successor::NONE, quota, budgets);
                 (key, Some(child))
@@ -366,11 +363,11 @@ where
         };
         let new = !seen.contains(key) && sh.visited.insert(key);
         seen.note(key);
-        if !new && !sh.probe_rejoins {
+        if !new {
             if let Some(child) = built {
                 pool.recycle(child);
             }
-            continue; // rejoined a known configuration
+            continue; // rejoined a configuration probed where it was claimed
         }
         let child = built.unwrap_or_else(|| {
             let mut child = pool.branch(&mut top.sim, last);
@@ -390,10 +387,6 @@ where
         }) {
             sh.halt();
             return Err(e);
-        }
-        if !new {
-            pool.recycle(child);
-            continue; // probed, and expanded where its key was claimed
         }
         part.states += 1;
         let depth = prefix.len() + stack.len();
@@ -447,12 +440,9 @@ where
     Ok(w.part)
 }
 
-/// The invariant of a search that checks Mutual Exclusion alone.
-pub(crate) type NoInvariant = fn(&Sim) -> Result<(), String>;
-
 /// Explore every interleaving of `factory`'s world with `workers` (≥ 1)
 /// workers: one on the calling thread, `workers - 1` spawned. Checks
-/// Mutual Exclusion and `invariant`, if any, in every reachable
+/// Mutual Exclusion and `invariant` once in every reachable
 /// configuration, the root first, and returns the first violation a
 /// worker reports (with one worker, the first on the DFS walk). A
 /// worker's panic halts the others and comes out of this call.
@@ -460,13 +450,11 @@ pub(crate) fn search<I>(
     factory: impl Fn() -> Sim,
     cfg: &CheckConfig,
     workers: usize,
-    invariant: Option<&I>,
+    invariant: &I,
 ) -> Result<CheckReport, CheckError>
 where
     I: Fn(&Sim) -> Result<(), String> + Sync,
 {
-    let probe_rejoins = invariant.is_some();
-    let invariant = &|sim: &Sim| invariant.map_or(Ok(()), |f| f(sim));
     let root = Box::new(factory());
     check_config(&root, invariant, Vec::new)?;
     let quota = cfg.passages_per_proc;
@@ -484,7 +472,6 @@ where
         qlen: AtomicUsize::new(0),
         states: AtomicU64::new(1), // the root
         stop: AtomicBool::new(false),
-        probe_rejoins,
     };
     sh.visited
         .insert(sh.visited.key(&root, &Successor::NONE, quota, budgets));
@@ -541,6 +528,12 @@ where
 /// a property of the *state graph*, independent of how many workers
 /// stumbled on which violation first.
 ///
+/// Each configuration is probed once, when its key is first claimed, as
+/// in [`search`]. That leaves the lowest schedule unchanged: the
+/// breadth-first order claims each key at its lowest schedule, and under
+/// the invariant contract (see the module docs) a transition that
+/// rejoins a key has the verdict of the claimant, probed earlier.
+///
 /// Called only after a worker has actually observed a violation, so the
 /// search is guaranteed to find one (any violating transition's source
 /// is reachable, and breadth-first dedup never closes the frontier
@@ -578,15 +571,16 @@ fn min_violation(
                 let nb = budgets.after(entry);
                 let mut child = sim.clone_world();
                 entry.apply(&mut child);
+                if !visited.insert(keys.key(&child, &Successor::NONE, quota, nb)) {
+                    continue;
+                }
                 let mut sched = Vec::with_capacity(prefix.len() + 1);
                 sched.extend_from_slice(prefix);
                 sched.push(entry);
                 if let Err(e) = check_config(&child, invariant, || sched.clone()) {
                     return e;
                 }
-                if visited.insert(keys.key(&child, &Successor::NONE, quota, nb))
-                    && sched.len() < MAX_DEPTH
-                {
+                if sched.len() < MAX_DEPTH {
                     next_level.push((child, sched, nb));
                 }
             }
@@ -616,18 +610,16 @@ pub fn explore_par(
     cfg: &CheckConfig,
     workers: usize,
 ) -> Result<CheckReport, CheckError> {
-    search_lowest(factory, cfg, workers, None::<&NoInvariant>)
+    search_lowest(factory, cfg, workers, &|_: &Sim| Ok(()))
 }
 
-/// Like [`explore_par`], additionally checking `invariant` in every
-/// reachable configuration. The invariant is called concurrently from
-/// worker threads, hence the `Sync` bound; it must be a pure function of
-/// the configuration (the same contract the deterministic-counterexample
-/// re-search relies on). As in [`crate::explore_with`], it may read state
-/// the key leaves out, such as [`Sim::is_recovering`] and the metrics:
-/// every transition's successor is built and probed, including one that
-/// rejoins a configuration already visited, and only new configurations
-/// are expanded.
+/// Like [`explore_par`], additionally checking `invariant` once in every
+/// reachable configuration (once per orbit under
+/// [`crate::Symmetry::Quotient`]), when its key is first claimed. As in
+/// [`crate::explore_with`], the invariant must be a function of what the
+/// state key holds, and symmetric across the declared classes under the
+/// quotient. It is called concurrently from worker threads, hence the
+/// `Sync` bound.
 ///
 /// # Errors
 /// Returns the lowest violating schedule on a Mutual Exclusion or
@@ -638,7 +630,7 @@ pub fn explore_par_with(
     workers: usize,
     invariant: impl Fn(&Sim) -> Result<(), String> + Sync,
 ) -> Result<CheckReport, CheckError> {
-    search_lowest(factory, cfg, workers, Some(&invariant))
+    search_lowest(factory, cfg, workers, &invariant)
 }
 
 /// [`search`] with `workers` workers (0 = one per available core), a
@@ -647,7 +639,7 @@ fn search_lowest<I>(
     factory: impl Fn() -> Sim,
     cfg: &CheckConfig,
     workers: usize,
-    invariant: Option<&I>,
+    invariant: &I,
 ) -> Result<CheckReport, CheckError>
 where
     I: Fn(&Sim) -> Result<(), String> + Sync,
@@ -659,11 +651,7 @@ where
     } else {
         workers
     };
-    search(&factory, cfg, workers, invariant).map_err(|_| {
-        min_violation(&factory, cfg, &|sim: &Sim| {
-            invariant.map_or(Ok(()), |f| f(sim))
-        })
-    })
+    search(&factory, cfg, workers, invariant).map_err(|_| min_violation(&factory, cfg, invariant))
 }
 
 #[cfg(test)]

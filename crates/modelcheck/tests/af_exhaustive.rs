@@ -13,10 +13,13 @@
 
 use ccsim::Protocol;
 use modelcheck::{
-    bounded_abort_invariant, explore, explore_par, explore_par_with,
+    bounded_abort_invariant, explore, explore_par, explore_par_with, explore_with,
     post_crash_acquirability_invariant, replay, shrink, CheckConfig, CheckError, TraceArtifact,
 };
-use rwcore::{af_world, af_world_seq_reuse_bug, af_world_with_order, AfConfig, FPolicy, HelpOrder};
+use rwcore::{
+    af_world, af_world_custom, af_world_seq_reuse_bug, af_world_with_order, AfConfig, CounterKind,
+    FPolicy, HelpOrder,
+};
 
 // Mutual Exclusion sweeps over the plain, gated, sharded, and CAS-loop
 // registered variants (formerly individual tests here and in
@@ -170,6 +173,44 @@ fn af_crash_all_and_abort_exploration_holds_all_invariants() {
         report.crash_transitions > 0,
         "the crash-all adversary must actually strike"
     );
+}
+
+/// The negative control for the acquirability probe: the CAS-loop
+/// ablation's recovery drains nothing, so a reader that crashes after
+/// its counter add leaves the writer blocked for good. Both explorers
+/// must report that as an invariant failure whose schedule replays onto
+/// a configuration the probe rejects.
+#[test]
+fn cas_loop_crash_wedge_fails_post_crash_acquirability() {
+    let factory = || {
+        af_world_custom(
+            AfConfig::new(2, 1).with_policy(FPolicy::One),
+            Protocol::WriteBack,
+            HelpOrder::WaitersFirst,
+            CounterKind::CasLoop,
+        )
+        .sim
+    };
+    let cfg = CheckConfig {
+        passages_per_proc: 1,
+        crash_budget: 1,
+        ..Default::default()
+    };
+    let acquirable = post_crash_acquirability_invariant(20_000);
+    let witness = |err: CheckError| {
+        let CheckError::Invariant { schedule, .. } = &err else {
+            panic!("expected an invariant failure, got {err}");
+        };
+        assert!(acquirable(&replay(factory, schedule)).is_err(), "{err}");
+        schedule.iter().map(ToString::to_string).collect::<Vec<_>>()
+    };
+    // One worker reports the first failure on its DFS walk; two report
+    // the lowest failing schedule: p0 crashes three steps into a passage.
+    let sequential = witness(explore_with(factory, &cfg, &acquirable).unwrap_err());
+    assert_eq!(sequential.len(), 20, "{sequential:?}");
+    assert_eq!(sequential.last().map(String::as_str), Some("c1"));
+    let lowest = witness(explore_par_with(factory, &cfg, 2, &acquirable).unwrap_err());
+    assert_eq!(lowest.join(" "), "s0 s0 s0 c0");
 }
 
 /// The same adversary at n=2, m=1 (MX only — the probe invariants are

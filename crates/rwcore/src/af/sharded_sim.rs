@@ -90,12 +90,13 @@ impl ShardedSimShared {
     }
 
     /// Number of shards.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// The gate word of shard `s` (harness inspection only).
-    pub fn peek_gate(&self, mem: &Memory, s: usize) -> i64 {
+    #[cfg(test)]
+    pub(crate) fn peek_gate(&self, mem: &Memory, s: usize) -> i64 {
         mem.peek(self.gates[s]).expect_int()
     }
 }
