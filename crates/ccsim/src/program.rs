@@ -184,7 +184,7 @@ pub trait Program: ProgramClone + Send {
     /// * **Canonical** ([`crate::Sim::fingerprint_canonical_annotated`])
     ///   — for processes declared interchangeable in a
     ///   [`crate::SymmetryClass`], the digest enters **index-free** into
-    ///   a member word that is sorted against the other members' words;
+    ///   a member word that is summed with the other members' words;
     ///   it must then be identical for any two members in swapped local
     ///   states (no process ids, no member-distinguishing variable ids —
     ///   member-owned values are instead canonicalized via the class's

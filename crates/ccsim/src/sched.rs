@@ -227,15 +227,17 @@ fn run_with(
                 crash_alls,
             });
         }
-        if steps >= cfg.max_steps {
-            return Err(RunError::StepBudgetExhausted { completed: done });
-        }
+        // A stall is the sharper diagnosis, so it wins when the step
+        // budget runs out on the same step.
         if since_progress >= cfg.stall_after {
             return Err(RunError::Stalled {
                 steps,
                 spinners: blocked_spinners(sim),
                 in_recovery: sim.proc_ids().any(|p| sim.is_recovering(p)),
             });
+        }
+        if steps >= cfg.max_steps {
+            return Err(RunError::StepBudgetExhausted { completed: done });
         }
 
         let idx = pick(sim, &eligible_procs, turn);

@@ -14,6 +14,13 @@ use std::sync::Arc;
 /// lives in `memory.rs` with a different salt).
 const PROC_SALT: u64 = 0x5eed_0000_0000_0002;
 
+/// Salts of the canonical key's per-process terms
+/// ([`Sim::canonical_term`]): one for processes outside every class
+/// (further salted by the process index) and one for class members
+/// (further salted by the class index).
+const LONE_SALT: u64 = 0x5eed_0000_0000_0003;
+const MEMBER_SALT: u64 = 0x5eed_0000_0000_0004;
+
 /// The Zobrist signature of "process `i` has local-state digest
 /// `digest`" (the digest is [`Program::fingerprint64`]), fed through a
 /// hasher *seeded* by the process index. The sim's process fingerprint
@@ -119,11 +126,6 @@ fn encode_value(v: Value, owner: Option<ProcId>, mut emit: impl FnMut(u64)) {
     }
 }
 
-/// Classes up to this size sort their member words in a stack array in
-/// [`Sim::fingerprint_canonical_annotated`]; larger ones (far beyond
-/// what exhaustive exploration reaches) sort in a heap buffer.
-const INLINE_CLASS: usize = 16;
-
 /// A set of processes declared interchangeable for the symmetry-quotient
 /// canonical fingerprint: permuting the *local states* of the members
 /// (together with their per-member `owned` shared-variable slices) maps
@@ -195,18 +197,27 @@ impl SymmetryClass {
     }
 }
 
-/// What [`Sim::declare_symmetry`] derives: the declared classes plus two
-/// lookup masks. Immutable once declared, so every world branched from
-/// one declaration shares a single copy.
+/// What [`Sim::declare_symmetry`] derives: the declared classes plus
+/// per-variable and per-process lookup tables. Immutable once declared,
+/// so every world branched from one declaration shares a single copy.
 #[derive(Debug)]
 struct SymmetryDecl {
     classes: Vec<SymmetryClass>,
-    /// `owned_mask[v]` — variable `v` appears in some class member's
-    /// owned slice (lets the canonical vector skip owned slots in O(1)
-    /// per variable).
-    owned_mask: Vec<bool>,
-    /// `class_member[p]` — process `p` belongs to some declared class.
-    class_member: Vec<bool>,
+    /// `owner[v]` — the class member whose owned slice holds variable
+    /// `v`, if any.
+    owner: Vec<Option<ProcId>>,
+    /// `member[p]` — process `p`'s class and its position among the
+    /// class's members, if `p` belongs to a declared class.
+    member: Vec<Option<(usize, usize)>>,
+    /// `seed[p]` — the seed of the hasher behind process `p`'s
+    /// [`Sim::canonical_term`]: salted by `p`'s index outside the
+    /// classes, by its class's index inside one.
+    seed: Vec<u64>,
+}
+
+/// The canonical-term seed of process `p` outside every class.
+fn lone_seed(p: usize) -> u64 {
+    LONE_SALT ^ mix64(p as u64)
 }
 
 /// Per-process execution metrics, split by passage section.
@@ -388,8 +399,9 @@ impl Sim {
             procs_fp,
             symmetry: Arc::new(SymmetryDecl {
                 classes: Vec::new(),
-                owned_mask: vec![false; n_vars],
-                class_member: vec![false; n],
+                owner: vec![None; n_vars],
+                member: vec![None; n],
+                seed: (0..n).map(lone_seed).collect(),
             }),
             trace: None,
             steps: 0,
@@ -860,26 +872,26 @@ impl Sim {
     /// values differ (classes must be declared on a freshly built,
     /// symmetric world).
     pub fn declare_symmetry(&mut self, classes: Vec<SymmetryClass>) {
-        let mut seen_procs = vec![false; self.procs.len()];
-        let mut seen_vars = vec![false; self.mem.n_vars()];
-        for class in &classes {
+        let mut member = vec![None; self.procs.len()];
+        let mut owner = vec![None; self.mem.n_vars()];
+        let mut seed: Vec<u64> = (0..self.procs.len()).map(lone_seed).collect();
+        for (c, class) in classes.iter().enumerate() {
             assert!(
                 class.members.len() >= 2,
                 "a symmetry class needs at least two members"
             );
-            for &p in &class.members {
+            for (j, (&p, slice)) in class.members.iter().zip(&class.owned).enumerate() {
                 assert!(p.0 < self.procs.len(), "symmetry member {p} out of range");
                 assert!(
-                    !seen_procs[p.0],
+                    member[p.0].is_none(),
                     "process {p} appears in more than one symmetry class"
                 );
-                seen_procs[p.0] = true;
-            }
-            for slice in &class.owned {
+                member[p.0] = Some((c, j));
+                seed[p.0] = MEMBER_SALT ^ mix64(c as u64);
                 for &v in slice {
                     assert!(v.0 < self.mem.n_vars(), "owned variable {v} out of range");
-                    assert!(!seen_vars[v.0], "variable {v} owned twice");
-                    seen_vars[v.0] = true;
+                    assert!(owner[v.0].is_none(), "variable {v} owned twice");
+                    owner[v.0] = Some(p);
                 }
             }
             let d0 = self.slots[class.members[0].0].digest;
@@ -900,8 +912,9 @@ impl Sim {
         }
         self.symmetry = Arc::new(SymmetryDecl {
             classes,
-            owned_mask: seen_vars,
-            class_member: seen_procs,
+            owner,
+            member,
+            seed,
         });
     }
 
@@ -928,28 +941,31 @@ impl Sim {
 
     /// The symmetry-quotient state key: a 64-bit hash that partitions
     /// configurations exactly as [`Sim::canonical_vec_annotated`] does
-    /// (up to 64-bit collisions), computed without building the vector
-    /// and without allocating for classes of up to 16 members. Three
-    /// parts, in order:
+    /// (up to 64-bit collisions), computed without building the vector.
+    /// It is a sum, with wrapping adds, of one value term and one term
+    /// per process:
     ///
-    /// 1. the shared values outside the class-owned slots: the maintained
-    ///    [`Memory::values_fingerprint`] with each owned slot's Zobrist
-    ///    term XOR-ed out (O(owned variables), nothing for classes that
-    ///    own none);
-    /// 2. every process outside the declared classes, in slot order: its
-    ///    cached digest and its annotation word;
-    /// 3. per declared class, in declaration order: the member count,
-    ///    then one full-avalanche word per member — digest, annotation,
-    ///    owned values by slice position with [`Value::Proc`]
-    ///    self-references canonicalized — in sorted order. Sorting, not
-    ///    an XOR fold, erases which member holds which state: XOR
-    ///    cancels equal members, so `{a, a, b}` and `{c, c, b}` would
-    ///    collide.
+    /// - the value term [`Sim::canonical_value_term`]: the maintained
+    ///   [`Memory::values_fingerprint`] with each class-owned slot's
+    ///   Zobrist term XOR-ed out;
+    /// - for each process, its [`Sim::canonical_term`]. A process outside
+    ///   every class contributes a full-avalanche hash of its digest and
+    ///   annotation word, salted by its index, so it is keyed by
+    ///   position. A class member contributes its *member word* — digest,
+    ///   annotation, owned values by slice position with [`Value::Proc`]
+    ///   self-references canonicalized — finalized and salted by its
+    ///   class, with no index of its own.
     ///
-    /// Each part is a function of the matching section of the canonical
-    /// vector, so permuting class members never changes the key; two
-    /// configurations with different vectors share a key only on a
-    /// 64-bit collision.
+    /// Addition commutes, so permuting class members never changes the
+    /// key. It is the additive multiset hash of Clarke et al. (ASIACRYPT
+    /// 2003): a sum, unlike an XOR fold, does not cancel equal members,
+    /// so `{a, a, b}` and `{c, c, b}` collide only if `2·f(a) ≡ 2·f(c)`,
+    /// that is `f(a) ≡ f(c) mod 2^63`. With multiplicity differences
+    /// below 2^6, two distinct canonical vectors share a key with
+    /// probability at most 2^-58. Each term reads only its own process
+    /// and the slots it owns, so a successor's key is its parent's with
+    /// the terms of the processes and slots that moved swapped out —
+    /// the patch the model checker's quotient key applies.
     ///
     /// The key is that of the configuration `ov` describes: digests,
     /// values and owned-slot signatures are read through the overlay
@@ -960,63 +976,77 @@ impl Sim {
         ov: &Overlay,
         annot: impl Fn(ProcId) -> u64,
     ) -> u64 {
+        let values = self.canonical_value_term() ^ self.canonical_value_patch(ov);
+        self.proc_ids().fold(values, |key, p| {
+            key.wrapping_add(self.canonical_term(p, ov, annot(p)))
+        })
+    }
+
+    /// The value term of [`Sim::fingerprint_canonical_annotated`]: the
+    /// XOR of the Zobrist signatures of every variable outside the
+    /// class-owned slots. O(owned variables): the maintained
+    /// [`Memory::values_fingerprint`] with each owned slot's signature
+    /// XOR-ed out.
+    pub fn canonical_value_term(&self) -> u64 {
+        let owned = self
+            .symmetry
+            .classes
+            .iter()
+            .flat_map(|c| c.owned.iter().flatten());
+        owned.fold(self.mem.values_fingerprint(), |vals, &v| {
+            vals ^ slot_sig(v.0, &self.mem.peek(v))
+        })
+    }
+
+    /// What `ov`'s variable changes in [`Sim::canonical_value_term`]:
+    /// the XOR of its old and new Zobrist signatures, or 0 when the
+    /// overlay writes nothing or writes a class-owned slot (its owner's
+    /// [`Sim::canonical_term`] covers that slot). O(1).
+    #[inline]
+    pub fn canonical_value_patch(&self, ov: &Overlay) -> u64 {
+        match ov.var {
+            Some((v, _)) if self.symmetry.owner[v.0].is_some() => 0,
+            _ => self.values_patch(ov),
+        }
+    }
+
+    /// Process `p`'s term in [`Sim::fingerprint_canonical_annotated`],
+    /// with annotation word `annot`, in the configuration `ov` describes:
+    /// for a process outside every class, a hash of its digest and
+    /// `annot` salted by its index; for a class member, a hash of its
+    /// digest, `annot` and its owned values (a [`Value::Proc`] naming
+    /// `p` itself canonicalized) salted by its class. O(owned slots of
+    /// `p`).
+    #[inline]
+    pub fn canonical_term(&self, p: ProcId, ov: &Overlay, annot: u64) -> u64 {
         use std::hash::Hasher;
+        let digest = match ov.proc {
+            Some(m) if m.proc == p => m.digest,
+            _ => self.slots[p.0].digest,
+        };
         let decl = &*self.symmetry;
-        let digest = |i: usize| match ov.proc {
-            Some(m) if m.proc.0 == i => m.digest,
-            _ => self.slots[i].digest,
-        };
-        let value = |v: VarId| match ov.var {
-            Some((w, new)) if w == v => new,
-            _ => self.mem.peek(v),
-        };
-        // 1. Shared memory minus class-owned slots.
-        let mut vals = self.mem.values_fingerprint() ^ self.values_patch(ov);
-        for class in &decl.classes {
-            for &v in class.owned.iter().flatten() {
-                vals ^= slot_sig(v.0, &value(v));
-            }
-        }
-        let mut h = FxHasher::default();
-        h.write_u64(vals);
-        // 2. Non-class processes, positionally.
-        for i in 0..self.slots.len() {
-            if !decl.class_member[i] {
-                h.write_u64(digest(i));
-                h.write_u64(annot(ProcId(i)));
-            }
-        }
-        // 3. Per class: the sorted member words.
-        let member_word = |class: &SymmetryClass, j: usize| {
-            let p = class.members[j];
-            let mut m = FxHasher::default();
-            m.write_u64(digest(p.0));
-            m.write_u64(annot(p));
-            for &v in &class.owned[j] {
-                encode_value(value(v), Some(p), |w| m.write_u64(w));
-            }
-            m.finish()
-        };
-        let mut inline = [0u64; INLINE_CLASS];
-        let mut spilled = Vec::new();
-        for class in &decl.classes {
-            let k = class.members.len();
-            let words = if k <= INLINE_CLASS {
-                &mut inline[..k]
-            } else {
-                spilled.resize(k, 0);
-                &mut spilled[..]
-            };
-            for (j, w) in words.iter_mut().enumerate() {
-                *w = member_word(class, j);
-            }
-            words.sort_unstable();
-            h.write_u64(k as u64);
-            for &w in words.iter() {
-                h.write_u64(w);
+        let mut h = FxHasher::with_seed(decl.seed[p.0]);
+        h.write_u64(digest);
+        h.write_u64(annot);
+        if let Some((c, j)) = decl.member[p.0] {
+            for &v in &decl.classes[c].owned[j] {
+                let value = match ov.var {
+                    Some((w, new)) if w == v => new,
+                    _ => self.mem.peek(v),
+                };
+                encode_value(value, Some(p), |w| h.write_u64(w));
             }
         }
         h.finish()
+    }
+
+    /// The class member whose owned slice holds `v` (see
+    /// [`SymmetryClass::with_owned`]), if any: the one process whose
+    /// [`Sim::canonical_term`] a write to `v` changes besides the
+    /// writer's own.
+    #[inline]
+    pub fn slot_owner(&self, v: VarId) -> Option<ProcId> {
+        self.symmetry.owner[v.0]
     }
 
     /// Append the **canonical state vector** of this configuration to
@@ -1063,13 +1093,13 @@ impl Sim {
     pub fn canonical_vec_annotated(&self, annot: impl Fn(ProcId) -> u64, out: &mut Vec<u64>) {
         // 1. Shared memory minus class-owned slots, in VarId order.
         for v in 0..self.mem.n_vars() {
-            if !self.symmetry.owned_mask[v] {
+            if self.symmetry.owner[v].is_none() {
                 encode_value(self.mem.peek(VarId(v)), None, |w| out.push(w));
             }
         }
         // 2. Non-class processes, positionally.
         for (i, slot) in self.slots.iter().enumerate() {
-            if !self.symmetry.class_member[i] {
+            if self.symmetry.member[i].is_none() {
                 out.push(slot.digest);
                 out.push(annot(ProcId(i)));
             }
@@ -1655,8 +1685,8 @@ mod tests {
 
     #[test]
     fn canonical_fingerprint_merges_permutations_of_a_65_member_class() {
-        // The twin of the 65-member canonical-vector test: the class is
-        // too large for the inline sort buffer.
+        // The twin of the 65-member canonical-vector test: a class far
+        // larger than exhaustive exploration reaches.
         let steps = |i: usize| if i.is_multiple_of(3) { 0 } else { i % 4 };
         let mut a = per_slot_world(65);
         let mut b = per_slot_world(65);

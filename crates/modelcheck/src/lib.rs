@@ -37,7 +37,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use ccsim::{FxHasher, MutualExclusionViolation, Phase, ProcId, Sim};
+use ccsim::{FxHasher, MutualExclusionViolation, Overlay, Phase, ProcId, Sim};
 use moves::Successor;
 use std::collections::hash_map::DefaultHasher;
 use std::error::Error;
@@ -509,26 +509,83 @@ fn state_key_concrete(sim: &Sim, succ: &Successor, quota: u64, budgets: Budgets)
     h.finish()
 }
 
-/// The symmetry-quotient state key: the configuration's canonical key
-/// ([`Sim::fingerprint_canonical_annotated`]) followed by the three
-/// remaining adversary budgets.
-///
-/// Each process's annotation word carries its exploration semantics —
-/// capped passage count and in-flight abort flag. For class members the
-/// annotation sits *inside* the sorted member word: the semantics of a
-/// member (is it enabled? does completing count as abort or passage?)
-/// travel with its local state under a permutation, so keying them by
-/// index would merge states whose permuted members disagree on quota or
-/// abort status.
-fn state_key_quotient(sim: &Sim, succ: &Successor, quota: u64, budgets: Budgets) -> u64 {
+/// The symmetry-quotient state key of a configuration whose canonical
+/// key ([`Sim::fingerprint_canonical_annotated`]) is `inner`: that key
+/// followed by the three remaining adversary budgets.
+fn state_key_quotient(inner: u64, budgets: Budgets) -> u64 {
     let mut h = FxHasher::default();
-    h.write_u64(sim.fingerprint_canonical_annotated(&succ.overlay, |p| {
-        (succ.passages(sim, p).min(quota) << 1) | succ.aborting(sim, p) as u64
-    }));
+    h.write_u64(inner);
     h.write_u32(budgets.crashes);
     h.write_u32(budgets.crash_alls);
     h.write_u32(budgets.aborts);
     h.finish()
+}
+
+/// Process `p`'s annotation word in the quotient key of `succ`: its
+/// exploration semantics, which are its capped passage count and its
+/// in-flight abort flag. For a class member the annotation sits *inside*
+/// its member word: the semantics of a member (is it enabled? does
+/// completing count as abort or passage?) travel with its local state
+/// under a permutation, so keying them by index would merge states whose
+/// permuted members disagree on quota or abort status.
+#[inline]
+fn annotation(sim: &Sim, succ: &Successor, p: ProcId, quota: u64) -> u64 {
+    (succ.passages(sim, p).min(quota) << 1) | succ.aborting(sim, p) as u64
+}
+
+/// The parts of a configuration's quotient key that its successors'
+/// keys patch: the value term ([`Sim::canonical_value_term`]) and the
+/// whole canonical key `inner`, the value term plus one
+/// [`Sim::canonical_term`] per process. The search carries them down
+/// its frames; under the other key disciplines they stay zero.
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+pub(crate) struct KeyParts {
+    values: u64,
+    inner: u64,
+}
+
+/// The canonical key of `succ`, annotated for the quotient key.
+fn quotient_inner(sim: &Sim, succ: &Successor, quota: u64) -> u64 {
+    sim.fingerprint_canonical_annotated(&succ.overlay, |p| annotation(sim, succ, p, quota))
+}
+
+/// The [`KeyParts`] of `sim`, computed in full.
+fn quotient_parts(sim: &Sim, quota: u64) -> KeyParts {
+    KeyParts {
+        values: sim.canonical_value_term(),
+        inner: quotient_inner(sim, &Successor::NONE, quota),
+    }
+}
+
+/// The [`KeyParts`] of `succ` patched from `parts`, those of `sim`: the
+/// acting process's term is swapped for its term in the successor, as is
+/// the term of the owner of a class-owned slot the step writes, and a
+/// write outside the owned slots patches the value term. O(1) in the
+/// number of processes.
+#[inline]
+fn patch_quotient_parts(sim: &Sim, parts: KeyParts, succ: &Successor, quota: u64) -> KeyParts {
+    let Some(q) = succ.acting() else {
+        return parts;
+    };
+    let ov = &succ.overlay;
+    let swap = |inner: u64, p: ProcId| {
+        let before = annotation(sim, &Successor::NONE, p, quota);
+        let after = annotation(sim, succ, p, quota);
+        inner
+            .wrapping_sub(sim.canonical_term(p, &Overlay::NONE, before))
+            .wrapping_add(sim.canonical_term(p, ov, after))
+    };
+    let mut inner = swap(parts.inner, q);
+    if let Some(r) = ov.var.and_then(|(v, _)| sim.slot_owner(v)) {
+        if r != q {
+            inner = swap(inner, r);
+        }
+    }
+    let values = parts.values ^ sim.canonical_value_patch(ov);
+    KeyParts {
+        values,
+        inner: inner.wrapping_sub(parts.values).wrapping_add(values),
+    }
 }
 
 /// The in-flight abort flags of `succ` packed into a bitmask (bit `p`
@@ -760,10 +817,12 @@ pub fn bounded_abort_invariant(budget: u64) -> impl Fn(&Sim) -> Result<(), Strin
 /// no crash (individual or system-wide) may leave the lock permanently
 /// lost. The probe is a round-robin run capped at `max_steps` scheduled
 /// steps; a stall, deadlock, or safety violation in the continuation is
-/// reported as an invariant failure. Whether it fails depends only on the
-/// variables' values and the programs' states, which the state key holds.
-/// Clones the world per check; use on small instances with a crash
-/// budget.
+/// reported as an invariant failure. Whether it fails, and its message,
+/// depend only on the variables' values and the programs' states, which
+/// the state key holds: a stall names its steps and blocked spinners but
+/// not whether a process is inside a recovery window
+/// ([`Sim::is_recovering`]), which no key holds. Clones the world per
+/// check; use on small instances with a crash budget.
 pub fn post_crash_acquirability_invariant(max_steps: u64) -> impl Fn(&Sim) -> Result<(), String> {
     move |sim: &Sim| {
         let mut probe = sim.clone_world();
@@ -772,13 +831,16 @@ pub fn post_crash_acquirability_invariant(max_steps: u64) -> impl Fn(&Sim) -> Re
             max_steps,
             stall_after: max_steps,
         };
-        if let Err(e) = ccsim::run_round_robin(&mut probe, &cfg) {
-            return Err(format!(
-                "post-crash acquirability violated: a fair failure-free \
-                 continuation cannot complete a passage per process: {e}"
-            ));
+        let Err(mut e) = ccsim::run_round_robin(&mut probe, &cfg) else {
+            return Ok(());
+        };
+        if let ccsim::RunError::Stalled { in_recovery, .. } = &mut e {
+            *in_recovery = false;
         }
-        Ok(())
+        Err(format!(
+            "post-crash acquirability violated: a fair failure-free \
+             continuation cannot complete a passage per process: {e}"
+        ))
     }
 }
 
@@ -858,6 +920,78 @@ mod tests {
             })
         };
         Sim::new(mem, vec![reader(), reader()])
+    }
+
+    /// A reader whose passage after a crash spins forever on its entry
+    /// read: its recovery passage wedges.
+    #[derive(Clone)]
+    struct Wedge {
+        v: VarId,
+        pc: u8,
+        crashed: bool,
+    }
+
+    impl Program for Wedge {
+        fn poll(&self) -> Step {
+            match self.pc {
+                0 => Step::Remainder,
+                2 => Step::Cs,
+                _ => Step::Op(Op::Read(self.v)),
+            }
+        }
+        fn resume(&mut self, _: Value) {
+            if !(self.pc == 1 && self.crashed) {
+                self.pc = (self.pc + 1) % 4;
+            }
+        }
+        fn phase(&self) -> Phase {
+            [Phase::Remainder, Phase::Entry, Phase::Cs, Phase::Exit][self.pc as usize]
+        }
+        fn role(&self) -> Role {
+            Role::Reader
+        }
+        fn on_crash(&mut self) {
+            self.pc = 0;
+            self.crashed = true;
+        }
+        fn fingerprint(&self, h: &mut dyn Hasher) {
+            h.write_u8(self.pc);
+            h.write_u8(self.crashed as u8);
+        }
+    }
+
+    #[test]
+    fn the_acquirability_message_names_no_recovery_window() {
+        let mut l = Layout::new();
+        let v = l.var("x", Value::Int(0));
+        let mem = Memory::new(&l, 1, Protocol::WriteBack);
+        let wedge = Wedge {
+            v,
+            pc: 0,
+            crashed: false,
+        };
+        let mut sim = Sim::new(mem, vec![Box::new(wedge)]);
+        let p0 = ProcId(0);
+        sim.step(p0);
+        sim.crash(p0);
+        assert!(sim.is_recovering(p0));
+
+        let message = post_crash_acquirability_invariant(100)(&sim).unwrap_err();
+        assert!(message.contains("run stalled"), "{message}");
+        assert!(message.contains("p0 on v0"), "{message}");
+        assert!(!message.contains("recovery"), "{message}");
+        // The stall itself does say that p0 wedged inside its recovery
+        // window.
+        let cfg = ccsim::RunConfig {
+            passages_per_proc: 1,
+            max_steps: 100,
+            stall_after: 100,
+        };
+        let stall = ccsim::run_round_robin(&mut sim.clone_world(), &cfg).unwrap_err();
+        assert!(
+            stall.to_string().ends_with("(inside a recovery window)"),
+            "{stall}"
+        );
     }
 
     #[test]

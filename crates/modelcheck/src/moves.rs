@@ -24,6 +24,7 @@
 use crate::SchedEntry;
 use ccsim::{FxBuildHasher, Overlay, ProcId, ProcMove, Sim, Value};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// A successor of a configuration, written as a patch on it: the
 /// [`Overlay`] the key functions read shared state through, and the
@@ -43,6 +44,13 @@ impl Successor {
         overlay: Overlay::NONE,
         acting: None,
     };
+
+    /// The process whose step, crash or abort this successor is (`None`
+    /// for [`Successor::NONE`]).
+    #[inline]
+    pub(crate) fn acting(&self) -> Option<ProcId> {
+        self.acting.map(|(p, ..)| p)
+    }
 
     /// Completed passages of `p` in the successor of `sim`.
     #[inline]
@@ -64,7 +72,7 @@ impl Successor {
 }
 
 /// The entry kinds a local move is memoized for.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 enum MoveKind {
     Step,
     Crash,
@@ -74,7 +82,7 @@ enum MoveKind {
 /// What a local move is looked up by: the process index, its digest and
 /// abort flag, the entry kind and the value a step hands back
 /// ([`Value::Nil`] for a crash or an abort, which take no input).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub(crate) struct MoveKey {
     proc: ProcId,
     digest: u64,
@@ -82,6 +90,32 @@ pub(crate) struct MoveKey {
     kind: MoveKind,
     response: Value,
 }
+
+/// One word per key: the digest, which is already full-avalanche, folded
+/// with the response's payload and a small word of the process, the
+/// abort flag, the kind and the response's tag. Distinct keys may share
+/// it; the memo's `Eq` still compares every field.
+impl Hash for MoveKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (tag, payload) = match self.response {
+            Value::Nil => (0, 0),
+            Value::Int(i) => (1, i as u64),
+            Value::Pair(a, b) => (2, (a as u64).rotate_left(32) ^ b as u64),
+            Value::Proc(q) => (3, q.0 as u64),
+            Value::Bool(b) => (4, b as u64),
+        };
+        let small = (self.proc.0 as u64) << 8
+            | u64::from(self.aborting) << 5
+            | (self.kind as u64) << 3
+            | tag;
+        state.write_u64(self.digest ^ payload.wrapping_mul(PAYLOAD_MIX) ^ small);
+    }
+}
+
+/// An odd multiplier that spreads a response payload over the word
+/// [`MoveKey`] hashes (the golden ratio's, as in `splitmix64`).
+const PAYLOAD_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// What a memoized local move does to the acting process, read off a
 /// successor built for it.
@@ -170,7 +204,9 @@ mod tests {
     use super::*;
     use crate::visited::Visited;
     use crate::{push_entries, Budgets, Symmetry};
-    use ccsim::{Prng, Protocol};
+    use ccsim::{
+        Layout, Memory, Op, Phase, Prng, Program, Protocol, Role, Step, SymmetryClass, VarId,
+    };
     use rwcore::{af_world, af_world_custom, AfConfig, CounterKind, FPolicy, HelpOrder};
 
     /// Lookups that found the move, and lookups that had to learn it.
@@ -184,7 +220,13 @@ mod tests {
     /// the key of every offered entry and compare it with the key of the
     /// successor built for it. A miss is learned from the built successor
     /// and then predicted again, so misses and hits are both checked, and
-    /// so are the duplicate successors the explorer never builds.
+    /// so are the duplicate successors the explorer never builds. Each
+    /// prediction is keyed twice: through the overlay, and by patching
+    /// the key parts carried along the walk as the explorer's frames
+    /// carry them. The patched parts must equal those recomputed from the
+    /// built successor, and the walk carries them on to the next
+    /// configuration (recomputing them only after a `CrashAll`, as the
+    /// explorer does).
     fn walk_and_compare(
         label: &str,
         world: &dyn Fn() -> Sim,
@@ -198,23 +240,27 @@ mod tests {
         let mut moves = LocalMoves::default();
         let mut rng = Prng::new(seed);
         let root = world();
-        let (mut sim, mut left) = (root.clone_world(), budgets);
+        let root_parts = visited.keyed(&root, QUOTA, budgets).1;
+        let (mut sim, mut left, mut parts) = (root.clone_world(), budgets, root_parts);
         let mut entries = Vec::new();
+        let mut next_parts = Vec::new();
         for i in 0..1_000 {
             entries.clear();
             push_entries(&sim, QUOTA, left, i % 2 == 1, &mut entries);
             if entries.is_empty() || i % 200 == 199 {
-                (sim, left) = (root.clone_world(), budgets);
+                (sim, left, parts) = (root.clone_world(), budgets, root_parts);
                 continue;
             }
+            next_parts.clear();
             for &entry in &entries {
                 let after = left.after(entry);
                 let mut child = sim.clone_world();
                 entry.apply(&mut child);
-                let built = visited.key(&child, &Successor::NONE, QUOTA, after);
+                let (built, built_parts) = visited.keyed(&child, QUOTA, after);
                 let succ = match moves.predict(&sim, entry) {
                     Prediction::Build => {
                         assert_eq!(entry, SchedEntry::CrashAll, "{label}: {entry} unpredicted");
+                        next_parts.push(built_parts);
                         continue;
                     }
                     Prediction::Known(succ) => {
@@ -236,11 +282,70 @@ mod tests {
                     "{label} ({symmetry}): event {i}, the key predicted for {entry} \
                      is not the built successor's"
                 );
+                let patched = visited.patched(&sim, parts, &succ, QUOTA, after);
+                assert_eq!(
+                    patched,
+                    (built, built_parts),
+                    "{label} ({symmetry}): event {i}, the key parts patched for {entry} \
+                     are not the built successor's"
+                );
+                next_parts.push(patched.1);
             }
-            let entry = entries[rng.below(entries.len())];
-            entry.apply(&mut sim);
-            left = left.after(entry);
+            let chosen = rng.below(entries.len());
+            entries[chosen].apply(&mut sim);
+            left = left.after(entries[chosen]);
+            parts = next_parts[chosen];
         }
+    }
+
+    /// A reader that writes 1 into `target` on entry and 2 on exit.
+    /// Pointed at another class member's owned slot, its steps change
+    /// the owner's key term besides its own.
+    #[derive(Clone)]
+    struct Poke {
+        target: VarId,
+        pc: u8,
+    }
+
+    impl Program for Poke {
+        fn poll(&self) -> Step {
+            match self.pc {
+                0 => Step::Remainder,
+                1 => Step::Op(Op::write(self.target, 1)),
+                2 => Step::Cs,
+                _ => Step::Op(Op::write(self.target, 2)),
+            }
+        }
+        fn resume(&mut self, _: Value) {
+            self.pc = (self.pc + 1) % 4;
+        }
+        fn phase(&self) -> Phase {
+            [Phase::Remainder, Phase::Entry, Phase::Cs, Phase::Exit][self.pc as usize]
+        }
+        fn role(&self) -> Role {
+            Role::Reader
+        }
+        fn on_crash(&mut self) {
+            self.pc = 0;
+        }
+        fn fingerprint(&self, h: &mut dyn Hasher) {
+            h.write_u8(self.pc);
+        }
+    }
+
+    /// Members p0 and p1 own `x0` and `x1` and write each other's slot;
+    /// p2, outside the class, writes `x0` too.
+    fn poke_world() -> Sim {
+        let mut l = Layout::new();
+        let x = [l.var("x0", Value::Int(0)), l.var("x1", Value::Int(0))];
+        let mem = Memory::new(&l, 3, Protocol::WriteBack);
+        let poke = |target| -> Box<dyn Program> { Box::new(Poke { target, pc: 0 }) };
+        let mut sim = Sim::new(mem, vec![poke(x[1]), poke(x[0]), poke(x[0])]);
+        sim.declare_symmetry(vec![SymmetryClass::with_owned(
+            vec![ProcId(0), ProcId(1)],
+            vec![vec![x[0]], vec![x[1]]],
+        )]);
+        sim
     }
 
     /// A labelled world factory and the adversary budgets to walk it with.
@@ -292,6 +397,11 @@ mod tests {
         ));
         assert_eq!(worlds[worlds.len() - 2].1().symmetry_classes().len(), 2);
         assert_eq!(worlds[worlds.len() - 1].1().symmetry_classes().len(), 1);
+        worlds.push((
+            "owned slots written by others".into(),
+            Box::new(poke_world),
+            budgets(true, true, false),
+        ));
 
         let mut tally = Tally::default();
         let mut seeds = Prng::new(0x6e79_5f0f);

@@ -28,14 +28,22 @@
 //! is keyed from its parent through an overlay: the value the step
 //! writes comes from [`Sim::step_effect`], and the process's next digest
 //! and phase from the worker's memo of local moves
-//! ([`crate::moves::LocalMoves`]). A per-worker [`SeenFilter`] of 4,096
+//! ([`crate::moves::LocalMoves`]). Under the quotient each frame also
+//! carries its configuration's key parts ([`KeyParts`]: the value term
+//! and the canonical key, a sum of per-process terms), and a predicted
+//! successor's parts are its parent's with the terms of the moving
+//! process, of the owner of a class-owned slot the step writes and of
+//! the value term swapped ([`Visited::patched`]); a child frame inherits
+//! them. A per-worker [`SeenFilter`] of 4,096
 //! keys already in the set answers most duplicates without the shard
 //! mutex. Only a new key gets a world: it is claimed in the visited set,
 //! then the successor is branched, stepped, probed and expanded. A memo
 //! miss, a `CrashAll` (which changes every process) and every transition
 //! of the [`crate::Symmetry::FullRehash`] baseline build the successor
-//! first and key the built world. Debug builds check every successor
-//! built for a predicted key against the key of the built world.
+//! first and key the built world, as the root and a donated job's first
+//! frame are keyed, in full. Debug builds check every successor built
+//! for a predicted key against the key and key parts recomputed from the
+//! built world.
 //!
 //! Every search probes a configuration once, with Mutual Exclusion and
 //! its invariant, when its key is first claimed, and never again when a
@@ -73,8 +81,8 @@
 use crate::moves::{LocalMoves, Prediction, Successor};
 use crate::visited::{KeySet, SeenFilter, Visited};
 use crate::{
-    check_config, push_entries, Budgets, CheckConfig, CheckError, CheckReport, SchedEntry,
-    Symmetry, WorldPool,
+    check_config, push_entries, Budgets, CheckConfig, CheckError, CheckReport, KeyParts,
+    SchedEntry, Symmetry, WorldPool,
 };
 use ccsim::Sim;
 use std::collections::VecDeque;
@@ -224,6 +232,9 @@ struct Frame {
     /// job's first frame) — used to rebuild schedules.
     chosen: Option<SchedEntry>,
     budgets: Budgets,
+    /// The parts of the configuration's key that its successors' keys
+    /// patch (see [`Visited::patched`]).
+    parts: KeyParts,
 }
 
 /// The schedule from the root to the top of `frames`: the job's prefix,
@@ -296,8 +307,10 @@ where
     } = w;
     // The full-rehash baseline keys only built worlds.
     let predict = sh.cfg.symmetry != Symmetry::FullRehash;
+    let quota = sh.cfg.passages_per_proc;
     arena.clear();
     arena.extend_from_slice(&entries);
+    let (_, parts) = sh.visited.keyed(&sim, quota, budgets);
     let mut stack = vec![Frame {
         sim,
         estart: 0,
@@ -305,8 +318,8 @@ where
         eend: arena.len(),
         chosen: None,
         budgets,
+        parts,
     }];
-    let quota = sh.cfg.passages_per_proc;
     let mut cooldown = 0u32;
 
     while !stack.is_empty() {
@@ -349,16 +362,21 @@ where
         } else {
             Prediction::Build
         };
-        let (key, built) = match prediction {
-            Prediction::Known(succ) => (sh.visited.key(&top.sim, &succ, quota, budgets), None),
+        let (key, parts, built) = match prediction {
+            Prediction::Known(succ) => {
+                let (key, parts) = sh
+                    .visited
+                    .patched(&top.sim, top.parts, &succ, quota, budgets);
+                (key, parts, None)
+            }
             Prediction::Miss(..) | Prediction::Build => {
                 let mut child = pool.branch(&mut top.sim, last);
                 entry.apply(&mut child);
                 if let Prediction::Miss(move_key, passages) = prediction {
                     moves.learn(move_key, passages, &child);
                 }
-                let key = sh.visited.key(&child, &Successor::NONE, quota, budgets);
-                (key, Some(child))
+                let (key, parts) = sh.visited.keyed(&child, quota, budgets);
+                (key, parts, Some(child))
             }
         };
         let new = !seen.contains(key) && sh.visited.insert(key);
@@ -373,9 +391,9 @@ where
             let mut child = pool.branch(&mut top.sim, last);
             entry.apply(&mut child);
             debug_assert_eq!(
-                sh.visited.key(&child, &Successor::NONE, quota, budgets),
-                key,
-                "the key predicted for {entry} is not the built successor's"
+                sh.visited.keyed(&child, quota, budgets),
+                (key, parts),
+                "the key or key parts predicted for {entry} are not the built successor's"
             );
             child
         });
@@ -413,6 +431,7 @@ where
             eend: arena.len(),
             chosen: Some(entry),
             budgets,
+            parts,
         });
     }
     Ok(())

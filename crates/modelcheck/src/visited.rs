@@ -12,7 +12,10 @@
 //! worker's locks are never contended.
 
 use crate::moves::Successor;
-use crate::{state_key_concrete, state_key_full, state_key_quotient, Budgets, Symmetry};
+use crate::{
+    patch_quotient_parts, quotient_inner, quotient_parts, state_key_concrete, state_key_full,
+    state_key_quotient, Budgets, KeyParts, Symmetry,
+};
 use ccsim::Sim;
 use std::sync::Mutex;
 
@@ -332,11 +335,49 @@ impl Visited {
     pub(crate) fn key(&self, sim: &Sim, succ: &Successor, quota: u64, budgets: Budgets) -> u64 {
         match self.symmetry {
             Symmetry::Off => state_key_concrete(sim, succ, quota, budgets),
-            Symmetry::Quotient => state_key_quotient(sim, succ, quota, budgets),
+            Symmetry::Quotient => state_key_quotient(quotient_inner(sim, succ, quota), budgets),
             Symmetry::FullRehash => {
                 debug_assert!(succ.overlay == ccsim::Overlay::NONE);
                 state_key_full(sim, quota, budgets)
             }
+        }
+    }
+
+    /// The state key of `sim` and the [`KeyParts`] its successors' keys
+    /// patch (zero unless this set keys by [`Symmetry::Quotient`]).
+    pub(crate) fn keyed(&self, sim: &Sim, quota: u64, budgets: Budgets) -> (u64, KeyParts) {
+        match self.symmetry {
+            Symmetry::Quotient => {
+                let parts = quotient_parts(sim, quota);
+                (state_key_quotient(parts.inner, budgets), parts)
+            }
+            _ => (
+                self.key(sim, &Successor::NONE, quota, budgets),
+                KeyParts::default(),
+            ),
+        }
+    }
+
+    /// [`Visited::keyed`] for `succ`, a successor of `sim` written as a
+    /// patch on it, given `parts`, the [`KeyParts`] of `sim`. Under
+    /// [`Symmetry::Quotient`] the successor's parts are `parts` patched
+    /// with what the move changed, so the key costs O(1) in the number of
+    /// processes; the other disciplines key `succ` directly.
+    #[inline]
+    pub(crate) fn patched(
+        &self,
+        sim: &Sim,
+        parts: KeyParts,
+        succ: &Successor,
+        quota: u64,
+        budgets: Budgets,
+    ) -> (u64, KeyParts) {
+        match self.symmetry {
+            Symmetry::Quotient => {
+                let parts = patch_quotient_parts(sim, parts, succ, quota);
+                (state_key_quotient(parts.inner, budgets), parts)
+            }
+            _ => (self.key(sim, succ, quota, budgets), parts),
         }
     }
 

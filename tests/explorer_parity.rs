@@ -90,6 +90,16 @@ fn casloop_quotient_counts_agree_across_explorers() {
     assert_eq!(pinned_of(&full), concrete, "full_rehash");
 }
 
+/// The f-array lock's two readers are sibling leaves, so they form a
+/// symmetry class whose members each own their leaf slots: a step that
+/// writes a leaf changes its owner's key term, not the value term.
+#[test]
+fn farray_quotient_counts_agree_across_explorers() {
+    assert_eq!(farray_world().symmetry_classes().len(), 1);
+    let orbits = ((17_547, 45_041, 0, 12, true), 82);
+    seq_and_par(farray_world, &config(0, Symmetry::Quotient), orbits);
+}
+
 /// The world a committed trace's `world:` header names.
 fn world_named(name: &str) -> Sim {
     match name {
